@@ -30,8 +30,9 @@ from .errors import (
     ParameterError,
     SimulationIntegrityError,
 )
-from .proto_bb84 import SessionConfig, SessionReport, run_session
+from .proto_bb84 import SessionConfig, run_session
 from .proto_tf import TfConfig, run_tf_session, tf_ledger
+from .session import SessionReport
 from .squeeze import (
     Codebook,
     CompressionStats,

@@ -40,6 +40,8 @@ def _fmt(x) -> str:
         return f"{x:.12g}"
     if x is None:
         return ""
+    if isinstance(x, list):  # a comma would shift every later column
+        return ";".join(_fmt(v) for v in x)
     return str(x)
 
 
@@ -63,11 +65,12 @@ def _csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_rows(args, rows: list[dict]) -> None:
+def _emit(args, data: dict | list[dict]) -> None:
+    """Write ``data`` as JSON as it is, or as CSV with a dict taken as one row."""
     if args.format == "json":
-        _write_out(args, json.dumps(rows, indent=2) + "\n")
+        _write_out(args, json.dumps(data, indent=2) + "\n")
     else:
-        _write_out(args, _csv(rows))
+        _write_out(args, _csv([data] if isinstance(data, dict) else data))
 
 
 def cmd_curve(args) -> int:
@@ -86,28 +89,20 @@ def cmd_curve(args) -> int:
     lengths = [l_min + i * l_step for i in range(count)]
 
     points = efficiency_curve(ch, pp, lengths)
-    if args.format == "json":
-        rows = [
-            {
-                "L_km": pt.length_km,
-                "eff_standard": pt.standard.efficiency,
-                "eff_optimal": pt.optimal.efficiency,
-                "extinct_standard": pt.standard.extinct,
-                "extinct_optimal": pt.optimal.extinct,
-            }
-            for pt in points
-        ]
-        _write_out(args, json.dumps(rows, indent=2) + "\n")
-    else:
-        rows = [
-            {
-                "L_km": pt.length_km,
-                "eff_standard": pt.standard.efficiency,
-                "eff_optimal": pt.optimal.efficiency,
-            }
-            for pt in points
-        ]
-        _write_out(args, _csv(rows))
+    rows = [
+        {
+            "L_km": pt.length_km,
+            "eff_standard": pt.standard.efficiency,
+            "eff_optimal": pt.optimal.efficiency,
+            "extinct_standard": pt.standard.extinct,
+            "extinct_optimal": pt.optimal.extinct,
+        }
+        for pt in points
+    ]
+    if args.format == "csv":
+        for row in rows:
+            del row["extinct_standard"], row["extinct_optimal"]
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -133,7 +128,7 @@ def cmd_sigma(args) -> int:
         }
         for k, sig in series
     ]
-    _emit_rows(args, rows)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -146,20 +141,12 @@ def cmd_optimality(args) -> int:
         report = determine_optimality(ch, xi)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    row = report.as_dict()
-    if args.format == "json":
-        _write_out(args, json.dumps(row, indent=2) + "\n")
-    else:
-        _emit_rows(args, [row])
+    _emit(args, report.as_dict())
     return EXIT_OK
 
 
 def _emit_session(args, report) -> int:
-    row = report.as_dict()
-    if args.format == "json":
-        _write_out(args, json.dumps(row, indent=2) + "\n")
-    else:
-        _emit_rows(args, [row])
+    _emit(args, report.as_dict())
     status = "aborted" if report.aborted else "ok"
     print(
         f"status={status} key_bits={report.final_key_bits} "

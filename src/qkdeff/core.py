@@ -204,15 +204,21 @@ def qber(ch: ChannelParams) -> float:
     return e
 
 
+def _rate_terms(ch: ChannelParams, pp: ProtocolParams) -> tuple[float, float, float, float]:
+    """eta~, e, H(e) and the asymptotic rate eta~*s*(xi - H(e) - f*H(e))."""
+    eta = transmittance(ch)
+    e = qber(ch)
+    h = binary_entropy(e)
+    return eta, e, h, eta * pp.s * (pp.xi - h - ch.f * h)
+
+
 def secret_key_rate(ch: ChannelParams, pp: ProtocolParams) -> float:
     """Secret key rate per transmitted qubit; may be negative (extinction).
 
     Finite mode carries the (1 - delta) parameter-estimation loss; the
     asymptotic rate is eta~ * s * (xi - H(e) - f*H(e)).
     """
-    h = binary_entropy(qber(ch))
-    r = transmittance(ch) * pp.s * (pp.xi - h - ch.f * h)
-    return (1.0 - pp.delta) * r
+    return (1.0 - pp.delta) * _rate_terms(ch, pp)[3]
 
 
 def classical_bits(ch: ChannelParams, pp: ProtocolParams) -> SessionLedger:
@@ -230,9 +236,13 @@ def classical_bits(ch: ChannelParams, pp: ProtocolParams) -> SessionLedger:
     + R*N - 1 with R the asymptotic rate.  Asymptotic mode divides by N and
     drops the -1 seed term.
     """
-    eta = transmittance(ch)
-    h = binary_entropy(qber(ch))
-    r_asym = eta * pp.s * (pp.xi - h - ch.f * h)
+    eta, _, h, r_asym = _rate_terms(ch, pp)
+    return _ledger(ch, pp, eta, h, r_asym)
+
+
+def _ledger(
+    ch: ChannelParams, pp: ProtocolParams, eta: float, h: float, r_asym: float
+) -> SessionLedger:
     n = 1.0 if pp.asymptotic else float(pp.n_qubits)
 
     basis_bits = (1.0 - pp.sigma) * eta * n
@@ -260,14 +270,10 @@ def total_efficiency(ch: ChannelParams, pp: ProtocolParams) -> EfficiencyReport:
     Under rate extinction (xi - H(e) - f*H(e) <= 0) the reported R and E are
     clamped to 0 and the report is flagged.
     """
-    eta = transmittance(ch)
-    y1 = single_photon_yield(ch)
-    e = qber(ch)
-    h = binary_entropy(e)
-    r_asym = eta * pp.s * (pp.xi - h - ch.f * h)
+    eta, e, h, r_asym = _rate_terms(ch, pp)
     r_mode = (1.0 - pp.delta) * r_asym
 
-    ledger = classical_bits(ch, pp)
+    ledger = _ledger(ch, pp, eta, h, r_asym)
     n = 1.0 if pp.asymptotic else float(pp.n_qubits)
     m_per_qubit = ledger.total() / n
 
@@ -275,7 +281,7 @@ def total_efficiency(ch: ChannelParams, pp: ProtocolParams) -> EfficiencyReport:
     eff = 0.0 if extinct else r_asym / (1.0 + m_per_qubit)
     return EfficiencyReport(
         eta_tilde=eta,
-        y1=y1,
+        y1=single_photon_yield(ch),
         e=e,
         h_e=h,
         R=max(0.0, r_mode),

@@ -21,8 +21,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import squeeze
-from .core import ChannelParams, SessionLedger, binary_entropy, qber, transmittance
-from .errors import ParameterError, SimulationIntegrityError
+from .core import ChannelParams, qber, transmittance
+from .errors import ParameterError
+from .session import (
+    PeResult,
+    SessionReport,
+    announce,
+    empty_report,
+    finish,
+    sample_rate,
+    stage_rngs,
+)
 
 BB84_XI = 1.0  # confidential capacity ceiling of BB84
 
@@ -67,11 +76,6 @@ class SessionConfig:
         if self.rng_seed < 0:
             raise ParameterError("rng_seed must be nonnegative")
 
-    def stage_rngs(self) -> tuple[np.random.Generator, ...]:
-        """Per-stage generators (transfer+measure, estimation), reproducibly split."""
-        seqs = np.random.SeedSequence(self.rng_seed).spawn(2)
-        return tuple(np.random.Generator(np.random.PCG64(s)) for s in seqs)
-
 
 class QubitRecord(NamedTuple):
     q: int          # Alice's key bit
@@ -111,7 +115,7 @@ def prepare_and_measure(
     outcomes are uniform.  Detection is Bernoulli(eta~) unless lossless.
     """
     if rng is None:
-        rng = cfg.stage_rngs()[0]
+        rng = stage_rngs(cfg.rng_seed)[0]
     n = cfg.n_qubits
     q = (rng.random(n) < 0.5).astype(np.uint8)
     b = (rng.random(n) >= cfg.p_b).astype(np.uint8)
@@ -142,20 +146,6 @@ class SiftResult:
     empirical_sigma: float      # achieved compression across both announcements
 
 
-def _announce(bits: np.ndarray, cb) -> tuple[np.ndarray, int]:
-    """Squeeze a bit sequence, frame it, and read it back as the peer would.
-
-    Returns the decoded bits and the announced payload size (container header
-    framing is not counted; the protocol messages carry counts anyway).
-    """
-    payload, stats = squeeze.encode(bits, cb)
-    blob = squeeze.write_container(payload, cb.degree_k, bits.size)
-    k_hdr, true_len, payload_bits = squeeze.read_container(blob)
-    decoded = squeeze.decode(payload_bits, squeeze.build_codebook(k_hdr, cb.bias_p),
-                             true_len)
-    return decoded, stats.output_bits
-
-
 def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     """Run the announcement round: bases out, match bits back, keys reduced.
 
@@ -178,14 +168,9 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
         )
 
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
-    bprime_alice, bob_bits = _announce(bprime_det, cb)
-    if not np.array_equal(bprime_alice, bprime_det):
-        raise SimulationIntegrityError("basis announcement decode mismatch")
-
-    d = (b_det != bprime_alice).astype(np.uint8)  # 1 = discard
-    d_bob, alice_bits = _announce(d, cb)
-    if not np.array_equal(d_bob, d):
-        raise SimulationIntegrityError("match announcement decode mismatch")
+    bob_bits = announce(bprime_det, cb, "basis")
+    d = (b_det != bprime_det).astype(np.uint8)  # 1 = discard
+    alice_bits = announce(d, cb, "match")
 
     keep = det[d == 0]
     compressed = bob_bits + alice_bits
@@ -202,21 +187,6 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     )
 
 
-@dataclass(frozen=True)
-class PeResult:
-    qber_x: float | None
-    qber_z: float | None
-    aborted: bool
-    alice_remaining: np.ndarray
-    bob_remaining: np.ndarray
-    v_card: int
-    w_card: int
-    v_prime: int
-    w_prime: int
-    announced_bits: int
-    warnings: tuple[str, ...] = ()
-
-
 def parameter_estimation(
     sifted: SiftResult, cfg: SessionConfig, rng: np.random.Generator | None = None
 ) -> PeResult:
@@ -228,7 +198,7 @@ def parameter_estimation(
     condition is reported in ``warnings`` instead of being silently skipped.
     """
     if rng is None:
-        rng = cfg.stage_rngs()[1]
+        rng = stage_rngs(cfg.rng_seed)[1]
     x_idx = np.flatnonzero(sifted.basis == 1)
     z_idx = np.flatnonzero(sifted.basis == 0)
     v_card, w_card = x_idx.size, z_idx.size
@@ -241,19 +211,9 @@ def parameter_estimation(
     if w_prime == 0:
         warnings.append("z-basis parameter-estimation sample is empty")
 
-    def sample_rate(idx: np.ndarray, count: int) -> tuple[float | None, np.ndarray]:
-        if count == 0:
-            return None, idx
-        chosen = rng.choice(idx, size=count, replace=False)
-        mism = np.count_nonzero(
-            sifted.alice_key[chosen] != sifted.bob_key[chosen]
-        )
-        remaining = np.setdiff1d(idx, chosen, assume_unique=True)
-        # a plain float keeps numpy scalars out of the report and the abort flag
-        return float(mism / count), remaining
-
-    qber_x, x_rest = sample_rate(x_idx, v_prime)
-    qber_z, z_rest = sample_rate(z_idx, w_prime)
+    keys = sifted.alice_key, sifted.bob_key
+    qber_x, x_rest = sample_rate(*keys, x_idx, v_prime, rng)
+    qber_z, z_rest = sample_rate(*keys, z_idx, w_prime, rng)
 
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
@@ -281,162 +241,28 @@ def parameter_estimation(
     )
 
 
-@dataclass(frozen=True)
-class SessionReport:
-    """Outcome of one simulated session, with both-sided bit accounting.
-
-    ``ledger`` counts the announcements as actually made (squeezed bases);
-    ``ledger_raw`` is the sigma = 0 counterpart with uncompressed bases.
-    Error correction and privacy amplification enter as bit-count stubs: the
-    EC leakage is f*H(e_est) per remaining key bit and the PA announcement is
-    the Toeplitz seed (input length + output length - 1).
-    """
-
-    n_qubits: int
-    n_detected: int
-    f_card: int
-    v_card: int
-    w_card: int
-    v_prime: int
-    w_prime: int
-    v_dprime: int
-    w_dprime: int
-    qber_x: float | None
-    qber_z: float | None
-    aborted: bool
-    alice_key: np.ndarray
-    bob_key: np.ndarray
-    final_key_bits: int
-    empirical_sift_rate: float
-    matched_disagreement_rate: float
-    empirical_sigma: float
-    classical_bits_per_qubit: float
-    empirical_efficiency: float
-    ledger: SessionLedger
-    ledger_raw: SessionLedger
-    warnings: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        d = {
-            "n_qubits": self.n_qubits,
-            "n_detected": self.n_detected,
-            "f_card": self.f_card,
-            "v_card": self.v_card,
-            "w_card": self.w_card,
-            "v_prime": self.v_prime,
-            "w_prime": self.w_prime,
-            "v_dprime": self.v_dprime,
-            "w_dprime": self.w_dprime,
-            "qber_x": self.qber_x,
-            "qber_z": self.qber_z,
-            "aborted": self.aborted,
-            "final_key_bits": self.final_key_bits,
-            "empirical_sift_rate": self.empirical_sift_rate,
-            "matched_disagreement_rate": self.matched_disagreement_rate,
-            "empirical_sigma": self.empirical_sigma,
-            "classical_bits_per_qubit": self.classical_bits_per_qubit,
-            "empirical_efficiency": self.empirical_efficiency,
-            "alice_key_hex": squeeze.pack_bits(self.alice_key).hex(),
-            "bob_key_hex": squeeze.pack_bits(self.bob_key).hex(),
-            "key_bit_length": int(self.alice_key.size),
-            "warnings": list(self.warnings),
-        }
-        d.update({f"ledger.{k}": v for k, v in self.ledger.as_dict().items()})
-        d.update({f"ledger_raw.{k}": v for k, v in self.ledger_raw.as_dict().items()})
-        return d
-
-
-def _empty_report(cfg: SessionConfig) -> SessionReport:
-    zero = SessionLedger(0, 0, 0, 0, 0, 0, qubits_sent=0, qubits_detected=0)
-    empty = np.zeros(0, np.uint8)
-    return SessionReport(
-        n_qubits=0, n_detected=0, f_card=0, v_card=0, w_card=0,
-        v_prime=0, w_prime=0, v_dprime=0, w_dprime=0,
-        qber_x=None, qber_z=None, aborted=False,
-        alice_key=empty, bob_key=empty, final_key_bits=0,
-        empirical_sift_rate=0.0, matched_disagreement_rate=0.0,
-        empirical_sigma=0.0, classical_bits_per_qubit=0.0,
-        empirical_efficiency=0.0, ledger=zero, ledger_raw=zero,
-    )
-
-
 def run_session(cfg: SessionConfig) -> SessionReport:
     """Full session pipeline: transfer, sift, estimate, account, report."""
     if cfg.n_qubits == 0:
-        return _empty_report(cfg)
+        return empty_report()
 
-    rng_prep, rng_pe = cfg.stage_rngs()
+    rng_prep, rng_pe = stage_rngs(cfg.rng_seed)
     records = prepare_and_measure(cfg, rng=rng_prep)
     sifted = sift(records, cfg)
     pe = parameter_estimation(sifted, cfg, rng=rng_pe)
-
-    n = cfg.n_qubits
-    ack_bits = 0 if cfg.lossless else n
-
-    # EC/PA bit-count stubs on the post-estimation key
-    k_rem = pe.alice_remaining.size
-    if pe.qber_x is None and pe.qber_z is None:
-        e_est = qber(cfg.channel)  # no sample survived; fall back to the model
-    else:
-        mism = (pe.qber_x or 0.0) * pe.v_prime + (pe.qber_z or 0.0) * pe.w_prime
-        e_est = mism / (pe.v_prime + pe.w_prime)
-    h_est = binary_entropy(e_est)
-    f = cfg.channel.f
-    if pe.aborted or k_rem == 0:
-        ec_bits = pa_bits = 0.0
-        final_key = 0
-        feasible = True
-    else:
-        ec_bits = k_rem * f * h_est
-        final_key = max(0, int(k_rem * (BB84_XI - h_est - f * h_est)))
-        pa_raw = k_rem - ec_bits + final_key - 1.0
-        feasible = pa_raw >= 0.0
-        pa_bits = max(0.0, pa_raw)
-
-    def ledger(bob_bits: float, alice_bits: float) -> SessionLedger:
-        return SessionLedger(
-            reception_ack=ack_bits,
-            bob_bases=bob_bits,
-            alice_match=alice_bits,
-            pe_sacrifice=pe.announced_bits,
-            ec_bits=ec_bits,
-            pa_bits=pa_bits,
-            qubits_sent=n,
-            qubits_detected=sifted.n_detected,
-            feasible=feasible,
-        )
-
-    led = ledger(sifted.bob_bits_compressed, sifted.alice_bits_compressed)
-    led_raw = ledger(sifted.bob_bits_raw, sifted.bob_bits_raw)
-
-    alice_key = pe.alice_remaining
-    bob_key = pe.bob_remaining
     n_det = sifted.n_detected
-    disagree = (
-        float(np.mean(sifted.alice_key != sifted.bob_key)) if sifted.n_sifted else 0.0
-    )
-    return SessionReport(
-        n_qubits=n,
+    return finish(
+        pe,
+        n_qubits=cfg.n_qubits,
+        qubits_sent=cfg.n_qubits,
         n_detected=n_det,
         f_card=sifted.n_sifted,
-        v_card=pe.v_card,
-        w_card=pe.w_card,
-        v_prime=pe.v_prime,
-        w_prime=pe.w_prime,
-        v_dprime=pe.v_card - pe.v_prime,
-        w_dprime=pe.w_card - pe.w_prime,
-        qber_x=pe.qber_x,
-        qber_z=pe.qber_z,
-        aborted=pe.aborted,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        final_key_bits=0 if pe.aborted else final_key,
-        empirical_sift_rate=sifted.n_sifted / n_det if n_det else 0.0,
-        matched_disagreement_rate=disagree,
+        sift_rate=sifted.n_sifted / n_det if n_det else 0.0,
+        sifted_keys=(sifted.alice_key, sifted.bob_key),
         empirical_sigma=sifted.empirical_sigma,
-        classical_bits_per_qubit=led.total() / n,
-        empirical_efficiency=(0 if pe.aborted else final_key) / (n + led.total()),
-        ledger=led,
-        ledger_raw=led_raw,
-        warnings=pe.warnings,
+        reception_ack=0 if cfg.lossless else cfg.n_qubits,
+        bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
+        raw_bases=sifted.bob_bits_raw,
+        xi=BB84_XI,
+        f=cfg.channel.f,
     )

@@ -21,9 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import squeeze
-from .core import SessionLedger, binary_entropy
-from .errors import ParameterError, SimulationIntegrityError
-from .proto_bb84 import SessionReport, _announce
+from .errors import ParameterError
+from .session import (
+    PeResult,
+    SessionReport,
+    announce,
+    empty_report,
+    finish,
+    sample_rate,
+    stage_rngs,
+)
 
 
 @dataclass(frozen=True)
@@ -75,24 +82,6 @@ class TfConfig:
         if self.rng_seed < 0:
             raise ParameterError("rng_seed must be nonnegative")
 
-    def stage_rngs(self) -> tuple[np.random.Generator, ...]:
-        seqs = np.random.SeedSequence(self.rng_seed).spawn(2)
-        return tuple(np.random.Generator(np.random.PCG64(s)) for s in seqs)
-
-
-def _empty_tf_report() -> SessionReport:
-    zero = SessionLedger(0, 0, 0, 0, 0, 0, qubits_sent=0, qubits_detected=0)
-    empty = np.zeros(0, np.uint8)
-    return SessionReport(
-        n_qubits=0, n_detected=0, f_card=0, v_card=0, w_card=0,
-        v_prime=0, w_prime=0, v_dprime=0, w_dprime=0,
-        qber_x=None, qber_z=None, aborted=False,
-        alice_key=empty, bob_key=empty, final_key_bits=0,
-        empirical_sift_rate=0.0, matched_disagreement_rate=0.0,
-        empirical_sigma=0.0, classical_bits_per_qubit=0.0,
-        empirical_efficiency=0.0, ledger=zero, ledger_raw=zero,
-    )
-
 
 def run_tf_session(cfg: TfConfig) -> SessionReport:
     """Simulate one relay session and account for every announcement.
@@ -108,8 +97,8 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     """
     n = cfg.n_pulses
     if n == 0:
-        return _empty_tf_report()
-    rng_events, rng_pe = cfg.stage_rngs()
+        return empty_report()
+    rng_events, rng_pe = stage_rngs(cfg.rng_seed)
 
     # basis bit: 0 = X (dominant, key), 1 = Z (decoy)
     h_a = (rng_events.random(n) >= cfg.p_x).astype(np.uint8)
@@ -132,25 +121,15 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     click_c |= rng_events.random(n) < cfg.p_dark_relay
     click_d |= rng_events.random(n) < cfg.p_dark_relay
 
-    relay_bits = 2 * n  # one bit per detector per pulse pair
-
     # both parties announce their basis sequences in the container format
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_x)
-    decoded_a, bits_a_announced = _announce(h_a, cb)
-    decoded_b, bits_b_announced = _announce(h_b, cb)
-    if not np.array_equal(decoded_a, h_a):
-        raise SimulationIntegrityError("alice basis announcement decode mismatch")
-    if not np.array_equal(decoded_b, h_b):
-        raise SimulationIntegrityError("bob basis announcement decode mismatch")
+    bits_a_announced = announce(h_a, cb, "alice basis")
+    bits_b_announced = announce(h_b, cb, "bob basis")
 
     single_click = click_c ^ click_d
-    basis_match = h_a == h_b
-    keep = basis_match & single_click
-    f_card = int(np.count_nonzero(keep))
-
+    keep = (h_a == h_b) & single_click
     x_keep = np.flatnonzero(keep & (h_a == 0))
-    z_keep = np.flatnonzero(keep & (h_a == 1))
-    v_card, w_card = x_keep.size, z_keep.size
+    v_card = x_keep.size
 
     # flip rule: a destructive-port click announces anticorrelated key bits
     key_a = bits_a[x_keep]
@@ -158,75 +137,29 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
 
     # error-rate estimate on a sacrificed X subset (decoy analysis out of scope)
     v_prime = int(cfg.pe_frac * v_card)
-    warnings = []
-    if v_prime == 0:
-        warnings.append("x-basis parameter-estimation sample is empty")
-        qber_x = None
-        rest = np.arange(v_card)
-    else:
-        chosen = rng_pe.choice(v_card, size=v_prime, replace=False)
-        qber_x = float(np.count_nonzero(key_a[chosen] != key_b[chosen]) / v_prime)
-        rest = np.setdiff1d(np.arange(v_card), chosen, assume_unique=True)
-    alice_key = key_a[rest]
-    bob_key = key_b[rest]
-    k_rem = alice_key.size
-
-    e_est = qber_x if qber_x is not None else 0.0
-    h_est = binary_entropy(e_est)
-    if k_rem == 0:
-        ec_bits = pa_bits = 0.0
-        final_key = 0
-        feasible = True
-    else:
-        ec_bits = k_rem * cfg.f_ec * h_est
-        final_key = max(0, int(k_rem * (1.0 - h_est - cfg.f_ec * h_est)))
-        pa_raw = k_rem - ec_bits + final_key - 1.0
-        feasible = pa_raw >= 0.0
-        pa_bits = max(0.0, pa_raw)
-
-    def ledger(bases_a: float, bases_b: float) -> SessionLedger:
-        return SessionLedger(
-            reception_ack=relay_bits,
-            bob_bases=bases_b,
-            alice_match=bases_a,
-            pe_sacrifice=v_prime,
-            ec_bits=ec_bits,
-            pa_bits=pa_bits,
-            qubits_sent=2 * n,
-            qubits_detected=int(np.count_nonzero(single_click)),
-            feasible=feasible,
-        )
-
-    led = ledger(bits_a_announced, bits_b_announced)
-    led_raw = ledger(n, n)
-    compressed = bits_a_announced + bits_b_announced
-
-    return SessionReport(
+    warnings = () if v_prime else ("x-basis parameter-estimation sample is empty",)
+    qber_x, rest = sample_rate(key_a, key_b, np.arange(v_card), v_prime, rng_pe)
+    pe = PeResult(
+        qber_x=qber_x, qber_z=None, aborted=False,
+        alice_remaining=key_a[rest], bob_remaining=key_b[rest],
+        v_card=v_card, w_card=int(np.count_nonzero(keep & (h_a == 1))),
+        v_prime=v_prime, w_prime=0, announced_bits=v_prime, warnings=warnings,
+    )
+    f_card = int(np.count_nonzero(keep))
+    return finish(
+        pe,
         n_qubits=n,
+        qubits_sent=2 * n,
         n_detected=int(np.count_nonzero(single_click)),
         f_card=f_card,
-        v_card=v_card,
-        w_card=w_card,
-        v_prime=v_prime,
-        w_prime=0,
-        v_dprime=v_card - v_prime,
-        w_dprime=w_card,
-        qber_x=qber_x,
-        qber_z=None,
-        aborted=False,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        final_key_bits=final_key,
-        empirical_sift_rate=f_card / n,
-        matched_disagreement_rate=(
-            float(np.mean(key_a != key_b)) if v_card else 0.0
-        ),
-        empirical_sigma=1.0 - compressed / (2.0 * n),
-        classical_bits_per_qubit=led.total() / (2 * n),
-        empirical_efficiency=final_key / (2 * n + led.total()),
-        ledger=led,
-        ledger_raw=led_raw,
-        warnings=tuple(warnings),
+        sift_rate=f_card / n,
+        sifted_keys=(key_a, key_b),
+        empirical_sigma=1.0 - (bits_a_announced + bits_b_announced) / (2.0 * n),
+        reception_ack=2 * n,  # one bit per detector per pulse pair
+        bases=(bits_b_announced, bits_a_announced),
+        raw_bases=n,
+        xi=1.0,
+        f=cfg.f_ec,
     )
 
 

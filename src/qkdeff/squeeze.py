@@ -142,10 +142,6 @@ class Codebook:
         """Expected codeword length L_av,C under the block distribution."""
         return float(sum(e.probability * len(e.codeword) for e in self.entries))
 
-    def codeword_for(self, block: int) -> str:
-        rank = int(self._rank_of_block[block])
-        return _codeword_for_rank(rank, self.degree_k)
-
 
 def _codeword_for_rank(rank: int, k: int) -> str:
     last = (1 << k) - 1

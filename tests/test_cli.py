@@ -267,6 +267,20 @@ class TestSimulateCommands:
             "pe_sacrifice", "ec_bits", "pa_bits",
         ))
 
+    def test_csv_warnings_stay_in_one_column(self, tmp_path):
+        # both PE samples are empty, so the report carries several warnings
+        out = tmp_path / "warn.csv"
+        code = run_cli(
+            "simulate-bb84", "--seed", "1", "--set", "n_qubits=50",
+            "--set", "lossless=true", "--out", str(out),
+        )
+        assert code == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        assert len(row) == len(header)
+        warnings = row[header.index("warnings")].split(";")
+        assert "x-basis parameter-estimation sample is empty" in warnings
+        assert "z-basis parameter-estimation sample is empty" in warnings
+
 
 class TestSqueezeFilters:
     def _run(self, args, stdin: bytes):
