@@ -39,7 +39,9 @@ class TfConfig:
 
     p_x is the probability of the key-generation X basis (p_x -> 1 in the
     optimal regime).  ``amplitudes`` is the finite set of decoy intensities
-    for Z-basis pulses with selection distribution ``amplitude_probs``.
+    for Z-basis pulses with selection distribution ``amplitude_probs``; both
+    are validated but no draw uses them, since decoy-state analysis is out of
+    scope.
     pe_frac is the fraction of sifted X events sacrificed for the error-rate
     estimate; f_ec feeds the error-correction bit-count stub.
     """
@@ -105,9 +107,6 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     h_b = (rng_events.random(n) >= cfg.p_x).astype(np.uint8)
     bits_a = (rng_events.random(n) < 0.5).astype(np.uint8)
     bits_b = (rng_events.random(n) < 0.5).astype(np.uint8)
-    # decoy intensities are drawn per pulse but not analyzed further
-    _amp_a = rng_events.choice(len(cfg.amplitudes), size=n, p=cfg.amplitude_probs)
-    _amp_b = rng_events.choice(len(cfg.amplitudes), size=n, p=cfg.amplitude_probs)
 
     both_x = (h_a == 0) & (h_b == 0)
     equal_bits = bits_a == bits_b

@@ -11,9 +11,10 @@ from qkdeff.proto_tf import TfConfig, run_tf_session
 NO_SAMPLE = {
     # 50 lossless qubits: both the X and the Z sacrifice round to zero
     "bb84": lambda: run_session(SessionConfig(n_qubits=50, lossless=True, rng_seed=1)),
-    # ~1000 sifted X events at 31% disagreement, pe_frac rounds the sample to zero
+    # ~1000 sifted X events at 31% disagreement; fewer than 2000 always round
+    # a 0.0005 sacrifice to zero, whatever the RNG stream draws
     "tf": lambda: run_tf_session(TfConfig(
-        n_pulses=2000, p_click_match=0.6, p_click_conflict=0.4, pe_frac=0.001,
+        n_pulses=2000, p_click_match=0.6, p_click_conflict=0.4, pe_frac=0.0005,
         rng_seed=1,
     )),
 }
@@ -37,6 +38,10 @@ GOLDEN = {
     "bb84": (
         ["simulate-bb84", "--seed", "5", "--set", "n_qubits=200000"],
         "eb6fc77a0bb7fcdb85acb4ac8f20a1142d55c9b867cd6a22d7c65522b944cc2c",
+    ),
+    "tf": (
+        ["simulate-tf", "--seed", "5", "--set", "tf.p_click_conflict=0.02"],
+        "1f0945daffde92ce04dcf8b4b324e3909806b7b9b3e3e2678d78b0eda34ff297",
     ),
 }
 
