@@ -204,7 +204,9 @@ def qber(ch: ChannelParams) -> float:
     return e
 
 
-def _rate_terms(ch: ChannelParams, pp: ProtocolParams) -> tuple[float, float, float, float]:
+def _rate_terms(
+    ch: ChannelParams, pp: ProtocolParams
+) -> tuple[float, float, float, float]:
     """eta~, e, H(e) and the asymptotic rate eta~*s*(xi - H(e) - f*H(e))."""
     eta = transmittance(ch)
     e = qber(ch)

@@ -33,8 +33,6 @@ from .session import (
     stage_rngs,
 )
 
-BB84_XI = 1.0  # confidential capacity ceiling of BB84
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -263,6 +261,5 @@ def run_session(cfg: SessionConfig) -> SessionReport:
         reception_ack=0 if cfg.lossless else cfg.n_qubits,
         bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
         raw_bases=sifted.bob_bits_raw,
-        xi=BB84_XI,
         f=cfg.channel.f,
     )

@@ -157,7 +157,6 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
         reception_ack=2 * n,  # one bit per detector per pulse pair
         bases=(bits_b_announced, bits_a_announced),
         raw_bases=n,
-        xi=1.0,
         f=cfg.f_ec,
     )
 

@@ -18,6 +18,7 @@ from .core import SessionLedger, binary_entropy
 from .errors import SimulationIntegrityError
 
 NO_ESTIMATE = "no error-rate estimate: no key certified"
+XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
 
 
 def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -169,7 +170,6 @@ def finish(
     reception_ack: int,
     bases: tuple[int, int],
     raw_bases: int,
-    xi: float,
     f: float,
 ) -> SessionReport:
     """EC/PA accounting, both ledgers and the report of one session.
@@ -193,7 +193,7 @@ def finish(
         e_est = sum(r * c for r, c in samples) / sum(c for _, c in samples)
         h_est = binary_entropy(e_est)
         ec_bits = k_rem * f * h_est
-        final_key = max(0, int(k_rem * (xi - h_est - f * h_est)))
+        final_key = max(0, int(k_rem * (XI - h_est - f * h_est)))
         pa_raw = k_rem - ec_bits + final_key - 1.0
         feasible = pa_raw >= 0.0
         pa_bits = max(0.0, pa_raw)
