@@ -38,8 +38,11 @@ def announce(bits: np.ndarray, cb: squeeze.Codebook, what: str) -> int:
     payload, stats = squeeze.encode(bits, cb)
     blob = squeeze.write_container(payload, cb.degree_k, bits.size)
     k_hdr, true_len, payload_bits = squeeze.read_container(blob)
-    decoded = squeeze.decode(payload_bits, squeeze.build_codebook(k_hdr, cb.bias_p),
-                             true_len)
+    if k_hdr != cb.degree_k:
+        raise SimulationIntegrityError(
+            f"{what} announcement header carries k={k_hdr}, sent k={cb.degree_k}"
+        )
+    decoded = squeeze.decode(payload_bits, cb, true_len)
     if not np.array_equal(decoded, bits):
         raise SimulationIntegrityError(f"{what} announcement decode mismatch")
     return stats.output_bits
@@ -55,9 +58,13 @@ def sample_rate(
     """
     if count == 0:
         return None, idx
-    chosen = rng.choice(idx, size=count, replace=False)
+    # the same draws as rng.choice(idx, ...), taken as positions into idx
+    pos = rng.choice(idx.size, size=count, replace=False)
+    chosen = idx[pos]
     mism = np.count_nonzero(alice[chosen] != bob[chosen])
-    remaining = np.setdiff1d(idx, chosen, assume_unique=True)
+    keep = np.ones(idx.size, dtype=bool)
+    keep[pos] = False
+    remaining = idx[keep]
     # a plain float keeps numpy scalars out of the report and the abort flag
     return float(mism / count), remaining
 
@@ -86,6 +93,11 @@ class SessionReport:
     Error correction and privacy amplification enter as bit-count stubs: the
     EC leakage is f*H(e_est) per remaining key bit and the PA announcement is
     the Toeplitz seed (input length + output length - 1).
+
+    ``empirical_sift_rate`` has a protocol-specific base: BB84 reports
+    ``n_sifted / n_detected`` (basis agreement among detected qubits), the
+    relay session ``f_card / n_pulses`` (sifted pairs among all pulse pairs,
+    undetected ones included).
     """
 
     n_qubits: int

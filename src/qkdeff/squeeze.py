@@ -135,7 +135,8 @@ class Codebook:
     # rank r is the position in the probability-sorted order; codeword length
     # is r+1 except the last rank, which shares length 2^k - 1
     _rank_of_block: np.ndarray = field(repr=False, compare=False)
-    _block_of_rank: np.ndarray = field(repr=False, compare=False)
+    # (2^k, k) uint8: row r holds the bits of the block at rank r, MSB first
+    _bits_of_rank: np.ndarray = field(repr=False, compare=False)
 
     @property
     def average_length(self) -> float:
@@ -185,12 +186,14 @@ def build_codebook(k: int, p: float) -> Codebook:
     )
     rank_of_block = np.empty(size, dtype=np.int64)
     rank_of_block[order] = np.arange(size)
+    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
+    bits_of_rank = ((order[:, None] >> shifts) & 1).astype(np.uint8)
     return Codebook(
         degree_k=k,
         bias_p=p,
         entries=entries,
         _rank_of_block=rank_of_block,
-        _block_of_rank=order.astype(np.int64),
+        _bits_of_rank=bits_of_rank,
     )
 
 
@@ -242,33 +245,28 @@ def decode(stream: BitsLike, cb: Codebook, true_length: int) -> np.ndarray:
     m_expect = -(-true_length // k)
     last = (1 << k) - 1
 
-    ranks: list[int] = []
+    # Every 0 ends a codeword.  A run of r 1s before it holds r // last
+    # maximal codewords (all 1s, no terminating 0) and then the codeword of
+    # rank r % last.  The 1s after the final 0 must split into maximal
+    # codewords exactly.
     zero_pos = np.flatnonzero(arr == 0)
-    cursor = 0
-    for z in zero_pos:
-        run = int(z) - cursor
-        while run >= last:  # maximal codewords carry no terminating 0
-            ranks.append(last)
-            run -= last
-        ranks.append(run)
-        cursor = int(z) + 1
-    tail = arr.size - cursor
-    while tail >= last:
-        ranks.append(last)
-        tail -= last
-    if tail:
+    n_full, rank_at_zero = np.divmod(np.diff(zero_pos, prepend=-1) - 1, last)
+    tail = arr.size - (int(zero_pos[-1]) + 1 if zero_pos.size else 0)
+    tail_full, tail_rem = divmod(tail, last)
+    if tail_rem:
         raise MalformedStreamError("stream ends inside a codeword")
 
-    if len(ranks) != m_expect:
+    n_codewords = int(n_full.sum()) + zero_pos.size + tail_full
+    if n_codewords != m_expect:
         raise MalformedStreamError(
-            f"stream holds {len(ranks)} codewords, expected {m_expect}"
+            f"stream holds {n_codewords} codewords, expected {m_expect}"
         )
-    if not ranks:
+    if not n_codewords:
         return np.zeros(0, dtype=np.uint8)
 
-    values = cb._block_of_rank[np.asarray(ranks, dtype=np.int64)]
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-    bits = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+    ranks = np.full(n_codewords, last, dtype=np.intp)
+    ranks[np.cumsum(n_full + 1) - 1] = rank_at_zero
+    bits = cb._bits_of_rank[ranks].reshape(-1)
     if bits[true_length:].any():
         raise MalformedStreamError("nonzero padding bits beyond the true length")
     return bits[:true_length]

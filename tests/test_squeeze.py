@@ -1,10 +1,14 @@
 """Codec tests: golden vectors, prefix/Kraft structure, round trips, analytics."""
 
 import math
+import struct
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdeff import squeeze
 from qkdeff.errors import MalformedStreamError, ParameterError
@@ -234,6 +238,167 @@ class TestEncodeDecode:
             cb = build_codebook(k, 0.999)
             out, _ = encode(bits, cb)
             assert np.array_equal(decode(out, cb, bits.size), bits)
+
+
+@lru_cache(maxsize=None)
+def block_of_rank(k):
+    # the block -> codeword map depends on k alone
+    return np.array([e.block for e in build_codebook(k, 0.999).entries], dtype=np.int64)
+
+
+def reference_decode(stream, cb, true_length):
+    """The codeword-by-codeword decoder that ``decode`` replaced, kept as an oracle."""
+    if true_length < 0:
+        raise ParameterError("true_length must be nonnegative")
+    k = cb.degree_k
+    arr = as_bits(stream)
+    m_expect = -(-true_length // k)
+    last = (1 << k) - 1
+
+    ranks = []
+    cursor = 0
+    for z in np.flatnonzero(arr == 0):
+        run = int(z) - cursor
+        while run >= last:  # maximal codewords carry no terminating 0
+            ranks.append(last)
+            run -= last
+        ranks.append(run)
+        cursor = int(z) + 1
+    tail = arr.size - cursor
+    while tail >= last:
+        ranks.append(last)
+        tail -= last
+    if tail:
+        raise MalformedStreamError("stream ends inside a codeword")
+
+    if len(ranks) != m_expect:
+        raise MalformedStreamError(
+            f"stream holds {len(ranks)} codewords, expected {m_expect}"
+        )
+    if not ranks:
+        return np.zeros(0, dtype=np.uint8)
+
+    values = block_of_rank(k)[np.asarray(ranks, dtype=np.int64)]
+    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
+    bits = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+    if bits[true_length:].any():
+        raise MalformedStreamError("nonzero padding bits beyond the true length")
+    return bits[:true_length]
+
+
+def outcome(fn, stream, cb, true_length):
+    """Decoded bytes, or the type and message of the error raised."""
+    try:
+        out = fn(stream, cb, true_length)
+    except (MalformedStreamError, ParameterError) as exc:
+        return type(exc), str(exc)
+    assert out.dtype == np.uint8 and out.shape == (true_length,)
+    return out.tobytes()
+
+
+@lru_cache(maxsize=None)
+def codebook(k):
+    return build_codebook(k, 0.999)
+
+
+class TestDecodeMatchesReference:
+    """``decode`` gives the reference decoder's output or error on every input."""
+
+    @staticmethod
+    def check(stream, cb, true_length):
+        stream = np.asarray(stream, dtype=np.uint8)
+        assert outcome(decode, stream, cb, true_length) == outcome(
+            reference_decode, stream, cb, true_length
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12])
+    def test_all_ones_runs(self, k):
+        cb = codebook(k)
+        last = (1 << k) - 1
+        for n in range(5 * last + 1):
+            for trailing_zero in (False, True):
+                stream = np.ones(n + trailing_zero, dtype=np.uint8)
+                if trailing_zero:
+                    stream[-1] = 0
+                # the block count a well-formed stream of this shape would hold
+                m = n // last + trailing_zero
+                self.check(stream, cb, m * k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12])
+    def test_encoded_and_damaged_streams(self, k):
+        cb = codebook(k)
+        rng = np.random.default_rng(7000 + k)
+        for n in (0, 1, k - 1, k, k + 1, 5 * k, 97, 1000):
+            for p_one in (0.001, 0.1, 0.5, 0.95):
+                bits = (rng.random(n) < p_one).astype(np.uint8)
+                out, _ = encode(bits, cb)
+                m = -(-n // k)
+                # valid, too many codewords, too few codewords
+                for t in {n, max(0, n - k), n + k, (m + 1) * k, max(0, m - 1) * k}:
+                    self.check(out, cb, t)
+                # every true length with the same block count: the padding check
+                for t in range(max(0, (m - 1) * k + 1), m * k + 1):
+                    self.check(out, cb, t)
+                # truncated tails and extra bits
+                for cut in (1, 2, k, 3 * k):
+                    self.check(out[: max(0, out.size - cut)], cb, n)
+                for extra in ([0], [1], [1] * ((1 << k) - 1), [1, 0]):
+                    self.check(np.concatenate([out, extra]), cb, n)
+                # a single flipped bit anywhere in a short stream
+                for i in range(min(out.size, 40)):
+                    flipped = out.copy()
+                    flipped[i] ^= 1
+                    self.check(flipped, cb, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12])
+    def test_random_streams(self, k):
+        cb = codebook(k)
+        rng = np.random.default_rng(9000 + k)
+        for _ in range(300):
+            size = int(rng.integers(0, 200))
+            stream = (rng.random(size) < rng.random()).astype(np.uint8)
+            self.check(stream, cb, int(rng.integers(0, 3 * size + 2)))
+
+    def test_negative_true_length(self):
+        self.check([0], codebook(2), -1)
+
+
+class TestCodecProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, squeeze.MAX_EXPLICIT_DEGREE),
+           bits=st.lists(st.integers(0, 1), max_size=300))
+    def test_round_trip(self, k, bits):
+        cb = codebook(k)
+        out, _ = encode(bits, cb)
+        decoded = decode(out, cb, len(bits))
+        assert decoded.dtype == np.uint8 and decoded.tolist() == bits
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(0, 255),
+           true_len=st.one_of(st.integers(0, 2000), st.integers(0, 2**64 - 1)),
+           payload=st.binary(max_size=64),
+           payload_len=st.one_of(st.integers(0, 7), st.integers(0, 2**64 - 1)))
+    def test_unsqueeze_returns_bits_or_malformed(self, k, true_len, payload, payload_len):
+        # small payload_len values count back from the end of the payload bytes,
+        # so most containers get past the framing checks
+        if payload_len < 8:
+            payload_len = max(0, 8 * len(payload) - payload_len)
+        blob = struct.pack(">4sBQQ", CONTAINER_MAGIC, k, true_len, payload_len) + payload
+        try:
+            bits = unsqueeze_bits(blob)
+        except MalformedStreamError:
+            return
+        assert bits.dtype == np.uint8 and bits.shape == (true_len,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=64),
+                          st.binary(max_size=64).map(lambda b: CONTAINER_MAGIC + b)))
+    def test_unsqueeze_arbitrary_bytes(self, data):
+        try:
+            bits = unsqueeze_bits(data)
+        except MalformedStreamError:
+            return
+        assert bits.dtype == np.uint8 and bits.ndim == 1
 
 
 class TestSigmaAnalytics:
