@@ -241,13 +241,18 @@ class TestEncodeDecode:
 
 
 @lru_cache(maxsize=None)
+def codebook(k):
+    return build_codebook(k, 0.999)
+
+
+@lru_cache(maxsize=None)
 def block_of_rank(k):
     # the block -> codeword map depends on k alone
-    return np.array([e.block for e in build_codebook(k, 0.999).entries], dtype=np.int64)
+    return np.array([e.block for e in codebook(k).entries], dtype=np.int64)
 
 
 def reference_decode(stream, cb, true_length):
-    """The codeword-by-codeword decoder that ``decode`` replaced, kept as an oracle."""
+    """Loop decoder, one codeword at a time: the oracle for the array-based ``decode``."""
     if true_length < 0:
         raise ParameterError("true_length must be nonnegative")
     k = cb.degree_k
@@ -294,11 +299,6 @@ def outcome(fn, stream, cb, true_length):
         return type(exc), str(exc)
     assert out.dtype == np.uint8 and out.shape == (true_length,)
     return out.tobytes()
-
-
-@lru_cache(maxsize=None)
-def codebook(k):
-    return build_codebook(k, 0.999)
 
 
 class TestDecodeMatchesReference:
