@@ -50,12 +50,13 @@ def _load_cfg(args) -> dict[str, str]:
     return cfgmod.apply_overrides(base, args.set or [])
 
 
-def _write_out(args, text: str) -> None:
+def _write_out(args, data: str | bytes) -> None:
+    binary = isinstance(data, bytes)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with open(args.out, "wb" if binary else "w") as fh:
+            fh.write(data)
     else:
-        sys.stdout.write(text)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
 
 
 def _csv(rows: list[dict]) -> str:
@@ -112,8 +113,7 @@ def cmd_sigma(args) -> int:
     k_min = cfgmod._int(cfg, "k_min", 2)
     k_max = cfgmod._int(cfg, "k_max", 24)
     p = cfgmod._float(cfg, "p", 0.999999)
-    n_raw = cfg.get("n_bits")
-    n = int(float(n_raw)) if n_raw else None
+    n = cfgmod._int(cfg, "n_bits", None)
     if k_min < 2 or k_max < k_min:
         raise ConfigError("need 2 <= k_min <= k_max")
     try:
@@ -159,9 +159,7 @@ def _emit_session(args, report) -> int:
 
 def cmd_simulate_bb84(args) -> int:
     cfg = _load_cfg(args)
-    cfgmod.reject_unknown(
-        cfg, cfgmod.CHANNEL_KEYS + cfgmod.BB84_KEYS + ("n_qubits",)
-    )
+    cfgmod.reject_unknown(cfg, cfgmod.CHANNEL_KEYS + cfgmod.BB84_KEYS)
     session = cfgmod.bb84_from_mapping(cfg, seed=args.seed)
     return _emit_session(args, run_session(session))
 
@@ -186,24 +184,24 @@ def _read_stdin_bits(fmt: str) -> np.ndarray:
     return squeeze.as_bits(text)
 
 
+def _bits_format(cfg) -> str:
+    fmt = cfg.get("bits_format", "text")
+    if fmt not in ("text", "packed"):
+        raise ConfigError("bits_format must be 'text' or 'packed'")
+    return fmt
+
+
 def cmd_squeeze_encode(args) -> int:
     cfg = _load_cfg(args)
     cfgmod.reject_unknown(cfg, cfgmod.SQUEEZE_KEYS)
     k = cfgmod._int(cfg, "k", 8)
     p = cfgmod._float(cfg, "p", 0.999)
-    fmt = cfg.get("bits_format", "text")
-    if fmt not in ("text", "packed"):
-        raise ConfigError("bits_format must be 'text' or 'packed'")
-    bits = _read_stdin_bits(fmt)
+    bits = _read_stdin_bits(_bits_format(cfg))
     try:
         container, stats = squeeze.squeeze_bits(bits, k, p)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(container)
-    else:
-        sys.stdout.buffer.write(container)
+    _write_out(args, container)
     print(
         f"bits_in={stats.n_input_bits} blocks={stats.m_blocks} "
         f"bits_out={stats.output_bits} sigma_percent={_fmt(stats.sigma_percent)}",
@@ -215,18 +213,10 @@ def cmd_squeeze_encode(args) -> int:
 def cmd_squeeze_decode(args) -> int:
     cfg = _load_cfg(args)
     cfgmod.reject_unknown(cfg, cfgmod.SQUEEZE_KEYS)
-    fmt = cfg.get("bits_format", "text")
-    if fmt not in ("text", "packed"):
-        raise ConfigError("bits_format must be 'text' or 'packed'")
-    data = sys.stdin.buffer.read()
-    bits = squeeze.unsqueeze_bits(data)
+    fmt = _bits_format(cfg)
+    bits = squeeze.unsqueeze_bits(sys.stdin.buffer.read())
     if fmt == "packed":
-        payload = squeeze.pack_bits(bits)
-        if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.buffer.write(payload)
+        _write_out(args, squeeze.pack_bits(bits))
     else:
         _write_out(args, squeeze.bits_to_string(bits) + "\n")
     return EXIT_OK

@@ -4,32 +4,41 @@ Accepted file syntax: one ``key = value`` pair per line ('#' comments, blank
 lines ignored), or a flat JSON object.  Overrides arrive as repeatable
 ``key=value`` strings and are validated against the owning module's parameter
 domain before anything runs; unknown keys are rejected.
+
+The keys, defaults and parsers of the four config objects come from their
+dataclass fields: a key names a field (relay knobs carry a ``tf.`` prefix), a
+missing key gives the field's default, and the default's type picks the
+parser.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import ChannelParams, ProtocolParams
 from .errors import ConfigError, ParameterError
 from .proto_bb84 import SessionConfig
 from .proto_tf import TfConfig
 
-CHANNEL_KEYS = ("alpha", "length_km", "eta_det", "p_dark", "e_opt", "e0", "f")
-PROTOCOL_KEYS = ("s", "sigma", "xi", "delta", "n_qubits")
-BB84_KEYS = (
-    "p_b", "degree_k", "epsilon_frac", "lambda_frac", "qber_threshold",
-    "lossless", "abort_on_either", "rng_seed",
-)
-TF_KEYS = (
-    "n_pulses", "rng_seed",
-    "tf.p_x", "tf.amplitudes", "tf.amplitude_probs", "tf.degree_k",
-    "tf.p_click_match", "tf.p_click_conflict", "tf.p_dark_relay",
-    "tf.pe_frac", "tf.f_ec",
-)
+_SESSION_SIZE = 100_000  # n_qubits / n_pulses of a simulation whose config omits it
+
+
+def _tf_key(name: str) -> str:
+    return name if name in ("n_pulses", "rng_seed") else f"tf.{name}"
+
+
+def _keys(cls: type, key: Callable[[str], str] = str) -> tuple[str, ...]:
+    """Config keys of the scalar fields of ``cls`` (a nested config is skipped)."""
+    return tuple(key(f.name) for f in fields(cls) if not is_dataclass(f.default))
+
+
+CHANNEL_KEYS = _keys(ChannelParams)
+PROTOCOL_KEYS = _keys(ProtocolParams)
+BB84_KEYS = _keys(SessionConfig)
+TF_KEYS = _keys(TfConfig, _tf_key)
 CURVE_KEYS = ("l_min", "l_max", "l_step")
 SIGMA_KEYS = ("k_min", "k_max", "p", "n_bits")
 SQUEEZE_KEYS = ("k", "p", "bits_format")
@@ -63,9 +72,7 @@ def load_flat_config(path: str | Path) -> dict[str, str]:
 def _scalar_to_str(path, key, v) -> str:
     if isinstance(v, (str, int, float, bool)):
         return str(v)
-    if isinstance(v, list):  # amplitude lists
-        return ",".join(str(x) for x in v)
-    raise ConfigError(f"{path}: key {key!r} must be a scalar or list")
+    raise ConfigError(f"{path}: key {key!r} must be a scalar")
 
 
 def apply_overrides(cfg: Mapping[str, str], sets: Iterable[str]) -> dict[str, str]:
@@ -124,79 +131,41 @@ def _bool(cfg: Mapping[str, str], key: str, default: bool) -> bool:
     raise ConfigError(f"key {key!r}: not a boolean: {raw!r}")
 
 
-def _float_tuple(cfg: Mapping[str, str], key: str, default: tuple) -> tuple:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
+_PARSERS = {float: _float, int: _int, bool: _bool}
+
+
+def _build(cls: type, cfg: Mapping[str, str], key: Callable[[str], str] = str, **given):
+    """``cls`` with each field not ``given`` read from ``cfg`` under ``key(name)``."""
+    values = {
+        f.name: _PARSERS[type(f.default)](cfg, key(f.name), f.default)
+        for f in fields(cls) if f.name not in given
+    }
     try:
-        return tuple(float(x) for x in raw.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number list: {raw!r}") from exc
+        return cls(**values, **given)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def channel_from_mapping(cfg: Mapping[str, str]) -> ChannelParams:
-    base = ChannelParams()
-    try:
-        return ChannelParams(
-            alpha=_float(cfg, "alpha", base.alpha),
-            length_km=_float(cfg, "length_km", base.length_km),
-            eta_det=_float(cfg, "eta_det", base.eta_det),
-            p_dark=_float(cfg, "p_dark", base.p_dark),
-            e_opt=_float(cfg, "e_opt", base.e_opt),
-            e0=_float(cfg, "e0", base.e0),
-            f=_float(cfg, "f", base.f),
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(ChannelParams, cfg)
 
 
 def protocol_from_mapping(cfg: Mapping[str, str]) -> ProtocolParams:
-    raw_n = cfg.get("n_qubits", "inf").strip().lower()
-    n: float = math.inf if raw_n in ("inf", "none", "") else float(raw_n)
-    try:
-        return ProtocolParams(
-            s=_float(cfg, "s", 0.5),
-            sigma=_float(cfg, "sigma", 0.0),
-            xi=_float(cfg, "xi", 1.0),
-            delta=_float(cfg, "delta", 0.0),
-            n_qubits=n,
-        )
-    except (ParameterError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(ProtocolParams, cfg)
 
 
 def bb84_from_mapping(cfg: Mapping[str, str], seed: int | None = None) -> SessionConfig:
-    try:
-        return SessionConfig(
-            n_qubits=_int(cfg, "n_qubits", 100_000),
-            p_b=_float(cfg, "p_b", 0.999),
-            degree_k=_int(cfg, "degree_k", 8),
-            epsilon_frac=_float(cfg, "epsilon_frac", 0.01),
-            lambda_frac=_float(cfg, "lambda_frac", 0.01),
-            qber_threshold=_float(cfg, "qber_threshold", 0.11),
-            channel=channel_from_mapping(cfg),
-            rng_seed=seed if seed is not None else _int(cfg, "rng_seed", 0),
-            lossless=_bool(cfg, "lossless", False),
-            abort_on_either=_bool(cfg, "abort_on_either", False),
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(
+        SessionConfig, cfg,
+        n_qubits=_int(cfg, "n_qubits", _SESSION_SIZE),
+        channel=channel_from_mapping(cfg),
+        **({} if seed is None else {"rng_seed": seed}),
+    )
 
 
 def tf_from_mapping(cfg: Mapping[str, str], seed: int | None = None) -> TfConfig:
-    try:
-        return TfConfig(
-            n_pulses=_int(cfg, "n_pulses", 100_000),
-            p_x=_float(cfg, "tf.p_x", 0.999),
-            amplitudes=_float_tuple(cfg, "tf.amplitudes", (0.1, 0.2)),
-            amplitude_probs=_float_tuple(cfg, "tf.amplitude_probs", (0.5, 0.5)),
-            degree_k=_int(cfg, "tf.degree_k", 8),
-            p_click_match=_float(cfg, "tf.p_click_match", 0.9),
-            p_click_conflict=_float(cfg, "tf.p_click_conflict", 0.0),
-            p_dark_relay=_float(cfg, "tf.p_dark_relay", 0.0),
-            pe_frac=_float(cfg, "tf.pe_frac", 0.01),
-            f_ec=_float(cfg, "tf.f_ec", 1.1),
-            rng_seed=seed if seed is not None else _int(cfg, "rng_seed", 0),
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(
+        TfConfig, cfg, _tf_key,
+        n_pulses=_int(cfg, "n_pulses", _SESSION_SIZE),
+        **({} if seed is None else {"rng_seed": seed}),
+    )

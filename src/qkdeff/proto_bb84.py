@@ -16,7 +16,6 @@ basis, W where both used the Z basis.  With the dominant basis being Z
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,14 +74,6 @@ class SessionConfig:
             raise ParameterError("rng_seed must be nonnegative")
 
 
-class QubitRecord(NamedTuple):
-    q: int          # Alice's key bit
-    b: int          # preparation basis (0 = Z, 1 = X)
-    b_prime: int    # measurement basis
-    detected: bool
-    k_b: int        # Bob's raw-key bit
-
-
 @dataclass(frozen=True)
 class QubitRecords:
     """Column-wise batch of per-qubit records (struct-of-arrays for speed)."""
@@ -95,12 +86,6 @@ class QubitRecords:
 
     def __len__(self) -> int:
         return self.q.size
-
-    def __getitem__(self, i: int) -> QubitRecord:
-        return QubitRecord(
-            int(self.q[i]), int(self.b[i]), int(self.b_prime[i]),
-            bool(self.detected[i]), int(self.k_b[i]),
-        )
 
 
 def prepare_and_measure(
@@ -138,10 +123,8 @@ class SiftResult:
     basis: np.ndarray           # shared basis of retained records (0=Z, 1=X)
     n_detected: int
     n_sifted: int
-    bob_bits_raw: int           # uncompressed size of each basis announcement
     bob_bits_compressed: int
     alice_bits_compressed: int
-    empirical_sigma: float      # achieved compression across both announcements
 
 
 def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
@@ -161,8 +144,7 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
         return SiftResult(
             alice_key=np.zeros(0, np.uint8), bob_key=np.zeros(0, np.uint8),
             basis=np.zeros(0, np.uint8), n_detected=0, n_sifted=0,
-            bob_bits_raw=0, bob_bits_compressed=0, alice_bits_compressed=0,
-            empirical_sigma=0.0,
+            bob_bits_compressed=0, alice_bits_compressed=0,
         )
 
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
@@ -171,17 +153,14 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     alice_bits = announce(d, cb, "match")
 
     keep = det[d == 0]
-    compressed = bob_bits + alice_bits
     return SiftResult(
         alice_key=records.q[keep],
         bob_key=records.k_b[keep],
         basis=records.b[keep],
         n_detected=n_det,
         n_sifted=keep.size,
-        bob_bits_raw=n_det,
         bob_bits_compressed=bob_bits,
         alice_bits_compressed=alice_bits,
-        empirical_sigma=1.0 - compressed / (2.0 * n_det),
     )
 
 
@@ -257,9 +236,8 @@ def run_session(cfg: SessionConfig) -> SessionReport:
         f_card=sifted.n_sifted,
         sift_rate=sifted.n_sifted / n_det if n_det else 0.0,
         sifted_keys=(sifted.alice_key, sifted.bob_key),
-        empirical_sigma=sifted.empirical_sigma,
         reception_ack=0 if cfg.lossless else cfg.n_qubits,
         bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
-        raw_bases=sifted.bob_bits_raw,
+        raw_bases=n_det,
         f=cfg.channel.f,
     )

@@ -38,18 +38,13 @@ class TfConfig:
     """Relay session parameters; click-model knobs live under the tf.* keys.
 
     p_x is the probability of the key-generation X basis (p_x -> 1 in the
-    optimal regime).  ``amplitudes`` is the finite set of decoy intensities
-    for Z-basis pulses with selection distribution ``amplitude_probs``; both
-    are validated but no draw uses them, since decoy-state analysis is out of
-    scope.
+    optimal regime).
     pe_frac is the fraction of sifted X events sacrificed for the error-rate
     estimate; f_ec feeds the error-correction bit-count stub.
     """
 
     n_pulses: int
     p_x: float = 0.999
-    amplitudes: tuple[float, ...] = (0.1, 0.2)
-    amplitude_probs: tuple[float, ...] = (0.5, 0.5)
     degree_k: int = 8
     p_click_match: float = 0.9
     p_click_conflict: float = 0.0
@@ -63,14 +58,6 @@ class TfConfig:
             raise ParameterError("n_pulses must be >= 0")
         if not 0.5 < self.p_x < 1.0:
             raise ParameterError(f"p_x must lie in (0.5, 1), got {self.p_x}")
-        if len(self.amplitudes) < 2:
-            raise ParameterError("amplitude set must hold at least 2 values")
-        if any(a < 0 for a in self.amplitudes):
-            raise ParameterError("amplitudes must be nonnegative")
-        if len(self.amplitude_probs) != len(self.amplitudes):
-            raise ParameterError("amplitude_probs must match amplitudes")
-        if abs(sum(self.amplitude_probs) - 1.0) > 1e-9:
-            raise ParameterError("amplitude_probs must sum to 1")
         for name in ("p_click_match", "p_click_conflict", "p_dark_relay"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -153,7 +140,6 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
         f_card=f_card,
         sift_rate=f_card / n,
         sifted_keys=(key_a, key_b),
-        empirical_sigma=1.0 - (bits_a_announced + bits_b_announced) / (2.0 * n),
         reception_ack=2 * n,  # one bit per detector per pulse pair
         bases=(bits_b_announced, bits_a_announced),
         raw_bases=n,

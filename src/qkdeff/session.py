@@ -178,7 +178,6 @@ def finish(
     f_card: int,
     sift_rate: float,
     sifted_keys: tuple[np.ndarray, np.ndarray],
-    empirical_sigma: float,
     reception_ack: int,
     bases: tuple[int, int],
     raw_bases: int,
@@ -188,10 +187,11 @@ def finish(
 
     ``bases`` holds the squeezed sizes of the two basis announcements in
     ledger order (bob_bases, alice_match); ``raw_bases`` is the uncompressed
-    size of each.  ``sifted_keys`` are the keys before estimation, which
-    give the matched disagreement rate.  The error-rate estimate pools every
-    basis sample, sum(rate*count) / sum(count); with no sample at all no key
-    is certified and the report says so in ``warnings``.
+    size of each; together they give the achieved compression
+    1 - sum(bases) / (2 raw_bases).  ``sifted_keys`` are the keys before
+    estimation, which give the matched disagreement rate.  The error-rate
+    estimate pools every basis sample, sum(rate*count) / sum(count); with no
+    sample at all no key is certified and the report says so in ``warnings``.
     """
     samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
                if r is not None]
@@ -245,7 +245,7 @@ def finish(
         matched_disagreement_rate=(
             float(np.mean(alice_sifted != bob_sifted)) if alice_sifted.size else 0.0
         ),
-        empirical_sigma=empirical_sigma,
+        empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
         classical_bits_per_qubit=led.total() / qubits_sent,
         empirical_efficiency=final_key / (qubits_sent + led.total()),
         ledger=led,

@@ -314,13 +314,15 @@ def sigma_curve(
 ) -> list[tuple[int, float]]:
     """Expected compression percent per degree k (k >= 2 per point).
 
-    With a finite input length ``n`` the block count is ceil(n/k), which
+    With a finite input length ``n >= 1`` the block count is ceil(n/k), which
     perturbs sigma by at most one block; ``n = None`` takes the n -> infinity
     limit m/n = 1/k.
     """
     ks = [int(k) for k in k_values]
     if not ks:
         raise ParameterError("k_values must be nonempty")
+    if n is not None and n < 1:
+        raise ParameterError(f"input length n must be >= 1, got {n}")
     out: list[tuple[int, float]] = []
     for k in ks:
         if k < 2:

@@ -8,7 +8,10 @@ import pytest
 
 from qkdeff import config as cfgmod
 from qkdeff.cli import main
+from qkdeff.core import ChannelParams, ProtocolParams
 from qkdeff.errors import ConfigError
+from qkdeff.proto_bb84 import SessionConfig
+from qkdeff.proto_tf import TfConfig
 
 OPT_FIG2_L0 = 0.07383725278977086559877699974772215181614
 
@@ -34,11 +37,14 @@ class TestFlatConfig:
 
     def test_json_file(self, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text('{"alpha": 0.25, "lossless": true, "tf.amplitudes": [0.1, 0.3]}')
+        cfg.write_text('{"alpha": 0.25, "lossless": true, "tf.p_x": 0.99}')
         loaded = cfgmod.load_flat_config(cfg)
         assert loaded["alpha"] == "0.25"
         assert loaded["lossless"] == "True"
-        assert loaded["tf.amplitudes"] == "0.1,0.3"
+        assert loaded["tf.p_x"] == "0.99"
+        cfg.write_text('{"tf.p_x": [0.99, 0.9]}')
+        with pytest.raises(ConfigError):
+            cfgmod.load_flat_config(cfg)
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -76,7 +82,42 @@ class TestFlatConfig:
         with pytest.raises(ConfigError):
             cfgmod.bb84_from_mapping({"p_b": "0.2"})
         with pytest.raises(ConfigError):
-            cfgmod.tf_from_mapping({"tf.amplitude_probs": "0.9,0.2"})
+            cfgmod.tf_from_mapping({"tf.p_x": "0.2"})
+
+    def test_missing_keys_give_dataclass_defaults(self):
+        assert cfgmod.channel_from_mapping({}) == ChannelParams()
+        assert cfgmod.protocol_from_mapping({}) == ProtocolParams()
+        assert cfgmod.bb84_from_mapping({}) == SessionConfig(n_qubits=100_000)
+        assert cfgmod.tf_from_mapping({}) == TfConfig(n_pulses=100_000)
+
+    # a valid value off the default for every field that has a key
+    NON_DEFAULT = {
+        "alpha": 0.25, "length_km": 12.0, "eta_det": 0.4, "p_dark": 1e-6,
+        "e_opt": 0.02, "e0": 0.4, "f": 1.2,
+        "s": 0.6, "sigma": 0.3, "xi": 0.9, "delta": 0.1, "n_qubits": 5000,
+        "p_b": 0.95, "degree_k": 4, "epsilon_frac": 0.02, "lambda_frac": 0.03,
+        "qber_threshold": 0.1, "lossless": True, "abort_on_either": True,
+        "rng_seed": 7, "n_pulses": 5000, "p_x": 0.99, "p_click_match": 0.8,
+        "p_click_conflict": 0.01, "p_dark_relay": 1e-5, "pe_frac": 0.05,
+        "f_ec": 1.2,
+    }
+
+    @pytest.mark.parametrize("keys, build", [
+        (cfgmod.CHANNEL_KEYS, cfgmod.channel_from_mapping),
+        (cfgmod.PROTOCOL_KEYS, cfgmod.protocol_from_mapping),
+        (cfgmod.BB84_KEYS, cfgmod.bb84_from_mapping),
+        (cfgmod.TF_KEYS, cfgmod.tf_from_mapping),
+    ])
+    def test_every_key_lands_on_its_field(self, keys, build):
+        names = [key.removeprefix("tf.") for key in keys]
+        built = build({key: str(self.NON_DEFAULT[n]) for key, n in zip(keys, names)})
+        default = build({})
+        for name in names:
+            assert getattr(built, name) == self.NON_DEFAULT[name] != getattr(default, name)
+
+    def test_relay_keys_carry_prefix(self):
+        plain = [key for key in cfgmod.TF_KEYS if not key.startswith("tf.")]
+        assert sorted(plain) == ["n_pulses", "rng_seed"]
 
 
 class TestCurveCommand:
@@ -110,6 +151,10 @@ class TestCurveCommand:
 
     def test_bad_grid_rejected(self):
         assert run_cli("curve", "--set", "l_step=0") == 2
+
+    def test_bad_qubit_count_exits_config_code(self, capsys):
+        assert run_cli("curve", "--set", "n_qubits=abc") == 2
+        assert "key 'n_qubits': not a number" in capsys.readouterr().err
 
     def test_config_file_driven(self, tmp_path):
         cfg = tmp_path / "curve.cfg"
@@ -157,6 +202,11 @@ class TestSigmaCommand:
     def test_invalid_range(self):
         assert run_cli("sigma", "--set", "k_min=1") == 2
         assert run_cli("sigma", "--set", "k_min=5", "--set", "k_max=3") == 2
+
+    @pytest.mark.parametrize("n_bits", ["abc", "0", "-5", "1.5"])
+    def test_bad_n_bits_exits_config_code(self, n_bits, capsys):
+        assert run_cli("sigma", "--set", f"n_bits={n_bits}") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestOptimalityCommand:
@@ -252,6 +302,10 @@ class TestSimulateCommands:
 
     def test_tf_unknown_key(self):
         assert run_cli("simulate-tf", "--set", "p_b=0.9") == 2
+
+    def test_removed_amplitude_keys_are_unknown(self, capsys):
+        assert run_cli("simulate-tf", "--set", "tf.amplitudes=0.1,0.2") == 2
+        assert "unknown config keys: tf.amplitudes" in capsys.readouterr().err
 
     def test_zero_qubit_session(self, tmp_path):
         out = tmp_path / "empty.json"

@@ -113,10 +113,6 @@ class TestDeterminismAndValidation:
         with pytest.raises(ParameterError):
             TfConfig(n_pulses=10, p_x=0.4)
         with pytest.raises(ParameterError):
-            TfConfig(n_pulses=10, amplitudes=(0.1,), amplitude_probs=(1.0,))
-        with pytest.raises(ParameterError):
-            TfConfig(n_pulses=10, amplitude_probs=(0.7, 0.7))
-        with pytest.raises(ParameterError):
             TfConfig(n_pulses=10, p_click_match=1.5)
         with pytest.raises(ParameterError):
             TfConfig(n_pulses=10, f_ec=0.5)
