@@ -31,7 +31,7 @@ from .errors import (
     SimulationIntegrityError,
 )
 from .proto_bb84 import SessionConfig, run_session
-from .proto_tf import TfConfig, run_tf_session, tf_ledger
+from .proto_tf import TfConfig, run_tf_session
 from .session import SessionReport
 from .squeeze import (
     Codebook,

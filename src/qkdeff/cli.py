@@ -195,10 +195,9 @@ def cmd_squeeze_encode(args) -> int:
     cfg = _load_cfg(args)
     cfgmod.reject_unknown(cfg, cfgmod.SQUEEZE_KEYS)
     k = cfgmod._int(cfg, "k", 8)
-    p = cfgmod._float(cfg, "p", 0.999)
     bits = _read_stdin_bits(_bits_format(cfg))
     try:
-        container, stats = squeeze.squeeze_bits(bits, k, p)
+        container, stats = squeeze.squeeze_bits(bits, k)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     _write_out(args, container)

@@ -14,6 +14,7 @@ parser.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -41,7 +42,7 @@ BB84_KEYS = _keys(SessionConfig)
 TF_KEYS = _keys(TfConfig, _tf_key)
 CURVE_KEYS = ("l_min", "l_max", "l_step")
 SIGMA_KEYS = ("k_min", "k_max", "p", "n_bits")
-SQUEEZE_KEYS = ("k", "p", "bits_format")
+SQUEEZE_KEYS = ("k", "bits_format")
 
 
 def load_flat_config(path: str | Path) -> dict[str, str]:
@@ -97,9 +98,12 @@ def _float(cfg: Mapping[str, str], key: str, default: float) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
+    if math.isnan(value):
+        raise ConfigError(f"key {key!r}: not a number: {raw!r}")
+    return value
 
 
 def _int(cfg: Mapping[str, str], key: str, default: int) -> int:

@@ -51,13 +51,13 @@ class ChannelParams:
     f: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if self.length_km < 0:
+        if not self.length_km >= 0:
             raise ParameterError(f"length_km must be >= 0, got {self.length_km}")
         for name in ("eta_det", "p_dark", "e_opt", "e0"):
             _check_prob(name, getattr(self, name))
-        if self.f < 1:
+        if not self.f >= 1:
             raise ParameterError(f"f must be >= 1, got {self.f}")
 
 
@@ -86,7 +86,7 @@ class ProtocolParams:
         _check_prob("xi", self.xi)
         if not 0.0 <= self.delta < 1.0:
             raise ParameterError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.n_qubits != INFINITE and self.n_qubits < 1:
+        if self.n_qubits != INFINITE and not self.n_qubits >= 1:
             raise ParameterError("n_qubits must be >= 1 or math.inf")
         if self.asymptotic and self.delta != 0.0:
             raise ParameterError("asymptotic mode requires delta = 0")
@@ -299,7 +299,8 @@ def optimality_bb84(ch: ChannelParams) -> float:
     """Efficiency ceiling of BB84 on this channel (s -> 1, sigma -> 1, xi = 1).
 
     Closed form (1 - H(e) - f*H(e)) / (2/eta~ + 2 - H(e) - f*H(e)), clamped to
-    0 under rate extinction.
+    0 under rate extinction.  It bounds the asymptotic efficiency only: with
+    finite N the -1 seed term can lift total_efficiency above it.
     """
     eta = transmittance(ch)
     if eta <= 0.0:
@@ -320,7 +321,8 @@ def determine_optimality(
     s -> 1 and the full-compression limit sigma -> 1 (substituted exactly when
     eps = 0; eps > 0 evaluates at 1 - eps for sensitivity studies), and
     evaluates the asymptotic efficiency there.  With xi_max = 1 the result
-    equals :func:`optimality_bb84`.
+    equals :func:`optimality_bb84`.  Like that ceiling, it bounds the
+    asymptotic efficiency only, not a finite-N one.
     """
     _check_prob("xi_max", xi_max)
     if not 0.0 <= eps < 0.5:

@@ -138,14 +138,6 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     det = np.flatnonzero(records.detected)
     b_det = records.b[det]
     bprime_det = records.b_prime[det]
-    n_det = det.size
-
-    if n_det == 0:
-        return SiftResult(
-            alice_key=np.zeros(0, np.uint8), bob_key=np.zeros(0, np.uint8),
-            basis=np.zeros(0, np.uint8), n_detected=0, n_sifted=0,
-            bob_bits_compressed=0, alice_bits_compressed=0,
-        )
 
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
     bob_bits = announce(bprime_det, cb, "basis")
@@ -157,7 +149,7 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
         alice_key=records.q[keep],
         bob_key=records.k_b[keep],
         basis=records.b[keep],
-        n_detected=n_det,
+        n_detected=det.size,
         n_sifted=keep.size,
         bob_bits_compressed=bob_bits,
         alice_bits_compressed=alice_bits,

@@ -64,7 +64,7 @@ class TfConfig:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v}")
         if not 0.0 < self.pe_frac < 1.0:
             raise ParameterError("pe_frac must lie in (0, 1)")
-        if self.f_ec < 1.0:
+        if not self.f_ec >= 1.0:
             raise ParameterError("f_ec must be >= 1")
         if self.degree_k < 1:
             raise ParameterError("degree_k must be >= 1")
@@ -146,16 +146,3 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
         f=cfg.f_ec,
     )
 
-
-def tf_ledger(report: SessionReport) -> dict[str, float]:
-    """Per-procedure announced-bit table for a relay session report."""
-    led = report.ledger
-    return {
-        "relay_outcomes": led.reception_ack,
-        "alice_bases_compressed": led.alice_match,
-        "bob_bases_compressed": led.bob_bases,
-        "pe_sacrifice": led.pe_sacrifice,
-        "ec_bits": led.ec_bits,
-        "pa_bits": led.pa_bits,
-        "total": led.total(),
-    }

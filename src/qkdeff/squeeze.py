@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import MalformedStreamError, ParameterError
 
-# Explicit codebooks materialize 2^k codeword strings (total size ~2^(2k-1) bits);
-# analytics (sigma_expected / sigma_curve) use the closed form and have no cap.
+# Explicit codebooks hold 2^k-row rank tables (their entries, 2^k codewords of
+# ~2^(2k-1) bits); analytics (sigma_expected / sigma_curve) have no cap.
 MAX_EXPLICIT_DEGREE = 12
 
 CONTAINER_MAGIC = b"SQZ1"
@@ -50,7 +50,7 @@ def as_bits(bits: BitsLike) -> np.ndarray:
 
 
 def bits_to_string(bits: BitsLike) -> str:
-    return "".join("01"[b] for b in as_bits(bits))
+    return (as_bits(bits) + ord("0")).tobytes().decode("ascii")
 
 
 def pack_bits(bits: BitsLike) -> bytes:
@@ -72,19 +72,6 @@ def gamma(i: int) -> int:
     if i < 0:
         raise ParameterError("block index must be nonnegative")
     return int(i).bit_count()
-
-
-def gamma_recursive(i: int) -> int:
-    """Block weight via the recurrence g(i) = 1 + g(i - 2^floor(log2 i)).
-
-    Base cases g(0) = 0 and g(1) = 1.  Agrees with :func:`gamma` for all i;
-    kept as an independent cross-check of the popcount implementation.
-    """
-    if i < 0:
-        raise ParameterError("block index must be nonnegative")
-    if i <= 1:
-        return i
-    return 1 + gamma_recursive(i - (1 << (i.bit_length() - 1)))
 
 
 class PreparedBlocks(NamedTuple):
@@ -131,7 +118,6 @@ class Codebook:
 
     degree_k: int
     bias_p: float
-    entries: tuple[CodebookEntry, ...]
     # rank r is the position in the probability-sorted order; codeword length
     # is r+1 except the last rank, which shares length 2^k - 1
     _rank_of_block: np.ndarray = field(repr=False, compare=False)
@@ -139,16 +125,16 @@ class Codebook:
     _bits_of_rank: np.ndarray = field(repr=False, compare=False)
 
     @property
-    def average_length(self) -> float:
-        """Expected codeword length L_av,C under the block distribution."""
-        return float(sum(e.probability * len(e.codeword) for e in self.entries))
-
-
-def _codeword_for_rank(rank: int, k: int) -> str:
-    last = (1 << k) - 1
-    if rank < last:
-        return "1" * rank + "0"
-    return "1" * last
+    def entries(self) -> tuple[CodebookEntry, ...]:
+        """(block, probability, codeword) in rank order, derived from the tables."""
+        k, last = self.degree_k, (1 << self.degree_k) - 1
+        prob = _probabilities_by_weight(k, self.bias_p)
+        blocks = self._rank_of_block.argsort()
+        weights = self._bits_of_rank.sum(axis=1)
+        return tuple(
+            CodebookEntry(blk, prob[g], "1" * r + "0" if r < last else "1" * last)
+            for r, (blk, g) in enumerate(zip(blocks.tolist(), weights.tolist()))
+        )
 
 
 def build_codebook(k: int, p: float) -> Codebook:
@@ -169,32 +155,14 @@ def build_codebook(k: int, p: float) -> Codebook:
                              "degenerate for an unbiased source")
 
     size = 1 << k
-    blocks = np.arange(size, dtype=np.int64)
-    weights = np.array([gamma(int(b)) for b in blocks], dtype=np.int64)
-    # probability is strictly decreasing in weight for p > 0.5, so sorting by
-    # (weight, block) realizes "descending probability, ties ascending"
-    order = np.lexsort((blocks, weights))
-    prob_by_weight = _probabilities_by_weight(k, p)
-
-    entries = tuple(
-        CodebookEntry(
-            block=int(blk),
-            probability=prob_by_weight[int(weights[blk])],
-            codeword=_codeword_for_rank(rank, k),
-        )
-        for rank, blk in enumerate(order)
-    )
+    shifts = np.arange(k - 1, -1, -1)
+    bits = ((np.arange(size)[:, None] >> shifts) & 1).astype(np.uint8)
+    # probability is strictly decreasing in weight for p > 0.5, so a stable
+    # sort by weight realizes "descending probability, ties ascending"
+    order = np.argsort(bits.sum(axis=1), kind="stable")
     rank_of_block = np.empty(size, dtype=np.int64)
     rank_of_block[order] = np.arange(size)
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-    bits_of_rank = ((order[:, None] >> shifts) & 1).astype(np.uint8)
-    return Codebook(
-        degree_k=k,
-        bias_p=p,
-        entries=entries,
-        _rank_of_block=rank_of_block,
-        _bits_of_rank=bits_of_rank,
-    )
+    return Codebook(k, p, rank_of_block, bits[order])
 
 
 @dataclass(frozen=True)
@@ -327,12 +295,11 @@ def sigma_curve(
     for k in ks:
         if k < 2:
             raise ParameterError("compression requires degree k >= 2")
-        lav = expected_codeword_length(k, p)
         if n is None:
-            sig = (1.0 - lav / k) * 100.0
+            sig = sigma_expected(k, p)
         else:
             m = -(-n // k)
-            sig = (1.0 - lav * m / n) * 100.0
+            sig = (1.0 - expected_codeword_length(k, p) * m / n) * 100.0
         out.append((k, sig))
     return out
 
@@ -363,9 +330,9 @@ def read_container(data: bytes) -> tuple[int, int, np.ndarray]:
     return k, true_len, unpack_bits(payload, payload_len)
 
 
-def squeeze_bits(bits: BitsLike, k: int, p: float = 0.999) -> tuple[bytes, CompressionStats]:
+def squeeze_bits(bits: BitsLike, k: int) -> tuple[bytes, CompressionStats]:
     """Convenience: encode ``bits`` at degree k and frame them in a container."""
-    cb = build_codebook(k, p)
+    cb = build_codebook(k, 0.999)  # mapping is p-independent
     payload, stats = encode(bits, cb)
     return write_container(payload, k, stats.n_input_bits), stats
 

@@ -1,6 +1,7 @@
 """CLI and flat-config tests: formats, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -73,6 +74,15 @@ class TestFlatConfig:
     def test_negative_seed_is_config_error(self):
         assert run_cli("simulate-bb84", "--seed", "-3",
                        "--set", "n_qubits=10") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--set", "n_qubits=nan", "--set", "delta=0.1"),
+        ("simulate-bb84", "--set", "n_qubits=1000", "--set", "f=nan"),
+        ("simulate-tf", "--set", "n_pulses=1000", "--set", "tf.f_ec=nan"),
+    ])
+    def test_nan_exits_config_code(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        assert "not a number: 'nan'" in capsys.readouterr().err
 
     def test_invalid_values_become_config_errors(self):
         with pytest.raises(ConfigError):
@@ -338,9 +348,11 @@ class TestSimulateCommands:
 
 class TestSqueezeFilters:
     def _run(self, args, stdin: bytes):
+        # the child imports qkdeff from the same path as this process
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
             [sys.executable, "-m", "qkdeff.cli", *args],
-            input=stdin, capture_output=True,
+            input=stdin, capture_output=True, env=env,
         )
         return proc
 
@@ -378,3 +390,8 @@ class TestSqueezeFilters:
         assert self._run(
             ["squeeze-encode", "--set", "k=99"], b"0101"
         ).returncode == 2
+
+    def test_removed_bias_key_is_unknown(self):
+        enc = self._run(["squeeze-encode", "--set", "p=0.9"], b"0101")
+        assert enc.returncode == 2
+        assert b"unknown config keys: p" in enc.stderr

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdeff.core import (
     INFINITE,
@@ -134,6 +136,7 @@ class TestChannelModel:
         for kwargs in (
             {"alpha": -0.1}, {"length_km": -1}, {"eta_det": 1.5},
             {"p_dark": -1e-9}, {"e_opt": 2.0}, {"f": 0.9},
+            {"alpha": math.nan}, {"length_km": math.nan}, {"f": math.nan},
         ):
             with pytest.raises(ParameterError):
                 ChannelParams(**kwargs)
@@ -327,6 +330,29 @@ class TestOptimality:
         assert near < exact
         assert near == pytest.approx(exact, rel=0.1)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        ch=st.builds(
+            ChannelParams,
+            alpha=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            length_km=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            eta_det=st.floats(0.0, 1.0), p_dark=st.floats(0.0, 1.0),
+            e_opt=st.floats(0.0, 1.0), e0=st.floats(0.0, 1.0),
+            f=st.floats(min_value=1.0, allow_nan=False, allow_infinity=False),
+        ),
+        pp=st.builds(
+            ProtocolParams, s=st.floats(0.0, 1.0, exclude_min=True),
+            sigma=st.floats(0.0, 1.0), xi=st.floats(0.0, 1.0),
+        ),
+    )
+    def test_asymptotic_efficiency_never_exceeds_ceiling(self, ch, pp):
+        try:
+            eff = total_efficiency(ch, pp).efficiency
+            ceiling = determine_optimality(ch, pp.xi).efficiency
+        except DegenerateChannelError:
+            return
+        assert eff <= ceiling * (1 + 1e-12)
+
     def test_xi_max_validation(self):
         with pytest.raises(ParameterError):
             determine_optimality(FIG2, 1.5)
@@ -385,7 +411,9 @@ class TestProtocolParamsValidation:
         assert not ProtocolParams(n_qubits=10**6).asymptotic
 
     def test_bad_counts(self):
-        with pytest.raises(ParameterError):
-            ProtocolParams(n_qubits=0.5)
+        for n in (0.5, math.nan):
+            with pytest.raises(ParameterError):
+                ProtocolParams(n_qubits=n)
         with pytest.raises(ParameterError):
             ProtocolParams(delta=1.0, n_qubits=100)
+

@@ -277,6 +277,13 @@ class TestRunSession:
         assert rep.ledger.total() == 0.0
         assert rep.final_key_bits == 0
 
+    def test_lossy_session_with_no_detection(self):
+        ch = replace(FIG2, length_km=400.0)
+        rep = run_session(SessionConfig(n_qubits=10, channel=ch, rng_seed=1))
+        assert rep.n_detected == 0 and rep.f_card == 0
+        assert rep.final_key_bits == 0
+        assert rep.ledger.reception_ack == 10 and rep.ledger.bob_bases == 0
+
     def test_abort_yields_empty_key_with_ledger_intact(self):
         ch = replace(NOISELESS, e_opt=0.25)
         cfg = SessionConfig(n_qubits=100_000, p_b=0.7, qber_threshold=0.11,

@@ -15,12 +15,12 @@ from qkdeff.errors import MalformedStreamError, ParameterError
 from qkdeff.squeeze import (
     CONTAINER_MAGIC,
     as_bits,
+    bits_to_string,
     build_codebook,
     decode,
     encode,
     expected_codeword_length,
     gamma,
-    gamma_recursive,
     pack_bits,
     prepare,
     read_container,
@@ -43,6 +43,21 @@ def bitstr(arr) -> str:
     return "".join(str(int(b)) for b in arr)
 
 
+def gamma_recursive(i: int) -> int:
+    """Block weight via the recurrence g(i) = 1 + g(i - 2^floor(log2 i)), g(0..1) = i.
+
+    An independent cross-check of the popcount in :func:`gamma`.
+    """
+    if i <= 1:
+        return i
+    return 1 + gamma_recursive(i - (1 << (i.bit_length() - 1)))
+
+
+def average_length(cb) -> float:
+    """Expected codeword length L_av,C under the block distribution, by direct sum."""
+    return float(sum(e.probability * len(e.codeword) for e in cb.entries))
+
+
 class TestGoldenVectors:
     def test_k2_p999_matches_published_tables(self):
         cb = build_codebook(2, 0.999)
@@ -53,12 +68,12 @@ class TestGoldenVectors:
             (0b10, 0.000999, "110"),
             (0b11, 1e-06, "111"),
         ]
-        assert cb.average_length == pytest.approx(LAVC_K2_P999, rel=1e-12)
+        assert average_length(cb) == pytest.approx(LAVC_K2_P999, rel=1e-12)
 
     def test_k1_identity_code(self):
         cb = build_codebook(1, 0.999)
         assert [(e.block, e.codeword) for e in cb.entries] == [(0, "0"), (1, "1")]
-        assert cb.average_length == pytest.approx(1.0, rel=1e-12)
+        assert average_length(cb) == pytest.approx(1.0, rel=1e-12)
 
     def test_k3_weight_orders_before_value(self):
         cb = build_codebook(3, 0.999)
@@ -155,6 +170,14 @@ class TestCodebookStructure:
             assert e.probability == pytest.approx(
                 p ** (k - g) * (1 - p) ** g, rel=1e-12
             )
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_rank_tables_match_entries(self, k):
+        cb = build_codebook(k, 0.999)
+        shifts = np.arange(k - 1, -1, -1)
+        for r, e in enumerate(cb.entries):
+            assert cb._bits_of_rank[r].tolist() == ((e.block >> shifts) & 1).tolist()
+            assert cb._rank_of_block[e.block] == r
 
     def test_mapping_is_bias_independent(self):
         for k in (2, 5, 8):
@@ -409,7 +432,7 @@ class TestSigmaAnalytics:
         for k in (1, 2, 4, 8, 11):
             cb = build_codebook(k, 0.999)
             assert expected_codeword_length(k, 0.999) == pytest.approx(
-                cb.average_length, rel=1e-12
+                average_length(cb), rel=1e-12
             )
 
     @pytest.mark.parametrize("k,limit", [(2, 50.0), (4, 75.0)])
@@ -482,6 +505,11 @@ class TestBitPackingAndContainer:
             read_container(blob[:10])
         with pytest.raises(MalformedStreamError):
             read_container(blob + b"\x00")
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_bits_to_string(self, n):
+        bits = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
+        assert bits_to_string(bits) == "".join("01"[b] for b in bits)
 
     def test_as_bits_validation(self):
         assert np.array_equal(as_bits("0110"), [0, 1, 1, 0])
