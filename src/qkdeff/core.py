@@ -33,13 +33,13 @@ def _check_prob(name: str, x: float) -> None:
 class ChannelParams:
     """Physical description of the QKD link.
 
-    alpha      attenuation in dB/km
-    length_km  link length L >= 0
+    alpha      attenuation in dB/km, finite and >= 0
+    length_km  link length L, finite and >= 0
     eta_det    detector efficiency in [0, 1]
     p_dark     dark count probability in [0, 1]
     e_opt      optical misalignment error in [0, 1]
     e0         background error (dark-count outcomes are random), default 0.5
-    f          error-correction inefficiency factor >= 1
+    f          error-correction inefficiency factor, finite and >= 1
     """
 
     alpha: float = 0.2
@@ -51,14 +51,12 @@ class ChannelParams:
     f: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.length_km >= 0:
-            raise ParameterError(f"length_km must be >= 0, got {self.length_km}")
+        for name, low in (("alpha", 0.0), ("length_km", 0.0), ("f", 1.0)):
+            v = getattr(self, name)
+            if not low <= v < math.inf:
+                raise ParameterError(f"{name} must be finite and >= {low:g}, got {v}")
         for name in ("eta_det", "p_dark", "e_opt", "e0"):
             _check_prob(name, getattr(self, name))
-        if not self.f >= 1:
-            raise ParameterError(f"f must be >= 1, got {self.f}")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 The quantum layer is modeled classically at the record level: preparation and
 measurement happen in the Z (bit 0) or X (bit 1) basis, matched-basis outcomes
 flip with the channel QBER, mismatched-basis outcomes are uniform.  This is
-statistically exact for Z/X prepare-and-measure protocols.  Announcements run
-through the real squeeze codec (encode -> decode with integrity checks), so the
-ledger carries actually-achieved compressed sizes.
+statistically exact for Z/X prepare-and-measure protocols.  Records are drawn
+for detected qubits only: in lossy mode the detected count is drawn first,
+Binomial(N, eta~), and since records are i.i.d. and nothing reads an
+undetected one, this gives the same law as drawing all N and discarding.
+Announcements run through the real squeeze codec (encode -> decode with
+integrity checks), so the ledger carries actually-achieved compressed sizes.
 
 Naming of the sifted subsets: V collects records where both parties used the X
 basis, W where both used the Z basis.  With the dominant basis being Z
@@ -26,8 +29,11 @@ from .session import (
     PeResult,
     SessionReport,
     announce,
+    check_count,
     empty_report,
+    fair_bits,
     finish,
+    rare_bits,
     sample_rate,
     stage_rngs,
 )
@@ -58,8 +64,7 @@ class SessionConfig:
     abort_on_either: bool = False
 
     def __post_init__(self):
-        if self.n_qubits < 0:
-            raise ParameterError("n_qubits must be >= 0")
+        check_count("n_qubits", self.n_qubits, 0)
         if not 0.5 < self.p_b < 1.0:
             raise ParameterError(f"p_b must lie in (0.5, 1), got {self.p_b}")
         if not 0.0 < self.epsilon_frac < 1.0:
@@ -68,20 +73,17 @@ class SessionConfig:
             raise ParameterError("lambda_frac must lie in (0, 1)")
         if not 0.0 < self.qber_threshold < 0.5:
             raise ParameterError("qber_threshold must lie in (0, 0.5)")
-        if self.degree_k < 1:
-            raise ParameterError("degree_k must be >= 1")
-        if self.rng_seed < 0:
-            raise ParameterError("rng_seed must be nonnegative")
+        check_count("degree_k", self.degree_k, 1)
+        check_count("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)
 class QubitRecords:
-    """Column-wise batch of per-qubit records (struct-of-arrays for speed)."""
+    """Column-wise batch of the detected qubits' records (struct-of-arrays)."""
 
     q: np.ndarray
     b: np.ndarray
     b_prime: np.ndarray
-    detected: np.ndarray
     k_b: np.ndarray
 
     def __len__(self) -> int:
@@ -93,27 +95,23 @@ def prepare_and_measure(
 ) -> QubitRecords:
     """Simulate qubit preparation, transfer, and measurement for one session.
 
-    Key bits are uniform; bases are drawn independently with bias p_b toward
-    basis 0.  Matched-basis outcomes flip with the channel QBER; mismatched
-    outcomes are uniform.  Detection is Bernoulli(eta~) unless lossless.
+    Returns the records of the detected qubits only.  Their count is N when
+    lossless and Binomial(N, eta~) otherwise.  Key bits are uniform; bases
+    are drawn independently with bias p_b toward basis 0.  Matched-basis
+    outcomes flip with the channel QBER; mismatched outcomes are uniform.
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[0]
     n = cfg.n_qubits
-    q = (rng.random(n) < 0.5).astype(np.uint8)
-    b = (rng.random(n) >= cfg.p_b).astype(np.uint8)
-    b_prime = (rng.random(n) >= cfg.p_b).astype(np.uint8)
-    if cfg.lossless:
-        detected = np.ones(n, dtype=bool)
-    else:
-        detected = rng.random(n) < transmittance(cfg.channel)
-
-    e_flip = qber(cfg.channel)
-    flips = (rng.random(n) < e_flip).astype(np.uint8)
-    random_outcome = (rng.random(n) < 0.5).astype(np.uint8)
-    matched = b == b_prime
-    k_b = np.where(matched, q ^ flips, random_outcome).astype(np.uint8)
-    return QubitRecords(q=q, b=b, b_prime=b_prime, detected=detected, k_b=k_b)
+    if not cfg.lossless:
+        n = int(rng.binomial(n, transmittance(cfg.channel)))
+    q = fair_bits(rng, n)
+    b = rare_bits(rng, n, 1.0 - cfg.p_b)
+    b_prime = rare_bits(rng, n, 1.0 - cfg.p_b)
+    k_b = q ^ rare_bits(rng, n, qber(cfg.channel))
+    mismatched = np.flatnonzero(b != b_prime)
+    k_b[mismatched] = fair_bits(rng, mismatched.size)
+    return QubitRecords(q=q, b=b, b_prime=b_prime, k_b=k_b)
 
 
 @dataclass(frozen=True)
@@ -135,22 +133,19 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     are decoded and verified, so a codec fault surfaces as
     SimulationIntegrityError rather than key damage.
     """
-    det = np.flatnonzero(records.detected)
-    b_det = records.b[det]
-    bprime_det = records.b_prime[det]
-
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
-    bob_bits = announce(bprime_det, cb, "basis")
-    d = (b_det != bprime_det).astype(np.uint8)  # 1 = discard
+    bob_bits = announce(records.b_prime, cb, "basis")
+    d = records.b ^ records.b_prime  # 1 = discard
     alice_bits = announce(d, cb, "match")
 
-    keep = det[d == 0]
+    keep = d == 0
+    alice_key = records.q[keep]
     return SiftResult(
-        alice_key=records.q[keep],
+        alice_key=alice_key,
         bob_key=records.k_b[keep],
         basis=records.b[keep],
-        n_detected=det.size,
-        n_sifted=keep.size,
+        n_detected=len(records),
+        n_sifted=alice_key.size,
         bob_bits_compressed=bob_bits,
         alice_bits_compressed=alice_bits,
     )

@@ -2,12 +2,21 @@
 
 Both parties send pulse pairs to a middle node that announces which of its two
 interference detectors clicked.  The optics are abstracted into a click model:
-for pairs where both parties chose the key (X) basis, equal key bits fire the
-constructive-port detector with probability p_click_match and the destructive
-port with p_click_conflict (reversed for unequal bits); pairs involving the
-decoy (Z) basis or a basis mismatch carry a random relative phase, modeled as a
-fair coin between the two cases.  Relay dark counts are OR-ed onto each
-detector independently.
+the detector at the port the pair's relative phase selects fires with
+probability p_click_match, the other with p_click_conflict, and relay dark
+counts are OR-ed onto each detector independently.  For pairs where both
+parties chose the key (X) basis, equal key bits select the constructive port;
+pairs involving the decoy (Z) basis or a basis mismatch carry a random
+relative phase.
+
+With a = 1-(1-p_click_match)(1-p_dark_relay) for the selected port and
+b = 1-(1-p_click_conflict)(1-p_dark_relay) for the other, every pair
+single-clicks with probability s = a(1-b) + b(1-a), whatever its bases or
+phase.  So the session draws only what a report reads: the two basis
+sequences, Binomial(count, s) single clicks among the both-X, both-Z and
+mismatched pairs, fair key bits for Alice, and Bob's key after the flip rule,
+wrong with probability b(1-a)/s on each both-X single click.  This is the
+same law as drawing every pulse pair's bits and clicks.
 
 Basis announcements encode the dominant X basis as bit 0 so the squeeze codec
 sees a 0-biased stream.  Decoy-state analysis is out of scope: Z-basis events
@@ -16,6 +25,7 @@ are generated, announced, and sifted, but contribute only to the accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +36,11 @@ from .session import (
     PeResult,
     SessionReport,
     announce,
+    check_count,
     empty_report,
+    fair_bits,
     finish,
+    rare_bits,
     sample_rate,
     stage_rngs,
 )
@@ -54,8 +67,7 @@ class TfConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_pulses < 0:
-            raise ParameterError("n_pulses must be >= 0")
+        check_count("n_pulses", self.n_pulses, 0)
         if not 0.5 < self.p_x < 1.0:
             raise ParameterError(f"p_x must lie in (0.5, 1), got {self.p_x}")
         for name in ("p_click_match", "p_click_conflict", "p_dark_relay"):
@@ -64,12 +76,10 @@ class TfConfig:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v}")
         if not 0.0 < self.pe_frac < 1.0:
             raise ParameterError("pe_frac must lie in (0, 1)")
-        if not self.f_ec >= 1.0:
-            raise ParameterError("f_ec must be >= 1")
-        if self.degree_k < 1:
-            raise ParameterError("degree_k must be >= 1")
-        if self.rng_seed < 0:
-            raise ParameterError("rng_seed must be nonnegative")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ParameterError(f"f_ec must be finite and >= 1, got {self.f_ec}")
+        check_count("degree_k", self.degree_k, 1)
+        check_count("rng_seed", self.rng_seed, 0)
 
 
 def run_tf_session(cfg: TfConfig) -> SessionReport:
@@ -90,36 +100,28 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     rng_events, rng_pe = stage_rngs(cfg.rng_seed)
 
     # basis bit: 0 = X (dominant, key), 1 = Z (decoy)
-    h_a = (rng_events.random(n) >= cfg.p_x).astype(np.uint8)
-    h_b = (rng_events.random(n) >= cfg.p_x).astype(np.uint8)
-    bits_a = (rng_events.random(n) < 0.5).astype(np.uint8)
-    bits_b = (rng_events.random(n) < 0.5).astype(np.uint8)
-
-    both_x = (h_a == 0) & (h_b == 0)
-    equal_bits = bits_a == bits_b
-    coin = rng_events.random(n) < 0.5  # random relative phase for non-key pairs
-    constructive = np.where(both_x, equal_bits, coin)
-
-    u = rng_events.random(n)
-    v = rng_events.random(n)
-    click_c = np.where(constructive, u < cfg.p_click_match, u < cfg.p_click_conflict)
-    click_d = np.where(constructive, v < cfg.p_click_conflict, v < cfg.p_click_match)
-    click_c |= rng_events.random(n) < cfg.p_dark_relay
-    click_d |= rng_events.random(n) < cfg.p_dark_relay
+    h_a = rare_bits(rng_events, n, 1.0 - cfg.p_x)
+    h_b = rare_bits(rng_events, n, 1.0 - cfg.p_x)
 
     # both parties announce their basis sequences in the container format
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_x)
     bits_a_announced = announce(h_a, cb, "alice basis")
     bits_b_announced = announce(h_b, cb, "bob basis")
 
-    single_click = click_c ^ click_d
-    keep = (h_a == h_b) & single_click
-    x_keep = np.flatnonzero(keep & (h_a == 0))
-    v_card = x_keep.size
+    # single clicks: the same probability s for every pair (module docstring)
+    dark = 1.0 - cfg.p_dark_relay
+    a = 1.0 - (1.0 - cfg.p_click_match) * dark   # the selected port fires
+    b = 1.0 - (1.0 - cfg.p_click_conflict) * dark  # the other port fires
+    s = a * (1.0 - b) + b * (1.0 - a)
+    n_zz = int(np.count_nonzero(h_a & h_b))
+    n_xx = n - int(np.count_nonzero(h_a | h_b))
+    v_card, w_card, n_mismatched = (
+        int(rng_events.binomial(count, s)) for count in (n_xx, n_zz, n - n_xx - n_zz)
+    )
 
-    # flip rule: a destructive-port click announces anticorrelated key bits
-    key_a = bits_a[x_keep]
-    key_b = (bits_b[x_keep] ^ click_d[x_keep]).astype(np.uint8)
+    # flip rule: Bob's bit is wrong when only the other port fired
+    key_a = fair_bits(rng_events, v_card)
+    key_b = key_a ^ rare_bits(rng_events, v_card, b * (1.0 - a) / s if s else 0.0)
 
     # error-rate estimate on a sacrificed X subset (decoy analysis out of scope)
     v_prime = int(cfg.pe_frac * v_card)
@@ -128,15 +130,15 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     pe = PeResult(
         qber_x=qber_x, qber_z=None, aborted=False,
         alice_remaining=key_a[rest], bob_remaining=key_b[rest],
-        v_card=v_card, w_card=int(np.count_nonzero(keep & (h_a == 1))),
+        v_card=v_card, w_card=w_card,
         v_prime=v_prime, w_prime=0, announced_bits=v_prime, warnings=warnings,
     )
-    f_card = int(np.count_nonzero(keep))
+    f_card = v_card + w_card
     return finish(
         pe,
         n_qubits=n,
         qubits_sent=2 * n,
-        n_detected=int(np.count_nonzero(single_click)),
+        n_detected=f_card + n_mismatched,
         f_card=f_card,
         sift_rate=f_card / n,
         sifted_keys=(key_a, key_b),

@@ -1,7 +1,8 @@
 """Session stages shared by the BB84 and relay simulations.
 
-Each protocol draws its own events and maps them to a sifted key; from there
-on both run the same stages: squeezed announcements read back and verified,
+Each protocol draws its own events, with the exact samplers here and only
+where a report reads them, and maps them to a sifted key; from there on both
+run the same stages: squeezed announcements read back and verified,
 error-rate sampling, the EC/PA bit-count stub, the two ledgers and the
 report.  The missing-estimate rule lives here, once: a session with no
 error-rate sample in any basis certifies no key.
@@ -9,13 +10,15 @@ error-rate sample in any basis certifies no key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from . import squeeze
 from .core import SessionLedger, binary_entropy
-from .errors import SimulationIntegrityError
+from .errors import ParameterError, SimulationIntegrityError
 
 NO_ESTIMATE = "no error-rate estimate: no key certified"
 XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
@@ -25,6 +28,39 @@ def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     """Per-stage generators (events, estimation), reproducibly split from one seed."""
     seqs = np.random.SeedSequence(seed).spawn(2)
     return tuple(np.random.Generator(np.random.PCG64(s)) for s in seqs)
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """A config count must be an integer >= ``minimum`` (numpy needs a true int)."""
+    if not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+
+
+def fair_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` fair coins as uint8, eight to each random byte."""
+    return np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), np.uint8), count=n)
+
+
+def rare_bits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """``n`` Bernoulli(p) trials as uint8, drawing only where the successes fall.
+
+    The gaps between successive successes of i.i.d. trials are i.i.d.
+    Geometric(p), so cumulative gaps place the successes exactly in law; gaps
+    are drawn until a success reaches the last trial or passes it.  The cost
+    is O(n p) draws.
+    """
+    out = np.zeros(n, np.uint8)
+    if n == 0 or p == 0.0:
+        return out
+    # one batch covers the count up to ~6 standard deviations
+    size = int(n * p + 6.0 * math.sqrt(n * p) + 1)
+    pos = np.cumsum(rng.geometric(p, size)) - 1
+    while pos[-1] < n - 1:
+        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, size))])
+    out[pos[pos < n]] = 1
+    return out
 
 
 def announce(bits: np.ndarray, cb: squeeze.Codebook, what: str) -> int:

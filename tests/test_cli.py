@@ -84,6 +84,15 @@ class TestFlatConfig:
         assert run_cli(*argv) == 2
         assert "not a number: 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--set", "alpha=inf"),
+        ("simulate-bb84", "--set", "n_qubits=1000", "--set", "f=inf"),
+        ("simulate-tf", "--set", "n_pulses=1000", "--set", "tf.f_ec=inf"),
+    ])
+    def test_inf_exits_config_code(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_invalid_values_become_config_errors(self):
         with pytest.raises(ConfigError):
             cfgmod.channel_from_mapping({"alpha": "fast"})

@@ -141,6 +141,12 @@ class TestChannelModel:
             with pytest.raises(ParameterError):
                 ChannelParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["alpha", "length_km", "f"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_channel_params(self, name, value):
+        with pytest.raises(ParameterError, match="finite"):
+            ChannelParams(**{name: value})
+
 
 class TestSecretKeyRate:
     def test_noiseless_rate_equals_transmittance(self):

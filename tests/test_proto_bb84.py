@@ -14,6 +14,7 @@ from qkdeff.core import (
     classical_bits,
     qber,
     total_efficiency,
+    transmittance,
 )
 from qkdeff.errors import ParameterError, SimulationIntegrityError
 from qkdeff.proto_bb84 import (
@@ -65,7 +66,7 @@ class TestPrepareAndMeasure:
     def test_lossy_detection_rate(self):
         cfg = SessionConfig(n_qubits=200_000, p_b=0.9, channel=FIG2, rng_seed=4)
         rec = prepare_and_measure(cfg)
-        det = float(np.mean(rec.detected))
+        det = len(rec) / cfg.n_qubits  # records exist for detected qubits only
         assert abs(det - 0.3) < three_sigma(0.3, 200_000)
 
     def test_record_view(self):
@@ -99,7 +100,7 @@ class TestSift:
                             lossless=True, rng_seed=8)
         rec = prepare_and_measure(cfg)
         rec = QubitRecords(q=rec.q, b=rec.b, b_prime=(1 - rec.b).astype(np.uint8),
-                           detected=rec.detected, k_b=rec.k_b)
+                           k_b=rec.k_b)
         res = sift(rec, cfg)
         assert res.n_sifted == 0
         assert res.alice_key.size == 0
@@ -108,7 +109,7 @@ class TestSift:
         cfg = SessionConfig(n_qubits=100_000, p_b=0.999, channel=FIG2, rng_seed=9)
         rec = prepare_and_measure(cfg)
         res = sift(rec, cfg)
-        assert res.n_detected == int(rec.detected.sum())
+        assert res.n_detected == len(rec) < cfg.n_qubits
         assert 0 < res.n_sifted <= res.n_detected
 
     def test_decode_mismatch_is_fatal(self, monkeypatch):
@@ -313,6 +314,80 @@ class TestRunSession:
         )
 
 
+def six_sigma(p: float, n: int) -> float:
+    return 6.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def codeword_length_var(k: int, p: float) -> float:
+    """Variance of the squeezed length of one k-bit block with P(0) = p."""
+    weight = np.array([bin(v).count("1") for v in range(1 << k)])
+    prob = np.sort(p ** (k - weight) * (1.0 - p) ** weight)[::-1]  # rank order
+    length = np.arange(1.0, (1 << k) + 1.0)
+    length[-1] -= 1.0  # the last rank has no terminating zero
+    mean = prob @ length
+    return float(prob @ (length - mean) ** 2)
+
+
+class TestDrawLaw:
+    """Pooled over seeds, session statistics match the closed-form model.
+
+    Records are drawn for detected qubits only and bases and flips by sparse
+    samplers; these checks hold for any exact draw, whatever its RNG stream.
+    """
+
+    SEEDS, N = range(100), 100_000
+
+    @pytest.mark.parametrize("length_km,lossless", [(0.0, True), (0.0, False), (50.0, False)])
+    def test_session_statistics(self, length_km, lossless):
+        ch = ChannelParams(length_km=length_km)
+        base = SessionConfig(n_qubits=self.N, channel=ch, lossless=lossless)
+        reps = [run_session(replace(base, rng_seed=seed)) for seed in self.SEEDS]
+
+        def total(stat):
+            return sum(stat(r) for r in reps)
+
+        n_det = total(lambda r: r.n_detected)
+        f_card = total(lambda r: r.f_card)
+        w_prime = total(lambda r: r.w_prime)
+
+        eta = 1.0 if lossless else transmittance(ch)
+        sent = len(self.SEEDS) * self.N
+        assert abs(n_det / sent - eta) <= six_sigma(eta, sent)
+        p_s = base.p_b**2 + (1.0 - base.p_b) ** 2
+        assert abs(f_card / n_det - p_s) <= six_sigma(p_s, n_det)
+        e = qber(ch)
+        disagree = total(lambda r: round(r.matched_disagreement_rate * r.f_card))
+        assert abs(disagree / f_card - e) <= six_sigma(e, f_card)
+        z_errors = total(lambda r: round(r.qber_z * r.w_prime))
+        assert abs(z_errors / w_prime - e) <= six_sigma(e, w_prime)
+
+        # sigma: Bob's bases have P(0) = p_b, Alice's match bits P(0) = p_s
+        k = base.degree_k
+        blocks = total(lambda r: -(-r.n_detected // k))
+        pairs = [(base.p_b, squeeze.expected_codeword_length(k, base.p_b)),
+                 (p_s, squeeze.expected_codeword_length(k, p_s))]
+        want = blocks * sum(mean for _, mean in pairs)
+        tol = 6.0 * math.sqrt(blocks * sum(codeword_length_var(k, p) for p, _ in pairs))
+        # a zero-padded last block costs at least 1 bit, at most an unpadded one
+        tol += len(self.SEEDS) * sum(mean - 1.0 for _, mean in pairs)
+        squeezed = total(lambda r: r.ledger.bob_bases + r.ledger.alice_match)
+        assert abs(squeezed - want) <= tol
+        sigma = total(lambda r: r.empirical_sigma * r.n_detected) / n_det
+        assert sigma == pytest.approx(1.0 - squeezed / (2.0 * n_det), rel=1e-12)
+
+    def test_mismatched_basis_outcomes_are_fair(self):
+        # no report reads these records; prepare_and_measure must still draw them
+        ch = replace(NOISELESS, e_opt=0.03)
+        mism = agree = 0
+        for seed in range(20):
+            cfg = SessionConfig(n_qubits=self.N, p_b=0.6, channel=ch, rng_seed=seed)
+            rec = prepare_and_measure(cfg)
+            m = rec.b != rec.b_prime
+            mism += int(m.sum())
+            agree += int(np.count_nonzero(rec.q[m] == rec.k_b[m]))
+        assert abs(agree / mism - 0.5) <= six_sigma(0.5, mism)
+
+
 class TestReportsArePlainPython:
     """Reports hold only plain Python scalars, so they serialize without help.
 
@@ -386,3 +461,9 @@ class TestConfigValidation:
             SessionConfig(n_qubits=10, p_b=0.9, degree_k=0)
         with pytest.raises(ParameterError):
             SessionConfig(n_qubits=10, p_b=0.9, rng_seed=-1)
+
+    def test_counts_must_be_integers(self):
+        for field in ("n_qubits", "degree_k", "rng_seed"):
+            for value in (2.5, 4.0, math.nan):
+                with pytest.raises(ParameterError, match="must be an integer"):
+                    SessionConfig(**{"n_qubits": 10, field: value})

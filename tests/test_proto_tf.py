@@ -1,6 +1,7 @@
 """Relay-session tests: flip rule, click model, announcements, accounting."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,62 @@ class TestClickModel:
         assert rep.final_key_bits == 0
 
 
+def reference_relay(cfg: TfConfig, rng: np.random.Generator) -> dict:
+    """The relay session's per-pulse draw: nine arrays, every pair's bits and clicks.
+
+    The session draws only the basis sequences and single-click counts; this
+    is the model it must match in law.
+    """
+    n = cfg.n_pulses
+    h_a = rng.random(n) >= cfg.p_x
+    h_b = rng.random(n) >= cfg.p_x
+    bits_a = rng.random(n) < 0.5
+    bits_b = rng.random(n) < 0.5
+    both_x = ~h_a & ~h_b
+    constructive = np.where(both_x, bits_a == bits_b, rng.random(n) < 0.5)
+    u, v = rng.random(n), rng.random(n)
+    click_c = np.where(constructive, u < cfg.p_click_match, u < cfg.p_click_conflict)
+    click_d = np.where(constructive, v < cfg.p_click_conflict, v < cfg.p_click_match)
+    click_c |= rng.random(n) < cfg.p_dark_relay
+    click_d |= rng.random(n) < cfg.p_dark_relay
+    single = click_c ^ click_d
+    keep = (h_a == h_b) & single
+    x_keep = keep & both_x
+    errors = (bits_a ^ bits_b ^ click_d)[x_keep]
+    return {
+        "n_detected": int(single.sum()), "f_card": int(keep.sum()),
+        "w_card": int((keep & h_a).sum()),
+        "errors": int(errors.sum()), "checked": errors.size,
+    }
+
+
+class TestDrawLaw:
+    CFG = TfConfig(n_pulses=100_000, p_x=0.9, p_click_match=0.8,
+                   p_click_conflict=0.05, p_dark_relay=0.01, pe_frac=0.5)
+    SEEDS = range(100)
+
+    def test_session_matches_reference_model(self):
+        ref, new = Counter(), Counter()
+        rng = np.random.default_rng(2024)
+        for seed in self.SEEDS:
+            ref.update(reference_relay(self.CFG, rng))
+            rep = run_tf_session(replace(self.CFG, rng_seed=seed))
+            new.update({"n_detected": rep.n_detected, "f_card": rep.f_card,
+                        "w_card": rep.w_card, "checked": rep.v_prime,
+                        "errors": round(rep.qber_x * rep.v_prime)})
+
+        # counts over the same number of pulse pairs: two binomials
+        pairs = len(self.SEEDS) * self.CFG.n_pulses
+        for key in ("n_detected", "f_card", "w_card"):
+            rate = (ref[key] + new[key]) / (2 * pairs)
+            tol = 6.0 * math.sqrt(2 * pairs * rate * (1 - rate))
+            assert abs(ref[key] - new[key]) <= tol, key
+        # pooled error rate: all reference key pairs against the sampled ones
+        e = (ref["errors"] + new["errors"]) / (ref["checked"] + new["checked"])
+        tol = 6.0 * math.sqrt(e * (1 - e) * (1 / ref["checked"] + 1 / new["checked"]))
+        assert abs(ref["errors"] / ref["checked"] - new["errors"] / new["checked"]) <= tol
+
+
 class TestAnnouncements:
     def test_compressed_basis_sizes(self):
         cfg = replace(IDEAL, n_pulses=100_000, degree_k=8, rng_seed=5)
@@ -107,3 +164,14 @@ class TestDeterminismAndValidation:
         for f_ec in (0.5, math.nan):
             with pytest.raises(ParameterError):
                 TfConfig(n_pulses=10, f_ec=f_ec)
+
+    def test_infinite_f_ec(self):
+        for f_ec in (math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                TfConfig(n_pulses=10, f_ec=f_ec)
+
+    def test_counts_must_be_integers(self):
+        for field in ("n_pulses", "degree_k", "rng_seed"):
+            for value in (2.5, 4.0, math.nan):
+                with pytest.raises(ParameterError, match="must be an integer"):
+                    TfConfig(**{"n_pulses": 10, field: value})

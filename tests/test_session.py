@@ -1,6 +1,7 @@
-"""Shared session stages: the missing-estimate rule and golden report digests."""
+"""Shared session stages: samplers, the missing-estimate rule and golden digests."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,38 @@ def test_no_error_rate_sample_certifies_no_key(protocol):
     assert rep.ledger.ec_bits == 0.0 and rep.ledger.pa_bits == 0.0
     assert rep.empirical_efficiency == 0.0
     assert "no error-rate estimate: no key certified" in rep.warnings
+
+
+DRAWS, WIDTH = 20_000, 10
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, None])
+def test_bit_samplers_follow_bernoulli_law(p):
+    # p=None draws fair bits.  Each position is Bernoulli(p), so an off-by-one
+    # in the geometric gaps (or in the byte unpacking) shows at an end position
+    rng = np.random.default_rng(11)
+    rows = np.array([
+        session.fair_bits(rng, WIDTH) if p is None else session.rare_bits(rng, WIDTH, p)
+        for _ in range(DRAWS)
+    ])
+    p = 0.5 if p is None else p
+    assert rows.dtype == np.uint8 and rows.shape == (DRAWS, WIDTH)
+    freq = rows.mean(axis=0)
+    assert np.all(np.abs(freq - p) <= 6.0 * math.sqrt(p * (1 - p) / DRAWS)), freq
+    # counts are Binomial(WIDTH, p): positions are independent
+    q = 1.0 - p
+    var = WIDTH * p * q
+    mu4 = var * (1.0 + 3.0 * (WIDTH - 2) * p * q)
+    count_var = rows.sum(axis=1).var(ddof=1)
+    assert abs(count_var - var) <= 6.0 * math.sqrt((mu4 - var**2) / DRAWS)
+
+
+def test_bit_samplers_degenerate_cases():
+    rng = np.random.default_rng(12)
+    for bits in (session.rare_bits(rng, 0, 0.3), session.fair_bits(rng, 0)):
+        assert bits.size == 0 and bits.dtype == np.uint8
+    assert not session.rare_bits(rng, 1000, 0.0).any()
+    assert session.rare_bits(rng, 1000, 1.0).all()
 
 
 def test_announce_rejects_header_degree_mismatch(monkeypatch):
@@ -73,11 +106,11 @@ def test_sample_rate_draws_as_choice_over_idx(count):
 GOLDEN = {
     "bb84": (
         ["simulate-bb84", "--seed", "5", "--set", "n_qubits=200000"],
-        "eb6fc77a0bb7fcdb85acb4ac8f20a1142d55c9b867cd6a22d7c65522b944cc2c",
+        "7abe276d2536317e5d0c299b7d7d344e5f74e8eb304fe0a35fa0384a83e364b6",
     ),
     "tf": (
         ["simulate-tf", "--seed", "5", "--set", "tf.p_click_conflict=0.02"],
-        "1f0945daffde92ce04dcf8b4b324e3909806b7b9b3e3e2678d78b0eda34ff297",
+        "b7deb2d3cc1f11fac2b313171c9fb31f706dad2ac78c14d0bb23d0f7f6e19704",
     ),
 }
 
