@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -84,6 +85,9 @@ def cmd_curve(args) -> int:
     l_min = cfgmod._float(cfg, "l_min", 0.0)
     l_max = cfgmod._float(cfg, "l_max", 100.0)
     l_step = cfgmod._float(cfg, "l_step", 1.0)
+    for key, value in (("l_min", l_min), ("l_max", l_max), ("l_step", l_step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: must be finite, got {value}")
     if l_step <= 0 or l_max < l_min:
         raise ConfigError("need l_step > 0 and l_max >= l_min")
     count = int(round((l_max - l_min) / l_step, 9)) + 1

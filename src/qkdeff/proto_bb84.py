@@ -163,9 +163,11 @@ def parameter_estimation(
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[1]
-    x_idx = np.flatnonzero(sifted.basis == 1)
-    z_idx = np.flatnonzero(sifted.basis == 0)
-    v_card, w_card = x_idx.size, z_idx.size
+    x = sifted.basis == 1  # split once by basis: no index arrays of the subsets
+    z = ~x
+    ax, bx = sifted.alice_key[x], sifted.bob_key[x]
+    az, bz = sifted.alice_key[z], sifted.bob_key[z]
+    v_card, w_card = ax.size, az.size
     v_prime = int(cfg.epsilon_frac * v_card)
     w_prime = int(cfg.lambda_frac * w_card)
 
@@ -175,21 +177,19 @@ def parameter_estimation(
     if w_prime == 0:
         warnings.append("z-basis parameter-estimation sample is empty")
 
-    keys = sifted.alice_key, sifted.bob_key
-    qber_x, x_rest = sample_rate(*keys, x_idx, v_prime, rng)
-    qber_z, z_rest = sample_rate(*keys, z_idx, w_prime, rng)
+    qber_x, keep_x = sample_rate(ax, bx, v_prime, rng)
+    qber_z, keep_z = sample_rate(az, bz, w_prime, rng)
 
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
     aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
 
-    keep = np.concatenate([x_rest, z_rest])  # V'' then W'' order
     if aborted:
         alice_rem = np.zeros(0, np.uint8)
         bob_rem = np.zeros(0, np.uint8)
-    else:
-        alice_rem = sifted.alice_key[keep]
-        bob_rem = sifted.bob_key[keep]
+    else:  # V'' then W'' order
+        alice_rem = np.concatenate([ax[keep_x], az[keep_z]])
+        bob_rem = np.concatenate([bx[keep_x], bz[keep_z]])
     return PeResult(
         qber_x=qber_x,
         qber_z=qber_z,

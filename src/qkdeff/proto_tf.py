@@ -126,10 +126,10 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     # error-rate estimate on a sacrificed X subset (decoy analysis out of scope)
     v_prime = int(cfg.pe_frac * v_card)
     warnings = () if v_prime else ("x-basis parameter-estimation sample is empty",)
-    qber_x, rest = sample_rate(key_a, key_b, np.arange(v_card), v_prime, rng_pe)
+    qber_x, keep = sample_rate(key_a, key_b, v_prime, rng_pe)
     pe = PeResult(
         qber_x=qber_x, qber_z=None, aborted=False,
-        alice_remaining=key_a[rest], bob_remaining=key_b[rest],
+        alice_remaining=key_a[keep], bob_remaining=key_b[keep],
         v_card=v_card, w_card=w_card,
         v_prime=v_prime, w_prime=0, announced_bits=v_prime, warnings=warnings,
     )

@@ -4,8 +4,9 @@ Each protocol draws its own events, with the exact samplers here and only
 where a report reads them, and maps them to a sifted key; from there on both
 run the same stages: squeezed announcements read back and verified,
 error-rate sampling, the EC/PA bit-count stub, the two ledgers and the
-report.  The missing-estimate rule lives here, once: a session with no
-error-rate sample in any basis certifies no key.
+report.  The certification rule lives here, once: a session with no
+error-rate sample in any basis, or with an estimate of 1/2 or more,
+certifies no key.
 """
 
 from __future__ import annotations
@@ -85,24 +86,21 @@ def announce(bits: np.ndarray, cb: squeeze.Codebook, what: str) -> int:
 
 
 def sample_rate(
-    alice: np.ndarray, bob: np.ndarray, idx: np.ndarray, count: int,
-    rng: np.random.Generator,
+    alice: np.ndarray, bob: np.ndarray, count: int, rng: np.random.Generator,
 ) -> tuple[float | None, np.ndarray]:
-    """Disagreement rate on ``count`` positions drawn from ``idx``, and the rest.
+    """Disagreement rate on ``count`` positions drawn from two keys, and a keep mask.
 
-    An empty sample gives no rate (None) and leaves ``idx`` whole.
+    The keys are those of one subset; the mask keeps the positions not
+    drawn.  An empty sample gives no rate (None) and keeps every position.
     """
+    keep = np.ones(alice.size, dtype=bool)
     if count == 0:
-        return None, idx
-    # the same draws as rng.choice(idx, ...), taken as positions into idx
-    pos = rng.choice(idx.size, size=count, replace=False)
-    chosen = idx[pos]
-    mism = np.count_nonzero(alice[chosen] != bob[chosen])
-    keep = np.ones(idx.size, dtype=bool)
+        return None, keep
+    pos = rng.choice(alice.size, size=count, replace=False)
+    mism = np.count_nonzero(alice[pos] != bob[pos])
     keep[pos] = False
-    remaining = idx[keep]
     # a plain float keeps numpy scalars out of the report and the abort flag
-    return float(mism / count), remaining
+    return float(mism / count), keep
 
 
 @dataclass(frozen=True)
@@ -226,19 +224,26 @@ def finish(
     size of each; together they give the achieved compression
     1 - sum(bases) / (2 raw_bases).  ``sifted_keys`` are the keys before
     estimation, which give the matched disagreement rate.  The error-rate
-    estimate pools every basis sample, sum(rate*count) / sum(count); with no
-    sample at all no key is certified and the report says so in ``warnings``.
+    estimate pools every basis sample, sum(rate*count) / sum(count).  With no
+    sample at all, or an estimate of 1/2 or more (where the rate
+    xi - H(e) - f H(e) has no meaning), no key is certified and the report
+    says so in ``warnings``.
     """
     samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
                if r is not None]
-    warnings = pe.warnings if samples else pe.warnings + (NO_ESTIMATE,)
+    e_est = (sum(r * c for r, c in samples) / sum(c for _, c in samples)
+             if samples else None)
+    warnings = pe.warnings
+    if e_est is None:
+        warnings += (NO_ESTIMATE,)
+    elif e_est >= 0.5:
+        warnings += (f"error-rate estimate {e_est:.6g} >= 1/2: no key certified",)
     k_rem = pe.alice_remaining.size
-    if pe.aborted or k_rem == 0 or not samples:
+    if pe.aborted or k_rem == 0 or e_est is None or e_est >= 0.5:
         ec_bits = pa_bits = 0.0
         final_key = 0
         feasible = True
     else:
-        e_est = sum(r * c for r, c in samples) / sum(c for _, c in samples)
         h_est = binary_entropy(e_est)
         ec_bits = k_rem * f * h_est
         final_key = max(0, int(k_rem * (XI - h_est - f * h_est)))

@@ -12,6 +12,12 @@ The block -> codeword assignment depends only on k, not on the numeric value of
 p: block probability p^(k-g) * (1-p)^g is strictly decreasing in the popcount g
 whenever p > 0.5, and ties (equal popcount) are broken by ascending block value.
 A decoder therefore only needs k, which is what the container header carries.
+
+For such a source the stream is mostly 0s, and the code is a run-length code
+over it (Golomb, IEEE Trans. Inf. Theory 12, 399, 1966): the codeword of rank
+r is r 1s and a 0.  Encode and decode therefore work on one-positions and
+runs of 1s alone; beyond one packing pass over their input, both cost
+O(ones + n/k) for n input bits.
 """
 
 from __future__ import annotations
@@ -180,24 +186,39 @@ def encode(bits: BitsLike, cb: Codebook) -> tuple[np.ndarray, CompressionStats]:
     per-message baseline cost is one bit per announced bit.
     """
     k = cb.degree_k
-    blocks, n = prepare(bits, k)
-    m = blocks.shape[0]
+    arr = as_bits(bits)
+    n = arr.size
+    m = -(-n // k)
     if m == 0:
         return np.zeros(0, dtype=np.uint8), CompressionStats(0, 0, 0, 0.0)
 
-    pow2 = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    values = blocks.astype(np.int64) @ pow2
-    ranks = cb._rank_of_block[values]
+    # Only blocks that hold a 1 are valued; every other one is codeword 0.
+    # The 1s are found by unpacking only the packed bytes that hold one.
+    packed = np.packbits(arr)
+    nz = np.flatnonzero(packed)
+    at = np.flatnonzero(np.unpackbits(packed[nz]))
+    pos = nz[at >> 3] * 8 + (at & 7)
+    block = pos // k
+    new_block = np.ones(pos.size, dtype=bool)
+    new_block[1:] = block[1:] != block[:-1]
+    first = np.flatnonzero(new_block)
+    blocks = block[first]  # the blocks that hold a 1, ascending
+    ranks = cb._rank_of_block[np.add.reduceat(1 << (k - 1 - pos % k), first)]
     last = (1 << k) - 1
-    lengths = np.where(ranks < last, ranks + 1, last)
-    total = int(lengths.sum())
 
-    out = np.ones(total, dtype=np.uint8)
-    ends = np.cumsum(lengths) - 1
-    out[ends[ranks < last]] = 0  # terminating 0 of each non-maximal codeword
+    # The output alternates runs of 0s and 1s: the codeword of rank r is r
+    # 1s, then a 0 unless r = last, and each rank-0 block between is one 0.
+    edges = np.concatenate(([-1], blocks, [m]))
+    runs = np.empty(2 * blocks.size + 1, dtype=np.int64)
+    runs[0::2] = edges[1:] - edges[:-1] - 1  # rank-0 blocks in between
+    runs[2::2] += ranks < last  # the terminating 0 of the codeword before
+    runs[1::2] = ranks
+    value = np.zeros(runs.size, dtype=np.uint8)
+    value[1::2] = 1
+    out = np.repeat(value, runs)
 
-    sigma = (1.0 - total / n) * 100.0
-    return out, CompressionStats(n, m, total, sigma)
+    sigma = (1.0 - out.size / n) * 100.0
+    return out, CompressionStats(n, m, out.size, sigma)
 
 
 def decode(stream: BitsLike, cb: Codebook, true_length: int) -> np.ndarray:
@@ -215,16 +236,18 @@ def decode(stream: BitsLike, cb: Codebook, true_length: int) -> np.ndarray:
 
     # Every 0 ends a codeword.  A run of r 1s before it holds r // last
     # maximal codewords (all 1s, no terminating 0) and then the codeword of
-    # rank r % last.  The 1s after the final 0 must split into maximal
-    # codewords exactly.
-    zero_pos = np.flatnonzero(arr == 0)
-    n_full, rank_at_zero = np.divmod(np.diff(zero_pos, prepend=-1) - 1, last)
-    tail = arr.size - (int(zero_pos[-1]) + 1 if zero_pos.size else 0)
-    tail_full, tail_rem = divmod(tail, last)
-    if tail_rem:
+    # rank r % last.  A run that reaches the end of the stream must split
+    # into maximal codewords exactly.
+    padded = np.zeros(arr.size + 2, dtype=np.uint8)
+    padded[1:-1] = arr
+    edge = np.flatnonzero(padded[1:] != padded[:-1])
+    start, ones = edge[0::2], edge[1::2] - edge[0::2]  # the runs of 1s
+    n_full, rank = np.divmod(ones, last)
+    if ones.size and edge[-1] == arr.size and rank[-1]:
         raise MalformedStreamError("stream ends inside a codeword")
 
-    n_codewords = int(n_full.sum()) + zero_pos.size + tail_full
+    n_maximal = int(n_full.sum())
+    n_codewords = arr.size - int(ones.sum()) + n_maximal
     if n_codewords != m_expect:
         raise MalformedStreamError(
             f"stream holds {n_codewords} codewords, expected {m_expect}"
@@ -232,9 +255,15 @@ def decode(stream: BitsLike, cb: Codebook, true_length: int) -> np.ndarray:
     if not n_codewords:
         return np.zeros(0, dtype=np.uint8)
 
-    ranks = np.full(n_codewords, last, dtype=np.intp)
-    ranks[np.cumsum(n_full + 1) - 1] = rank_at_zero
-    bits = cb._bits_of_rank[ranks].reshape(-1)
+    # Only blocks of rank > 0 are written into a zeroed output.  A run's
+    # first codeword index is the count of 0s before it (each ends a
+    # codeword) plus the maximal codewords of earlier runs.
+    zeros_before = start - (np.cumsum(ones) - ones)
+    out = np.zeros((n_codewords, k), dtype=np.uint8)
+    out[np.repeat(zeros_before, n_full) + np.arange(n_maximal)] = 1  # all-ones block
+    ended = rank > 0
+    out[(zeros_before + np.cumsum(n_full))[ended]] = cb._bits_of_rank[rank[ended]]
+    bits = out.reshape(-1)
     if bits[true_length:].any():
         raise MalformedStreamError("nonzero padding bits beyond the true length")
     return bits[:true_length]

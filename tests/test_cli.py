@@ -171,6 +171,12 @@ class TestCurveCommand:
     def test_bad_grid_rejected(self):
         assert run_cli("curve", "--set", "l_step=0") == 2
 
+    @pytest.mark.parametrize("key", ["l_min", "l_max", "l_step"])
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_grid_key_exits_config_code(self, key, value, capsys):
+        assert run_cli("curve", "--set", f"{key}={value}") == 2
+        assert f"key {key!r}: must be finite" in capsys.readouterr().err
+
     def test_bad_qubit_count_exits_config_code(self, capsys):
         assert run_cli("curve", "--set", "n_qubits=abc") == 2
         assert "key 'n_qubits': not a number" in capsys.readouterr().err

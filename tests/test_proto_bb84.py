@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from qkdeff.proto_bb84 import (
     sift,
 )
 from qkdeff.proto_tf import TfConfig, run_tf_session
+from qkdeff.session import PeResult, stage_rngs
 
 FIG2 = ChannelParams(alpha=0.2, length_km=0.0, eta_det=0.3,
                      p_dark=1e-8, e_opt=0.03, e0=0.5, f=1.0)
@@ -204,6 +205,79 @@ class TestParameterEstimation:
         vpp = pe.v_card - pe.v_prime
         assert np.all(pe.alice_remaining[:vpp] == 1)  # X block first
         assert np.all(pe.alice_remaining[vpp:] == 0)  # then Z block
+
+
+def reference_parameter_estimation(sifted, cfg, rng):
+    """Index-based estimation (int64 subset indices, keys gathered through
+    them): the oracle for the mask-based ``parameter_estimation``."""
+    keys = sifted.alice_key, sifted.bob_key
+
+    def sample(idx, count):
+        if count == 0:
+            return None, idx
+        pos = rng.choice(idx.size, size=count, replace=False)
+        chosen = idx[pos]
+        keep = np.ones(idx.size, dtype=bool)
+        keep[pos] = False
+        mism = np.count_nonzero(keys[0][chosen] != keys[1][chosen])
+        return float(mism / count), idx[keep]
+
+    x_idx = np.flatnonzero(sifted.basis == 1)
+    z_idx = np.flatnonzero(sifted.basis == 0)
+    v_prime = int(cfg.epsilon_frac * x_idx.size)
+    w_prime = int(cfg.lambda_frac * z_idx.size)
+    warnings = []
+    if v_prime == 0:
+        warnings.append("x-basis parameter-estimation sample is empty")
+    if w_prime == 0:
+        warnings.append("z-basis parameter-estimation sample is empty")
+    qber_x, x_rest = sample(x_idx, v_prime)
+    qber_z, z_rest = sample(z_idx, w_prime)
+    exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
+    exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
+    aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
+    keep = np.zeros(0, np.intp) if aborted else np.concatenate([x_rest, z_rest])
+    return PeResult(
+        qber_x=qber_x, qber_z=qber_z, aborted=aborted,
+        alice_remaining=keys[0][keep], bob_remaining=keys[1][keep],
+        v_card=x_idx.size, w_card=z_idx.size, v_prime=v_prime, w_prime=w_prime,
+        announced_bits=v_prime + w_prime + 1, warnings=tuple(warnings),
+    )
+
+
+class TestParameterEstimationMatchesReference:
+    # e_opt runs through clean, near-threshold and aborting channels, p_b
+    # through bases with a large, a small and (mostly) an empty X sample
+    E_OPT = (0.01, 0.1, 0.3)
+    P_B = (0.8, 0.95, 0.999)
+
+    @pytest.mark.parametrize("abort_on_either", [False, True])
+    @pytest.mark.parametrize("length_km, lossless", [(0.0, True), (50.0, False)])
+    def test_every_field_equal(self, length_km, lossless, abort_on_either):
+        outcomes = set()
+        for seed in range(24):
+            ch = ChannelParams(length_km=length_km, e_opt=self.E_OPT[seed % 3])
+            cfg = SessionConfig(
+                n_qubits=4000 if lossless else 200_000, p_b=self.P_B[seed // 3 % 3],
+                epsilon_frac=0.1, lambda_frac=0.05, channel=ch, lossless=lossless,
+                abort_on_either=abort_on_either, rng_seed=seed,
+            )
+            rng_prep, rng_pe = stage_rngs(seed)
+            sifted = sift(prepare_and_measure(cfg, rng_prep), cfg)
+            _, ref_rng = stage_rngs(seed)
+            pe = parameter_estimation(sifted, cfg, rng_pe)
+            ref = reference_parameter_estimation(sifted, cfg, ref_rng)
+            for f in fields(PeResult):
+                got, want = getattr(pe, f.name), getattr(ref, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+                else:
+                    assert got == want, f.name
+            assert rng_pe.integers(2**62) == ref_rng.integers(2**62)
+            outcomes.add((pe.aborted, pe.qber_x is None))
+        # aborted and kept runs, with and without an X sample
+        assert {aborted for aborted, _ in outcomes} == {False, True}
+        assert {empty_x for _, empty_x in outcomes} == {False, True}
 
 
 class TestRunSession:

@@ -82,22 +82,61 @@ def test_announce_rejects_header_degree_mismatch(monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 1, 7, 1000, 9999, 10000])
 def test_sample_rate_draws_as_choice_over_idx(count):
-    # the positions sampled and kept equal those of rng.choice(idx) and a set
-    # difference, so the session RNG stream and reports stay as they were
+    # sampling the keys of a subset idx draws and keeps the same positions as
+    # rng.choice(idx) and a set difference, so the session RNG stream and
+    # reports stay as they were
     rng_data = np.random.default_rng(3)
     alice = (rng_data.random(30000) < 0.5).astype(np.uint8)
     bob = alice ^ (rng_data.random(30000) < 0.1).astype(np.uint8)
     idx = np.flatnonzero(rng_data.random(30000) < 0.4)[:10000]
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    rate, rest = session.sample_rate(alice, bob, idx, count, rng)
+    rate, keep = session.sample_rate(alice[idx], bob[idx], count, rng)
     if count == 0:
-        assert rate is None and rest is idx
+        assert rate is None and keep.shape == idx.shape and keep.all()
         return
     chosen = ref_rng.choice(idx, size=count, replace=False)
     assert rate == float(np.count_nonzero(alice[chosen] != bob[chosen]) / count)
-    assert np.array_equal(rest, np.setdiff1d(idx, chosen, assume_unique=True))
+    assert np.array_equal(idx[keep], np.setdiff1d(idx, chosen, assume_unique=True))
     # both generators are left in the same state
     assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+def test_estimate_of_one_half_or_more_certifies_no_key():
+    # one sampled X event, and it disagrees: qber_x = 1.0, where the entropy
+    # term H(e) is 0 again.  (Seed 1 samples one agreeing event instead,
+    # qber_x = 0.0, which only a minimum sample size can refuse.)
+    rep = run_tf_session(TfConfig(
+        n_pulses=2000, p_click_match=0.6, p_click_conflict=0.4, pe_frac=0.001,
+        rng_seed=6,
+    ))
+    assert rep.v_prime == 1 and rep.qber_x == 1.0
+    assert rep.alice_key.size > 0 and not rep.aborted
+    assert rep.final_key_bits == 0
+    assert rep.ledger.ec_bits == 0.0 and rep.ledger.pa_bits == 0.0
+    assert rep.empirical_efficiency == 0.0
+    assert "error-rate estimate 1 >= 1/2: no key certified" in rep.warnings
+
+
+@pytest.mark.parametrize("z_count, refused", [(1, True), (2, False)])
+def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
+    # X sample all wrong, Z sample all right: the pooled estimate is
+    # 1 / (1 + z_count), exactly 1/2 for one Z event
+    key = np.zeros(100, np.uint8)
+    pe = session.PeResult(
+        qber_x=1.0, qber_z=0.0, aborted=False, alice_remaining=key,
+        bob_remaining=key, v_card=10, w_card=10, v_prime=1, w_prime=z_count,
+        announced_bits=2 + z_count,
+    )
+    rep = session.finish(
+        pe, n_qubits=200, qubits_sent=200, n_detected=200, f_card=120,
+        sift_rate=0.6, sifted_keys=(key, key), reception_ack=0, bases=(10, 10),
+        raw_bases=200, f=1.0,
+    )
+    assert any("1/2" in w for w in rep.warnings) == refused
+    if refused:
+        assert rep.final_key_bits == 0 and rep.ledger.ec_bits == 0.0
+    else:
+        assert rep.ledger.ec_bits > 0.0
 
 
 # sha256 of the JSON report for a fixed seed.  A change of the RNG stream or

@@ -274,6 +274,24 @@ def block_of_rank(k):
     return np.array([e.block for e in codebook(k).entries], dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def codeword_of_block(k):
+    return {e.block: e.codeword for e in codebook(k).entries}
+
+
+def reference_encode(bits, cb):
+    """Codeword concatenation, one block at a time: the oracle for ``encode``."""
+    k = cb.degree_k
+    blocks, n = prepare(bits, k)
+    if not n:
+        return np.zeros(0, dtype=np.uint8), squeeze.CompressionStats(0, 0, 0, 0.0)
+    words = codeword_of_block(k)
+    text = "".join(words[int(bitstr(row), 2)] for row in blocks)
+    out = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+    m = blocks.shape[0]
+    return out, squeeze.CompressionStats(n, m, out.size, (1.0 - out.size / n) * 100.0)
+
+
 def reference_decode(stream, cb, true_length):
     """Loop decoder, one codeword at a time: the oracle for the array-based ``decode``."""
     if true_length < 0:
@@ -384,6 +402,30 @@ class TestDecodeMatchesReference:
 
     def test_negative_true_length(self):
         self.check([0], codebook(2), -1)
+
+
+# input shapes for the encoder oracle: sparse, biased, unbiased, all ones
+# (each includes the empty input)
+SPARSE_BITS = st.integers(0, 3000).flatmap(
+    lambda n: st.sets(st.integers(0, max(n - 1, 0)), max_size=12 if n else 0).map(
+        lambda ones: [int(i in ones) for i in range(n)]))
+CODEC_INPUTS = st.one_of(
+    SPARSE_BITS,
+    st.lists(st.integers(0, 20).map(lambda v: int(v == 20)), max_size=600),
+    st.lists(st.integers(0, 1), max_size=300),
+    st.integers(0, 300).map(lambda n: [1] * n),
+)
+
+
+class TestEncodeMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 12]), bits=CODEC_INPUTS)
+    def test_output_and_stats(self, k, bits):
+        cb = codebook(k)
+        out, stats = encode(bits, cb)
+        ref_out, ref_stats = reference_encode(bits, cb)
+        assert out.dtype == np.uint8 and out.tobytes() == ref_out.tobytes()
+        assert stats == ref_stats
 
 
 class TestCodecProperties:
