@@ -32,6 +32,7 @@ from .proto_tf import run_tf_session
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
+MAX_CURVE_POINTS = 1_000_000  # model-sweep uses 2,001 per curve
 
 
 def _fmt(x) -> str:
@@ -90,8 +91,11 @@ def cmd_curve(args) -> int:
             raise ConfigError(f"key {key!r}: must be finite, got {value}")
     if l_step <= 0 or l_max < l_min:
         raise ConfigError("need l_step > 0 and l_max >= l_min")
-    count = int(round((l_max - l_min) / l_step, 9)) + 1
-    lengths = [l_min + i * l_step for i in range(count)]
+    count = round((l_max - l_min) / l_step, 9) + 1
+    if not count <= MAX_CURVE_POINTS:  # an overflowed span gives inf here
+        raise ConfigError(f"key 'l_step': {l_step} over [{l_min}, {l_max}] gives "
+                          f"{count:.10g} points, more than {MAX_CURVE_POINTS}")
+    lengths = [l_min + i * l_step for i in range(int(count))]
 
     points = efficiency_curve(ch, pp, lengths)
     rows = [
@@ -120,10 +124,7 @@ def cmd_sigma(args) -> int:
     n = cfgmod._int(cfg, "n_bits", None)
     if k_min < 2 or k_max < k_min:
         raise ConfigError("need 2 <= k_min <= k_max")
-    try:
-        series = squeeze.sigma_curve(range(k_min, k_max + 1), p, n)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    series = squeeze.sigma_curve(range(k_min, k_max + 1), p, n)
     rows = [
         {
             "k": k,
@@ -141,10 +142,7 @@ def cmd_optimality(args) -> int:
     cfgmod.reject_unknown(cfg, cfgmod.CHANNEL_KEYS + ("xi",))
     ch = cfgmod.channel_from_mapping(cfg)
     xi = cfgmod._float(cfg, "xi", 1.0)
-    try:
-        report = determine_optimality(ch, xi)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = determine_optimality(ch, xi)
     _emit(args, report.as_dict())
     return EXIT_OK
 
@@ -200,10 +198,7 @@ def cmd_squeeze_encode(args) -> int:
     cfgmod.reject_unknown(cfg, cfgmod.SQUEEZE_KEYS)
     k = cfgmod._int(cfg, "k", 8)
     bits = _read_stdin_bits(_bits_format(cfg))
-    try:
-        container, stats = squeeze.squeeze_bits(bits, k)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    container, stats = squeeze.squeeze_bits(bits, k)
     _write_out(args, container)
     print(
         f"bits_in={stats.n_input_bits} blocks={stats.m_blocks} "

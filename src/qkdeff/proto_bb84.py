@@ -116,9 +116,8 @@ def prepare_and_measure(
 
 @dataclass(frozen=True)
 class SiftResult:
-    alice_key: np.ndarray       # q on retained records
-    bob_key: np.ndarray         # k_b on retained records
-    basis: np.ndarray           # shared basis of retained records (0=Z, 1=X)
+    x_keys: tuple[np.ndarray, np.ndarray]  # (q, k_b) where both used X: V
+    z_keys: tuple[np.ndarray, np.ndarray]  # (q, k_b) where both used Z: W
     n_detected: int
     n_sifted: int
     bob_bits_compressed: int
@@ -126,26 +125,27 @@ class SiftResult:
 
 
 def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
-    """Run the announcement round: bases out, match bits back, keys reduced.
+    """Run the announcement round: bases out, match bits back, keys split by basis.
 
     Bob's measured bases and Alice's match/discard sequence are squeezed with
     the degree-k codec and exchanged in the container format; both directions
     are decoded and verified, so a codec fault surfaces as
-    SimulationIntegrityError rather than key damage.
+    SimulationIntegrityError rather than key damage.  The retained keys come
+    back as the V and W pairs, each in record order.
     """
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
     bob_bits = announce(records.b_prime, cb, "basis")
-    d = records.b ^ records.b_prime  # 1 = discard
-    alice_bits = announce(d, cb, "match")
+    alice_bits = announce(records.b ^ records.b_prime, cb, "match")  # 1 = discard
 
-    keep = d == 0
-    alice_key = records.q[keep]
+    x = (records.b & records.b_prime) == 1
+    z = (records.b | records.b_prime) == 0
+    q, k_b = records.q, records.k_b
+    x_keys, z_keys = (q[x], k_b[x]), (q[z], k_b[z])
     return SiftResult(
-        alice_key=alice_key,
-        bob_key=records.k_b[keep],
-        basis=records.b[keep],
+        x_keys=x_keys,
+        z_keys=z_keys,
         n_detected=len(records),
-        n_sifted=alice_key.size,
+        n_sifted=x_keys[0].size + z_keys[0].size,
         bob_bits_compressed=bob_bits,
         alice_bits_compressed=alice_bits,
     )
@@ -163,10 +163,7 @@ def parameter_estimation(
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[1]
-    x = sifted.basis == 1  # split once by basis: no index arrays of the subsets
-    z = ~x
-    ax, bx = sifted.alice_key[x], sifted.bob_key[x]
-    az, bz = sifted.alice_key[z], sifted.bob_key[z]
+    (ax, bx), (az, bz) = sifted.x_keys, sifted.z_keys
     v_card, w_card = ax.size, az.size
     v_prime = int(cfg.epsilon_frac * v_card)
     w_prime = int(cfg.lambda_frac * w_card)
@@ -222,7 +219,7 @@ def run_session(cfg: SessionConfig) -> SessionReport:
         n_detected=n_det,
         f_card=sifted.n_sifted,
         sift_rate=sifted.n_sifted / n_det if n_det else 0.0,
-        sifted_keys=(sifted.alice_key, sifted.bob_key),
+        sifted_keys=(sifted.x_keys, sifted.z_keys),
         reception_ack=0 if cfg.lossless else cfg.n_qubits,
         bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
         raw_bases=n_det,

@@ -141,7 +141,7 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
         n_detected=f_card + n_mismatched,
         f_card=f_card,
         sift_rate=f_card / n,
-        sifted_keys=(key_a, key_b),
+        sifted_keys=((key_a, key_b),),
         reception_ack=2 * n,  # one bit per detector per pulse pair
         bases=(bits_b_announced, bits_a_announced),
         raw_bases=n,

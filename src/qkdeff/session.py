@@ -1,12 +1,12 @@
 """Session stages shared by the BB84 and relay simulations.
 
 Each protocol draws its own events, with the exact samplers here and only
-where a report reads them, and maps them to a sifted key; from there on both
-run the same stages: squeezed announcements read back and verified,
-error-rate sampling, the EC/PA bit-count stub, the two ledgers and the
-report.  The certification rule lives here, once: a session with no
-error-rate sample in any basis, or with an estimate of 1/2 or more,
-certifies no key.
+where a report reads them, and maps them to sifted key pairs, one per
+basis; from there on both run the same stages: squeezed announcements read
+back and verified, error-rate sampling, the EC/PA bit-count stub, the two
+ledgers and the report.  The certification rule lives here, once: a
+session with no error-rate sample in any basis, or with an estimate of 1/2
+or more, certifies no key.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def finish(
     n_detected: int,
     f_card: int,
     sift_rate: float,
-    sifted_keys: tuple[np.ndarray, np.ndarray],
+    sifted_keys: tuple[tuple[np.ndarray, np.ndarray], ...],
     reception_ack: int,
     bases: tuple[int, int],
     raw_bases: int,
@@ -222,12 +222,12 @@ def finish(
     ``bases`` holds the squeezed sizes of the two basis announcements in
     ledger order (bob_bases, alice_match); ``raw_bases`` is the uncompressed
     size of each; together they give the achieved compression
-    1 - sum(bases) / (2 raw_bases).  ``sifted_keys`` are the keys before
-    estimation, which give the matched disagreement rate.  The error-rate
-    estimate pools every basis sample, sum(rate*count) / sum(count).  With no
-    sample at all, or an estimate of 1/2 or more (where the rate
-    xi - H(e) - f H(e) has no meaning), no key is certified and the report
-    says so in ``warnings``.
+    1 - sum(bases) / (2 raw_bases).  ``sifted_keys`` holds one (alice, bob)
+    key pair per basis, before estimation; together they give the matched
+    disagreement rate.  The error-rate estimate pools every basis sample,
+    sum(rate*count) / sum(count).  With no sample at all, or an estimate of
+    1/2 or more (where the rate xi - H(e) - f H(e) has no meaning), no key is
+    certified and the report says so in ``warnings``.
     """
     samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
                if r is not None]
@@ -265,7 +265,8 @@ def finish(
         )
 
     led = ledger(*bases)
-    alice_sifted, bob_sifted = sifted_keys
+    n_matched = sum(a.size for a, _ in sifted_keys)
+    n_disagree = sum(int(np.count_nonzero(a != b)) for a, b in sifted_keys)
     return SessionReport(
         n_qubits=n_qubits,
         n_detected=n_detected,
@@ -283,9 +284,7 @@ def finish(
         bob_key=pe.bob_remaining,
         final_key_bits=final_key,
         empirical_sift_rate=sift_rate,
-        matched_disagreement_rate=(
-            float(np.mean(alice_sifted != bob_sifted)) if alice_sifted.size else 0.0
-        ),
+        matched_disagreement_rate=n_disagree / n_matched if n_matched else 0.0,
         empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
         classical_bits_per_qubit=led.total() / qubits_sent,
         empirical_efficiency=final_key / (qubits_sent + led.total()),

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import MalformedStreamError, ParameterError
 
 # Explicit codebooks hold 2^k-row rank tables (their entries, 2^k codewords of
-# ~2^(2k-1) bits); analytics (sigma_expected / sigma_curve) have no cap.
+# ~2^(2k-1) bits); analytics (sigma_expected / sigma_curve) run to k = 1022.
 MAX_EXPLICIT_DEGREE = 12
 
 CONTAINER_MAGIC = b"SQZ1"
@@ -282,11 +282,16 @@ def expected_codeword_length(k: int, p: float) -> float:
     prob = _probabilities_by_weight(k, p)
     total = 0.0
     start = 0
-    for g in range(k + 1):
-        cnt = comb(k, g)
-        # ranks start..start+cnt-1 get lengths start+1..start+cnt
-        total += prob[g] * (2 * start + cnt + 1) * cnt / 2.0
-        start += cnt
+    try:
+        for g in range(k + 1):
+            cnt = comb(k, g)
+            # ranks start..start+cnt-1 get lengths start+1..start+cnt
+            total += prob[g] * (2 * start + cnt + 1) * cnt / 2.0
+            start += cnt
+    except OverflowError:
+        raise ParameterError(
+            f"expected codeword length at k={k}, p={p} exceeds the float range"
+        ) from None
     # the final rank keeps length 2^k - 1 instead of 2^k
     return total - prob[k]
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qkdeff import cli
 from qkdeff import config as cfgmod
 from qkdeff.cli import main
 from qkdeff.core import ChannelParams, ProtocolParams
@@ -177,6 +178,33 @@ class TestCurveCommand:
         assert run_cli("curve", "--set", f"{key}={value}") == 2
         assert f"key {key!r}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, count", [
+        (["l_min=-1e308", "l_max=1e308"], "inf"),  # the span overflows
+        (["l_step=1e-9"], "1e+11"),
+    ])
+    def test_oversized_grid_exits_config_code(self, grid, count, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        # refused from the point count, before any length list is built
+        monkeypatch.setattr(cli, "range", no_grid, raising=False)
+        argv = [a for key in grid for a in ("--set", key)]
+        assert run_cli("curve", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: key 'l_step':")
+        assert f"gives {count} points, more than {cli.MAX_CURVE_POINTS}" in err
+
+    def test_grid_point_limit_is_inclusive(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "efficiency_curve",
+                            lambda ch, pp, lengths: built.append(len(lengths)) or [])
+        top = cli.MAX_CURVE_POINTS - 1  # unit steps from 0: top + 1 points
+        assert run_cli("curve", "--set", f"l_max={top}", "--format", "json") == 0
+        assert built == [cli.MAX_CURVE_POINTS]
+        assert run_cli("curve", "--set", f"l_max={top + 1}", "--format", "json") == 2
+        assert built == [cli.MAX_CURVE_POINTS]
+        assert "key 'l_step'" in capsys.readouterr().err
+
     def test_bad_qubit_count_exits_config_code(self, capsys):
         assert run_cli("curve", "--set", "n_qubits=abc") == 2
         assert "key 'n_qubits': not a number" in capsys.readouterr().err
@@ -232,6 +260,17 @@ class TestSigmaCommand:
     def test_bad_n_bits_exits_config_code(self, n_bits, capsys):
         assert run_cli("sigma", "--set", f"n_bits={n_bits}") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("k, p, settings", [
+        (1100, "0.6", ["p=0.6"]),
+        (1040, "0.999999", []),  # the default bias
+    ])
+    def test_closed_form_overflow_exits_config_code(self, k, p, settings, capsys):
+        argv = [a for key in settings + [f"k_min={k}", f"k_max={k}"]
+                for a in ("--set", key)]
+        assert run_cli("sigma", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"k={k}, p={p}" in err
 
 
 class TestOptimalityCommand:

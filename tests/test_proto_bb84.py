@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,7 +105,25 @@ class TestSift:
                            k_b=rec.k_b)
         res = sift(rec, cfg)
         assert res.n_sifted == 0
-        assert res.alice_key.size == 0
+        assert all(key.size == 0 for key in res.x_keys + res.z_keys)
+
+    @pytest.mark.parametrize("lossless, length_km", [(True, 0.0), (False, 50.0)])
+    def test_keys_split_by_basis_in_record_order(self, lossless, length_km):
+        # PE draws positions within each pair and keeps V'' before W'', so
+        # both the split and the order within a basis reach the report
+        ch = ChannelParams(length_km=length_km, e_opt=0.05)
+        cfg = SessionConfig(n_qubits=200_000 if lossless else 2_000_000, p_b=0.8,
+                            channel=ch, lossless=lossless, rng_seed=18)
+        rec = prepare_and_measure(cfg)
+        res = sift(rec, cfg)
+        both_x = (rec.b == 1) & (rec.b_prime == 1)
+        both_z = (rec.b == 0) & (rec.b_prime == 0)
+        for (alice, bob), mask in ((res.x_keys, both_x), (res.z_keys, both_z)):
+            assert alice.dtype == bob.dtype == np.uint8
+            assert np.array_equal(alice, rec.q[mask])
+            assert np.array_equal(bob, rec.k_b[mask])
+            assert 0 < alice.size and np.any(alice != bob)
+        assert res.n_sifted == np.count_nonzero(both_x) + np.count_nonzero(both_z)
 
     def test_lossy_mode_announces_detected_only(self):
         cfg = SessionConfig(n_qubits=100_000, p_b=0.999, channel=FIG2, rng_seed=9)
@@ -141,9 +160,10 @@ class TestSift:
 class TestParameterEstimation:
     def _sifted(self, alice, bob, basis):
         alice = np.asarray(alice, dtype=np.uint8)
+        bob = np.asarray(bob, dtype=np.uint8)
+        x = np.asarray(basis) == 1
         return SiftResult(
-            alice_key=alice, bob_key=np.asarray(bob, dtype=np.uint8),
-            basis=np.asarray(basis, dtype=np.uint8),
+            x_keys=(alice[x], bob[x]), z_keys=(alice[~x], bob[~x]),
             n_detected=alice.size, n_sifted=alice.size,
             bob_bits_compressed=0, alice_bits_compressed=0,
         )
@@ -263,10 +283,16 @@ class TestParameterEstimationMatchesReference:
                 abort_on_either=abort_on_either, rng_seed=seed,
             )
             rng_prep, rng_pe = stage_rngs(seed)
-            sifted = sift(prepare_and_measure(cfg, rng_prep), cfg)
+            rec = prepare_and_measure(cfg, rng_prep)
+            sifted = sift(rec, cfg)
+            # the oracle reads the matched records' keys in record order
+            matched = rec.b == rec.b_prime
+            record_order = SimpleNamespace(
+                alice_key=rec.q[matched], bob_key=rec.k_b[matched], basis=rec.b[matched],
+            )
             _, ref_rng = stage_rngs(seed)
             pe = parameter_estimation(sifted, cfg, rng_pe)
-            ref = reference_parameter_estimation(sifted, cfg, ref_rng)
+            ref = reference_parameter_estimation(record_order, cfg, ref_rng)
             for f in fields(PeResult):
                 got, want = getattr(pe, f.name), getattr(ref, f.name)
                 if isinstance(want, np.ndarray):

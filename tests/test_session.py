@@ -129,7 +129,7 @@ def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
     )
     rep = session.finish(
         pe, n_qubits=200, qubits_sent=200, n_detected=200, f_card=120,
-        sift_rate=0.6, sifted_keys=(key, key), reception_ack=0, bases=(10, 10),
+        sift_rate=0.6, sifted_keys=((key, key),), reception_ack=0, bases=(10, 10),
         raw_bases=200, f=1.0,
     )
     assert any("1/2" in w for w in rep.warnings) == refused
@@ -137,6 +137,28 @@ def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
         assert rep.final_key_bits == 0 and rep.ledger.ec_bits == 0.0
     else:
         assert rep.ledger.ec_bits > 0.0
+
+
+
+def test_matched_disagreement_rate_pools_the_basis_pairs():
+    # 4 of the 8 matched records disagree: 3 in the first pair, 1 in the second
+    none = np.zeros(0, np.uint8)
+    pe = session.PeResult(
+        qber_x=None, qber_z=0.0, aborted=False, alice_remaining=none,
+        bob_remaining=none, v_card=3, w_card=5, v_prime=0, w_prime=1,
+        announced_bits=2,
+    )
+    ones, zeros = np.ones(3, np.uint8), np.zeros(5, np.uint8)
+    one_wrong = np.array([0, 0, 0, 0, 1], np.uint8)
+    for pairs, rate in ((((ones, 1 - ones), (zeros, one_wrong)), 0.5),
+                        (((none, none), (none, none)), 0.0)):
+        rep = session.finish(
+            pe, n_qubits=10, qubits_sent=10, n_detected=10, f_card=8,
+            sift_rate=0.8, sifted_keys=pairs, reception_ack=0, bases=(5, 5),
+            raw_bases=10, f=1.0,
+        )
+        assert type(rep.matched_disagreement_rate) is float
+        assert rep.matched_disagreement_rate == rate
 
 
 # sha256 of the JSON report for a fixed seed.  A change of the RNG stream or
