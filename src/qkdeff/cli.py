@@ -47,11 +47,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _load_cfg(args) -> dict[str, str]:
-    base = cfgmod.load_flat_config(args.config) if args.config else {}
-    return cfgmod.apply_overrides(base, args.set or [])
-
-
 def _write_out(args, data: str | bytes) -> None:
     binary = isinstance(data, bytes)
     if args.out:
@@ -76,11 +71,7 @@ def _emit(args, data: dict | list[dict]) -> None:
         _write_out(args, _csv([data] if isinstance(data, dict) else data))
 
 
-def cmd_curve(args) -> int:
-    cfg = _load_cfg(args)
-    cfgmod.reject_unknown(
-        cfg, cfgmod.CHANNEL_KEYS + cfgmod.PROTOCOL_KEYS + cfgmod.CURVE_KEYS
-    )
+def cmd_curve(args, cfg) -> int:
     ch = cfgmod.channel_from_mapping(cfg)
     pp = cfgmod.protocol_from_mapping(cfg)
     l_min = cfgmod._float(cfg, "l_min", 0.0)
@@ -115,15 +106,16 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def cmd_sigma(args) -> int:
-    cfg = _load_cfg(args)
-    cfgmod.reject_unknown(cfg, cfgmod.SIGMA_KEYS)
+def cmd_sigma(args, cfg) -> int:
     k_min = cfgmod._int(cfg, "k_min", 2)
     k_max = cfgmod._int(cfg, "k_max", 24)
     p = cfgmod._float(cfg, "p", 0.999999)
     n = cfgmod._int(cfg, "n_bits", None)
     if k_min < 2 or k_max < k_min:
         raise ConfigError("need 2 <= k_min <= k_max")
+    top = squeeze.MAX_CLOSED_FORM_DEGREE
+    if k_max > top:  # raises before the grid is built, at the first degree past top
+        squeeze.expected_codeword_length(max(k_min, top + 1), p)
     series = squeeze.sigma_curve(range(k_min, k_max + 1), p, n)
     rows = [
         {
@@ -137,9 +129,7 @@ def cmd_sigma(args) -> int:
     return EXIT_OK
 
 
-def cmd_optimality(args) -> int:
-    cfg = _load_cfg(args)
-    cfgmod.reject_unknown(cfg, cfgmod.CHANNEL_KEYS + ("xi",))
+def cmd_optimality(args, cfg) -> int:
     ch = cfgmod.channel_from_mapping(cfg)
     xi = cfgmod._float(cfg, "xi", 1.0)
     report = determine_optimality(ch, xi)
@@ -159,16 +149,12 @@ def _emit_session(args, report) -> int:
     return EXIT_OK
 
 
-def cmd_simulate_bb84(args) -> int:
-    cfg = _load_cfg(args)
-    cfgmod.reject_unknown(cfg, cfgmod.CHANNEL_KEYS + cfgmod.BB84_KEYS)
+def cmd_simulate_bb84(args, cfg) -> int:
     session = cfgmod.bb84_from_mapping(cfg, seed=args.seed)
     return _emit_session(args, run_session(session))
 
 
-def cmd_simulate_tf(args) -> int:
-    cfg = _load_cfg(args)
-    cfgmod.reject_unknown(cfg, cfgmod.TF_KEYS)
+def cmd_simulate_tf(args, cfg) -> int:
     session = cfgmod.tf_from_mapping(cfg, seed=args.seed)
     return _emit_session(args, run_tf_session(session))
 
@@ -193,9 +179,7 @@ def _bits_format(cfg) -> str:
     return fmt
 
 
-def cmd_squeeze_encode(args) -> int:
-    cfg = _load_cfg(args)
-    cfgmod.reject_unknown(cfg, cfgmod.SQUEEZE_KEYS)
+def cmd_squeeze_encode(args, cfg) -> int:
     k = cfgmod._int(cfg, "k", 8)
     bits = _read_stdin_bits(_bits_format(cfg))
     container, stats = squeeze.squeeze_bits(bits, k)
@@ -208,9 +192,7 @@ def cmd_squeeze_encode(args) -> int:
     return EXIT_OK
 
 
-def cmd_squeeze_decode(args) -> int:
-    cfg = _load_cfg(args)
-    cfgmod.reject_unknown(cfg, cfgmod.SQUEEZE_KEYS)
+def cmd_squeeze_decode(args, cfg) -> int:
     fmt = _bits_format(cfg)
     bits = squeeze.unsqueeze_bits(sys.stdin.buffer.read())
     if fmt == "packed":
@@ -227,16 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
         "and protocol simulations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "curve": (cmd_curve, "standard vs optimal efficiency over link length"),
-        "sigma": (cmd_sigma, "expected compression percent per degree k"),
-        "optimality": (cmd_optimality, "efficiency ceiling for one channel"),
-        "simulate-bb84": (cmd_simulate_bb84, "run one biased-basis BB84 session"),
-        "simulate-tf": (cmd_simulate_tf, "run one relay (twin-field style) session"),
-        "squeeze-encode": (cmd_squeeze_encode, "compress stdin bits to a container"),
-        "squeeze-decode": (cmd_squeeze_decode, "expand a container back to bits"),
+    ch_keys = cfgmod.CHANNEL_KEYS
+    handlers = {  # name: (handler, help, the config keys it accepts)
+        "curve": (cmd_curve, "standard vs optimal efficiency over link length",
+                  ch_keys + cfgmod.PROTOCOL_KEYS + cfgmod.CURVE_KEYS),
+        "sigma": (cmd_sigma, "expected compression percent per degree k",
+                  cfgmod.SIGMA_KEYS),
+        "optimality": (cmd_optimality, "efficiency ceiling for one channel",
+                       ch_keys + ("xi",)),
+        "simulate-bb84": (cmd_simulate_bb84, "run one biased-basis BB84 session",
+                          ch_keys + cfgmod.BB84_KEYS),
+        "simulate-tf": (cmd_simulate_tf, "run one relay (twin-field style) session",
+                        cfgmod.TF_KEYS),
+        "squeeze-encode": (cmd_squeeze_encode, "compress stdin bits to a container",
+                           cfgmod.SQUEEZE_KEYS),
+        "squeeze-decode": (cmd_squeeze_decode, "expand a container back to bits",
+                           cfgmod.SQUEEZE_KEYS),
     }
-    for name, (fn, help_text) in handlers.items():
+    for name, (fn, help_text, keys) in handlers.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="flat key=value or JSON config file")
         sp.add_argument("--out", help="output path (default: stdout)")
@@ -246,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config key (repeatable)",
         )
         sp.add_argument("--seed", type=int, help="RNG seed (overrides rng_seed)")
-        sp.set_defaults(handler=fn)
+        sp.set_defaults(handler=fn, config_keys=keys)
     return parser
 
 
@@ -254,7 +244,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = cfgmod.load_flat_config(args.config) if args.config else {}
+        cfg = cfgmod.apply_overrides(cfg, args.set or [])
+        cfgmod.reject_unknown(cfg, args.config_keys)
+        return args.handler(args, cfg)
     except (ConfigError, ParameterError, MalformedStreamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

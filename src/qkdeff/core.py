@@ -96,7 +96,7 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class SessionLedger:
-    """Announced classical bits per procedure, plus qubit counts.
+    """Announced classical bits per procedure.
 
     Counts are per session of N qubits in finite mode and per transmitted
     qubit in asymptotic mode.  ``feasible`` is False when the privacy-
@@ -110,8 +110,6 @@ class SessionLedger:
     pe_sacrifice: float
     ec_bits: float
     pa_bits: float
-    qubits_sent: float
-    qubits_detected: float
     feasible: bool = True
 
     def total(self) -> float:
@@ -258,8 +256,6 @@ def _ledger(
         pe_sacrifice=pp.delta * n,
         ec_bits=ec,
         pa_bits=pa,
-        qubits_sent=n,
-        qubits_detected=eta * n,
         feasible=pa >= 0.0,
     )
 
@@ -310,22 +306,17 @@ def optimality_bb84(ch: ChannelParams) -> float:
     return num / (2.0 / eta + 2.0 - h - ch.f * h)
 
 
-def determine_optimality(
-    ch: ChannelParams, xi_max: float, eps: float = 0.0
-) -> EfficiencyReport:
+def determine_optimality(ch: ChannelParams, xi_max: float) -> EfficiencyReport:
     """Evaluate the efficiency at the optimal parameter corner.
 
-    Fixes xi at the supplied capacity ceiling, takes the biased-bases limit
-    s -> 1 and the full-compression limit sigma -> 1 (substituted exactly when
-    eps = 0; eps > 0 evaluates at 1 - eps for sensitivity studies), and
+    Fixes xi at the supplied capacity ceiling, substitutes the biased-bases
+    limit s -> 1 and the full-compression limit sigma -> 1 exactly, and
     evaluates the asymptotic efficiency there.  With xi_max = 1 the result
     equals :func:`optimality_bb84`.  Like that ceiling, it bounds the
     asymptotic efficiency only, not a finite-N one.
     """
     _check_prob("xi_max", xi_max)
-    if not 0.0 <= eps < 0.5:
-        raise ParameterError(f"eps must lie in [0, 0.5), got {eps}")
-    pp = ProtocolParams(s=1.0 - eps, sigma=1.0 - eps, xi=xi_max)
+    pp = ProtocolParams(s=1.0, sigma=1.0, xi=xi_max)
     return total_efficiency(ch, pp)
 
 

@@ -211,17 +211,14 @@ def run_session(cfg: SessionConfig) -> SessionReport:
     records = prepare_and_measure(cfg, rng=rng_prep)
     sifted = sift(records, cfg)
     pe = parameter_estimation(sifted, cfg, rng=rng_pe)
-    n_det = sifted.n_detected
     return finish(
         pe,
         n_qubits=cfg.n_qubits,
         qubits_sent=cfg.n_qubits,
-        n_detected=n_det,
-        f_card=sifted.n_sifted,
-        sift_rate=sifted.n_sifted / n_det if n_det else 0.0,
+        n_detected=sifted.n_detected,
         sifted_keys=(sifted.x_keys, sifted.z_keys),
         reception_ack=0 if cfg.lossless else cfg.n_qubits,
         bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
-        raw_bases=n_det,
+        raw_bases=sifted.n_detected,
         f=cfg.channel.f,
     )

@@ -133,14 +133,11 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
         v_card=v_card, w_card=w_card,
         v_prime=v_prime, w_prime=0, announced_bits=v_prime, warnings=warnings,
     )
-    f_card = v_card + w_card
     return finish(
         pe,
         n_qubits=n,
         qubits_sent=2 * n,
-        n_detected=f_card + n_mismatched,
-        f_card=f_card,
-        sift_rate=f_card / n,
+        n_detected=v_card + w_card + n_mismatched,
         sifted_keys=((key_a, key_b),),
         reception_ack=2 * n,  # one bit per detector per pulse pair
         bases=(bits_b_announced, bits_a_announced),

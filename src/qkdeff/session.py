@@ -128,10 +128,9 @@ class SessionReport:
     EC leakage is f*H(e_est) per remaining key bit and the PA announcement is
     the Toeplitz seed (input length + output length - 1).
 
-    ``empirical_sift_rate`` has a protocol-specific base: BB84 reports
-    ``n_sifted / n_detected`` (basis agreement among detected qubits), the
-    relay session ``f_card / n_pulses`` (sifted pairs among all pulse pairs,
-    undetected ones included).
+    ``empirical_sift_rate`` follows one rule in both protocols: basis-matched
+    events per announced basis bit, ``f_card / raw_bases``.  BB84 announces a
+    basis for each detected qubit, the relay session one for each pulse pair.
     """
 
     n_qubits: int
@@ -190,7 +189,7 @@ class SessionReport:
 
 def empty_report() -> SessionReport:
     """Report of a session that sent nothing."""
-    zero = SessionLedger(0, 0, 0, 0, 0, 0, qubits_sent=0, qubits_detected=0)
+    zero = SessionLedger(0, 0, 0, 0, 0, 0)
     empty = np.zeros(0, np.uint8)
     return SessionReport(
         n_qubits=0, n_detected=0, f_card=0, v_card=0, w_card=0,
@@ -209,8 +208,6 @@ def finish(
     n_qubits: int,
     qubits_sent: int,
     n_detected: int,
-    f_card: int,
-    sift_rate: float,
     sifted_keys: tuple[tuple[np.ndarray, np.ndarray], ...],
     reception_ack: int,
     bases: tuple[int, int],
@@ -222,9 +219,10 @@ def finish(
     ``bases`` holds the squeezed sizes of the two basis announcements in
     ledger order (bob_bases, alice_match); ``raw_bases`` is the uncompressed
     size of each; together they give the achieved compression
-    1 - sum(bases) / (2 raw_bases).  ``sifted_keys`` holds one (alice, bob)
-    key pair per basis, before estimation; together they give the matched
-    disagreement rate.  The error-rate estimate pools every basis sample,
+    1 - sum(bases) / (2 raw_bases), and the sift rate, basis-matched events
+    per announced basis bit, f_card / raw_bases (f_card = v_card + w_card).
+    ``sifted_keys`` holds one (alice, bob) key pair per basis, before
+    estimation; together they give the matched disagreement rate.  The error-rate estimate pools every basis sample,
     sum(rate*count) / sum(count).  With no sample at all, or an estimate of
     1/2 or more (where the rate xi - H(e) - f H(e) has no meaning), no key is
     certified and the report says so in ``warnings``.
@@ -259,12 +257,11 @@ def finish(
             pe_sacrifice=pe.announced_bits,
             ec_bits=ec_bits,
             pa_bits=pa_bits,
-            qubits_sent=qubits_sent,
-            qubits_detected=n_detected,
             feasible=feasible,
         )
 
     led = ledger(*bases)
+    f_card = pe.v_card + pe.w_card
     n_matched = sum(a.size for a, _ in sifted_keys)
     n_disagree = sum(int(np.count_nonzero(a != b)) for a, b in sifted_keys)
     return SessionReport(
@@ -283,7 +280,7 @@ def finish(
         alice_key=pe.alice_remaining,
         bob_key=pe.bob_remaining,
         final_key_bits=final_key,
-        empirical_sift_rate=sift_rate,
+        empirical_sift_rate=f_card / raw_bases if raw_bases else 0.0,
         matched_disagreement_rate=n_disagree / n_matched if n_matched else 0.0,
         empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
         classical_bits_per_qubit=led.total() / qubits_sent,

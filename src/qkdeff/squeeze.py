@@ -33,8 +33,11 @@ import numpy as np
 from .errors import MalformedStreamError, ParameterError
 
 # Explicit codebooks hold 2^k-row rank tables (their entries, 2^k codewords of
-# ~2^(2k-1) bits); analytics (sigma_expected / sigma_curve) run to k = 1022.
+# ~2^(2k-1) bits).
 MAX_EXPLICIT_DEGREE = 12
+# The closed form (sigma_expected / sigma_curve) sums rank ranges as floats;
+# from k = 1023 on, 2 * start reaches 2^1024, past the float range, for every p.
+MAX_CLOSED_FORM_DEGREE = 1022
 
 CONTAINER_MAGIC = b"SQZ1"
 _HEADER = struct.Struct(">4sBQQ")  # magic, k, true_bit_length, payload_bit_length
@@ -279,19 +282,18 @@ def expected_codeword_length(k: int, p: float) -> float:
         raise ParameterError("degree k must be a positive integer")
     if not 0.5 < p < 1.0:
         raise ParameterError("bias p must lie in (0.5, 1)")
+    if k > MAX_CLOSED_FORM_DEGREE:
+        raise ParameterError(
+            f"expected codeword length at k={k}, p={p} exceeds the float range"
+        )
     prob = _probabilities_by_weight(k, p)
     total = 0.0
     start = 0
-    try:
-        for g in range(k + 1):
-            cnt = comb(k, g)
-            # ranks start..start+cnt-1 get lengths start+1..start+cnt
-            total += prob[g] * (2 * start + cnt + 1) * cnt / 2.0
-            start += cnt
-    except OverflowError:
-        raise ParameterError(
-            f"expected codeword length at k={k}, p={p} exceeds the float range"
-        ) from None
+    for g in range(k + 1):
+        cnt = comb(k, g)
+        # ranks start..start+cnt-1 get lengths start+1..start+cnt
+        total += prob[g] * (2 * start + cnt + 1) * cnt / 2.0
+        start += cnt
     # the final rank keeps length 2^k - 1 instead of 2^k
     return total - prob[k]
 

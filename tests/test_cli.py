@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qkdeff import cli
+from qkdeff import cli, squeeze
 from qkdeff import config as cfgmod
 from qkdeff.cli import main
 from qkdeff.core import ChannelParams, ProtocolParams
@@ -61,6 +61,14 @@ class TestFlatConfig:
             cfgmod.reject_unknown(merged, ["alpha"])
         with pytest.raises(ConfigError):
             cfgmod.apply_overrides({}, ["novalue"])
+
+    @pytest.mark.parametrize("command", [
+        "curve", "sigma", "optimality", "simulate-bb84", "simulate-tf",
+        "squeeze-encode", "squeeze-decode",
+    ])
+    def test_every_command_rejects_unknown_keys(self, command, capsys):
+        assert run_cli(command, "--set", "nonsense=1") == 2
+        assert "error: unknown config keys: nonsense" in capsys.readouterr().err
 
     def test_protocol_mapping_asymptotic_spelling(self):
         assert cfgmod.protocol_from_mapping({"n_qubits": "inf"}).asymptotic
@@ -165,10 +173,6 @@ class TestCurveCommand:
         assert all(r["eff_standard"] == 0.0 and r["eff_optimal"] == 0.0 for r in rows)
         assert all(r["extinct_standard"] and r["extinct_optimal"] for r in rows)
 
-    def test_unknown_key_rejected(self, capsys):
-        assert run_cli("curve", "--set", "nonsense=1") == 2
-        assert "unknown config keys" in capsys.readouterr().err
-
     def test_bad_grid_rejected(self):
         assert run_cli("curve", "--set", "l_step=0") == 2
 
@@ -271,6 +275,22 @@ class TestSigmaCommand:
         assert run_cli("sigma", *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"k={k}, p={p}" in err
+
+    def test_oversized_degree_refused_before_the_grid(self, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(squeeze, "sigma_curve", no_grid)
+        assert run_cli("sigma", "--set", "k_max=1000000000") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k=1023, p=0.999999" in err
+
+    def test_degree_limit_is_inclusive(self, tmp_path):
+        top = squeeze.MAX_CLOSED_FORM_DEGREE
+        out = tmp_path / "sigma.csv"
+        argv = ["--set", f"k_min={top}", "--set", f"k_max={top}", "--out", str(out)]
+        assert run_cli("sigma", *argv) == 0
+        assert [r["k"] for r in read_rows(out)] == [str(top)]
 
 
 class TestOptimalityCommand:

@@ -332,7 +332,7 @@ class TestOptimality:
 
     def test_epsilon_mode_stays_below_exact_limit(self):
         exact = determine_optimality(FIG2, 1.0).efficiency
-        near = determine_optimality(FIG2, 1.0, eps=0.01).efficiency
+        near = total_efficiency(FIG2, ProtocolParams(s=0.99, sigma=0.99)).efficiency
         assert near < exact
         assert near == pytest.approx(exact, rel=0.1)
 
@@ -362,8 +362,6 @@ class TestOptimality:
     def test_xi_max_validation(self):
         with pytest.raises(ParameterError):
             determine_optimality(FIG2, 1.5)
-        with pytest.raises(ParameterError):
-            determine_optimality(FIG2, 1.0, eps=0.7)
 
 
 class TestEfficiencyCurve:

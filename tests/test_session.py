@@ -128,10 +128,12 @@ def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
         announced_bits=2 + z_count,
     )
     rep = session.finish(
-        pe, n_qubits=200, qubits_sent=200, n_detected=200, f_card=120,
-        sift_rate=0.6, sifted_keys=((key, key),), reception_ack=0, bases=(10, 10),
+        pe, n_qubits=200, qubits_sent=200, n_detected=200,
+        sifted_keys=((key, key),), reception_ack=0, bases=(10, 10),
         raw_bases=200, f=1.0,
     )
+    assert rep.f_card == pe.v_card + pe.w_card
+    assert rep.empirical_sift_rate == rep.f_card / 200
     assert any("1/2" in w for w in rep.warnings) == refused
     if refused:
         assert rep.final_key_bits == 0 and rep.ledger.ec_bits == 0.0
@@ -153,12 +155,31 @@ def test_matched_disagreement_rate_pools_the_basis_pairs():
     for pairs, rate in ((((ones, 1 - ones), (zeros, one_wrong)), 0.5),
                         (((none, none), (none, none)), 0.0)):
         rep = session.finish(
-            pe, n_qubits=10, qubits_sent=10, n_detected=10, f_card=8,
-            sift_rate=0.8, sifted_keys=pairs, reception_ack=0, bases=(5, 5),
+            pe, n_qubits=10, qubits_sent=10, n_detected=10,
+            sifted_keys=pairs, reception_ack=0, bases=(5, 5),
             raw_bases=10, f=1.0,
         )
         assert type(rep.matched_disagreement_rate) is float
         assert rep.matched_disagreement_rate == rate
+        assert rep.f_card == pe.v_card + pe.w_card
+        assert rep.empirical_sift_rate == rep.f_card / 10
+
+
+def test_sift_rate_with_no_announced_basis_is_zero():
+    none = np.zeros(0, np.uint8)
+    pe = session.PeResult(
+        qber_x=None, qber_z=None, aborted=False, alice_remaining=none,
+        bob_remaining=none, v_card=0, w_card=0, v_prime=0, w_prime=0,
+        announced_bits=1,
+    )
+    rep = session.finish(
+        pe, n_qubits=40, qubits_sent=40, n_detected=0,
+        sifted_keys=((none, none),), reception_ack=40, bases=(0, 0),
+        raw_bases=0, f=1.0,
+    )
+    assert rep.f_card == 0
+    assert type(rep.empirical_sift_rate) is float
+    assert rep.empirical_sift_rate == 0.0
 
 
 # sha256 of the JSON report for a fixed seed.  A change of the RNG stream or
