@@ -18,7 +18,6 @@ from .core import (
     efficiency_curve,
     optimality_bb84,
     qber,
-    secret_key_rate,
     single_photon_yield,
     total_efficiency,
     transmittance,
@@ -36,11 +35,10 @@ from .session import SessionReport
 from .squeeze import (
     Codebook,
     CompressionStats,
+    OnePositions,
     build_codebook,
     decode,
     encode,
-    gamma,
-    prepare,
     sigma_curve,
     sigma_expected,
     squeeze_bits,

@@ -210,15 +210,6 @@ def _rate_terms(
     return eta, e, h, eta * pp.s * (pp.xi - h - ch.f * h)
 
 
-def secret_key_rate(ch: ChannelParams, pp: ProtocolParams) -> float:
-    """Secret key rate per transmitted qubit; may be negative (extinction).
-
-    Finite mode carries the (1 - delta) parameter-estimation loss; the
-    asymptotic rate is eta~ * s * (xi - H(e) - f*H(e)).
-    """
-    return (1.0 - pp.delta) * _rate_terms(ch, pp)[3]
-
-
 def classical_bits(ch: ChannelParams, pp: ProtocolParams) -> SessionLedger:
     """Announced-bit ledger of one BB84 session.
 

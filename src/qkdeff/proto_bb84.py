@@ -14,6 +14,12 @@ Naming of the sifted subsets: V collects records where both parties used the X
 basis, W where both used the Z basis.  With the dominant basis being Z
 (probability p_b -> 1), W is the large subset (~p_b^2 N) and V the small one
 (~(1-p_b)^2 N).
+
+X-basis choices are rare, so both parties' bases are kept as the sorted
+positions of their X choices, and the channel flips are drawn as positions
+too.  Sifting forms V as the intersection of the two position sets and W as
+every record but their union; the W keys are never gathered apart from the
+records, only the remaining key after estimation is.
 """
 
 from __future__ import annotations
@@ -79,7 +85,12 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class QubitRecords:
-    """Column-wise batch of the detected qubits' records (struct-of-arrays)."""
+    """Column-wise batch of the detected qubits' records (struct-of-arrays).
+
+    ``q`` and ``k_b`` hold Alice's and Bob's key bit of every record (uint8);
+    ``b`` and ``b_prime`` hold the sorted int64 positions of the records
+    where Alice and Bob used the X basis (every other record used Z).
+    """
 
     q: np.ndarray
     b: np.ndarray
@@ -97,8 +108,9 @@ def prepare_and_measure(
 
     Returns the records of the detected qubits only.  Their count is N when
     lossless and Binomial(N, eta~) otherwise.  Key bits are uniform; bases
-    are drawn independently with bias p_b toward basis 0.  Matched-basis
-    outcomes flip with the channel QBER; mismatched outcomes are uniform.
+    are drawn independently with bias p_b toward basis 0, as the positions
+    of the basis-1 (X) choices.  Matched-basis outcomes flip with the
+    channel QBER; mismatched outcomes are uniform.
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[0]
@@ -108,8 +120,9 @@ def prepare_and_measure(
     q = fair_bits(rng, n)
     b = rare_bits(rng, n, 1.0 - cfg.p_b)
     b_prime = rare_bits(rng, n, 1.0 - cfg.p_b)
-    k_b = q ^ rare_bits(rng, n, qber(cfg.channel))
-    mismatched = np.flatnonzero(b != b_prime)
+    k_b = q.copy()
+    k_b[rare_bits(rng, n, qber(cfg.channel))] ^= 1
+    mismatched = np.setxor1d(b, b_prime, assume_unique=True)
     k_b[mismatched] = fair_bits(rng, mismatched.size)
     return QubitRecords(q=q, b=b, b_prime=b_prime, k_b=k_b)
 
@@ -117,9 +130,12 @@ def prepare_and_measure(
 @dataclass(frozen=True)
 class SiftResult:
     x_keys: tuple[np.ndarray, np.ndarray]  # (q, k_b) where both used X: V
-    z_keys: tuple[np.ndarray, np.ndarray]  # (q, k_b) where both used Z: W
+    # W is every record of z_records = (q, k_b) but the sorted positions
+    # z_excluded, where either party used X
+    z_records: tuple[np.ndarray, np.ndarray]
+    z_excluded: np.ndarray
     n_detected: int
-    n_sifted: int
+    n_disagree: int  # basis-matched records whose key bits differ
     bob_bits_compressed: int
     alice_bits_compressed: int
 
@@ -130,22 +146,26 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     Bob's measured bases and Alice's match/discard sequence are squeezed with
     the degree-k codec and exchanged in the container format; both directions
     are decoded and verified, so a codec fault surfaces as
-    SimulationIntegrityError rather than key damage.  The retained keys come
-    back as the V and W pairs, each in record order.
+    SimulationIntegrityError rather than key damage.  The V pair comes back
+    gathered, in record order; the W pair as the records and the positions
+    W excludes.
     """
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
-    bob_bits = announce(records.b_prime, cb, "basis")
-    alice_bits = announce(records.b ^ records.b_prime, cb, "match")  # 1 = discard
+    n, b, b_prime = len(records), records.b, records.b_prime
+    mismatched = np.setxor1d(b, b_prime, assume_unique=True)
+    bob_bits = announce(b_prime, n, cb, "basis")
+    alice_bits = announce(mismatched, n, cb, "match")  # 1 = discard
 
-    x = (records.b & records.b_prime) == 1
-    z = (records.b | records.b_prime) == 0
+    x = np.intersect1d(b, b_prime, assume_unique=True)
     q, k_b = records.q, records.k_b
-    x_keys, z_keys = (q[x], k_b[x]), (q[z], k_b[z])
+    disagree = (np.count_nonzero(q != k_b)
+                - np.count_nonzero(q[mismatched] != k_b[mismatched]))
     return SiftResult(
-        x_keys=x_keys,
-        z_keys=z_keys,
-        n_detected=len(records),
-        n_sifted=x_keys[0].size + z_keys[0].size,
+        x_keys=(q[x], k_b[x]),
+        z_records=(q, k_b),
+        z_excluded=np.sort(np.concatenate([x, mismatched])),  # either used X
+        n_detected=n,
+        n_disagree=int(disagree),
         bob_bits_compressed=bob_bits,
         alice_bits_compressed=alice_bits,
     )
@@ -163,8 +183,8 @@ def parameter_estimation(
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[1]
-    (ax, bx), (az, bz) = sifted.x_keys, sifted.z_keys
-    v_card, w_card = ax.size, az.size
+    (ax, bx), (q, k_b) = sifted.x_keys, sifted.z_records
+    v_card, w_card = ax.size, q.size - sifted.z_excluded.size
     v_prime = int(cfg.epsilon_frac * v_card)
     w_prime = int(cfg.lambda_frac * w_card)
 
@@ -175,7 +195,7 @@ def parameter_estimation(
         warnings.append("z-basis parameter-estimation sample is empty")
 
     qber_x, keep_x = sample_rate(ax, bx, v_prime, rng)
-    qber_z, keep_z = sample_rate(az, bz, w_prime, rng)
+    qber_z, keep_z = sample_rate(q, k_b, w_prime, rng, excluded=sifted.z_excluded)
 
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
@@ -185,8 +205,8 @@ def parameter_estimation(
         alice_rem = np.zeros(0, np.uint8)
         bob_rem = np.zeros(0, np.uint8)
     else:  # V'' then W'' order
-        alice_rem = np.concatenate([ax[keep_x], az[keep_z]])
-        bob_rem = np.concatenate([bx[keep_x], bz[keep_z]])
+        alice_rem = np.concatenate([ax[keep_x], q[keep_z]])
+        bob_rem = np.concatenate([bx[keep_x], k_b[keep_z]])
     return PeResult(
         qber_x=qber_x,
         qber_z=qber_z,
@@ -216,7 +236,8 @@ def run_session(cfg: SessionConfig) -> SessionReport:
         n_qubits=cfg.n_qubits,
         qubits_sent=cfg.n_qubits,
         n_detected=sifted.n_detected,
-        sifted_keys=(sifted.x_keys, sifted.z_keys),
+        n_disagree=sifted.n_disagree,
+        n_compared=pe.v_card + pe.w_card,
         reception_ack=0 if cfg.lossless else cfg.n_qubits,
         bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
         raw_bases=sifted.n_detected,

@@ -16,7 +16,10 @@ phase.  So the session draws only what a report reads: the two basis
 sequences, Binomial(count, s) single clicks among the both-X, both-Z and
 mismatched pairs, fair key bits for Alice, and Bob's key after the flip rule,
 wrong with probability b(1-a)/s on each both-X single click.  This is the
-same law as drawing every pulse pair's bits and clicks.
+same law as drawing every pulse pair's bits and clicks.  The Z choices are
+rare, so each basis sequence is kept as the sorted positions of its Z
+choices: the pair counts come from the size of their intersection and
+union, and the announcements are encoded from the positions.
 
 Basis announcements encode the dominant X basis as bit 0 so the squeeze codec
 sees a 0-biased stream.  Decoy-state analysis is out of scope: Z-basis events
@@ -100,28 +103,30 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     rng_events, rng_pe = stage_rngs(cfg.rng_seed)
 
     # basis bit: 0 = X (dominant, key), 1 = Z (decoy)
-    h_a = rare_bits(rng_events, n, 1.0 - cfg.p_x)
+    h_a = rare_bits(rng_events, n, 1.0 - cfg.p_x)  # positions of the 1s
     h_b = rare_bits(rng_events, n, 1.0 - cfg.p_x)
 
     # both parties announce their basis sequences in the container format
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_x)
-    bits_a_announced = announce(h_a, cb, "alice basis")
-    bits_b_announced = announce(h_b, cb, "bob basis")
+    bits_a_announced = announce(h_a, n, cb, "alice basis")
+    bits_b_announced = announce(h_b, n, cb, "bob basis")
 
     # single clicks: the same probability s for every pair (module docstring)
     dark = 1.0 - cfg.p_dark_relay
     a = 1.0 - (1.0 - cfg.p_click_match) * dark   # the selected port fires
     b = 1.0 - (1.0 - cfg.p_click_conflict) * dark  # the other port fires
     s = a * (1.0 - b) + b * (1.0 - a)
-    n_zz = int(np.count_nonzero(h_a & h_b))
-    n_xx = n - int(np.count_nonzero(h_a | h_b))
+    n_zz = np.intersect1d(h_a, h_b, assume_unique=True).size
+    n_xx = n - (h_a.size + h_b.size - n_zz)  # n minus the union
     v_card, w_card, n_mismatched = (
         int(rng_events.binomial(count, s)) for count in (n_xx, n_zz, n - n_xx - n_zz)
     )
 
     # flip rule: Bob's bit is wrong when only the other port fired
     key_a = fair_bits(rng_events, v_card)
-    key_b = key_a ^ rare_bits(rng_events, v_card, b * (1.0 - a) / s if s else 0.0)
+    flips = rare_bits(rng_events, v_card, b * (1.0 - a) / s if s else 0.0)
+    key_b = key_a.copy()
+    key_b[flips] ^= 1
 
     # error-rate estimate on a sacrificed X subset (decoy analysis out of scope)
     v_prime = int(cfg.pe_frac * v_card)
@@ -138,7 +143,8 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
         n_qubits=n,
         qubits_sent=2 * n,
         n_detected=v_card + w_card + n_mismatched,
-        sifted_keys=((key_a, key_b),),
+        n_disagree=flips.size,
+        n_compared=v_card,
         reception_ack=2 * n,  # one bit per detector per pulse pair
         bases=(bits_b_announced, bits_a_announced),
         raw_bases=n,

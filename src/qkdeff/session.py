@@ -1,10 +1,14 @@
 """Session stages shared by the BB84 and relay simulations.
 
 Each protocol draws its own events, with the exact samplers here and only
-where a report reads them, and maps them to sifted key pairs, one per
-basis; from there on both run the same stages: squeezed announcements read
-back and verified, error-rate sampling, the EC/PA bit-count stub, the two
-ledgers and the report.  The certification rule lives here, once: a
+where a report reads them, and maps them to sifted keys per basis; from
+there on both run the same stages: squeezed announcements read back and
+verified, error-rate sampling, the EC/PA bit-count stub, the two ledgers and
+the report.  Rare events (the minority basis choices, channel flips) stay
+sorted int64 positions from the sampler on: announcements are encoded from
+them, and a subset that holds nearly every record is kept as the record
+arrays plus the sorted positions it excludes, so no stage copies it before
+the remaining key is built.  The certification rule lives here, once: a
 session with no error-rate sample in any basis, or with an estimate of 1/2
 or more, certifies no key.
 """
@@ -23,6 +27,8 @@ from .errors import ParameterError, SimulationIntegrityError
 
 NO_ESTIMATE = "no error-rate estimate: no key certified"
 XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
+NO_POSITIONS = np.zeros(0, np.int64)
+NO_POSITIONS.setflags(write=False)
 
 
 def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -45,58 +51,75 @@ def fair_bits(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def rare_bits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-    """``n`` Bernoulli(p) trials as uint8, drawing only where the successes fall.
+    """Sorted int64 positions of the successes among ``n`` Bernoulli(p) trials.
 
     The gaps between successive successes of i.i.d. trials are i.i.d.
     Geometric(p), so cumulative gaps place the successes exactly in law; gaps
     are drawn until a success reaches the last trial or passes it.  The cost
     is O(n p) draws.
     """
-    out = np.zeros(n, np.uint8)
     if n == 0 or p == 0.0:
-        return out
+        return np.zeros(0, np.int64)
     # one batch covers the count up to ~6 standard deviations
     size = int(n * p + 6.0 * math.sqrt(n * p) + 1)
     pos = np.cumsum(rng.geometric(p, size)) - 1
     while pos[-1] < n - 1:
         pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, size))])
-    out[pos[pos < n]] = 1
-    return out
+    return pos[: np.searchsorted(pos, n)]
 
 
-def announce(bits: np.ndarray, cb: squeeze.Codebook, what: str) -> int:
-    """Squeeze a bit sequence, frame it, and read it back as the peer would.
+def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
+    """Squeeze an ``n``-bit sequence, frame it, and read it back as the peer would.
 
-    The decoded sequence must equal the sent one, so a codec fault surfaces
-    as SimulationIntegrityError rather than key damage.  Returns the
-    announced payload size (container header framing is not counted; the
-    protocol messages carry counts anyway).
+    The sequence is given by the sorted positions of its 1s.  The decoded
+    sequence must equal the sent one, so a codec fault surfaces as
+    SimulationIntegrityError rather than key damage.  Returns the announced
+    payload size (container header framing is not counted; the protocol
+    messages carry counts anyway).
     """
-    payload, stats = squeeze.encode(bits, cb)
-    blob = squeeze.write_container(payload, cb.degree_k, bits.size)
+    payload, stats = squeeze.encode(squeeze.OnePositions(ones, n), cb)
+    blob = squeeze.write_container(payload, cb.degree_k, n)
     k_hdr, true_len, payload_bits = squeeze.read_container(blob)
     if k_hdr != cb.degree_k:
         raise SimulationIntegrityError(
             f"{what} announcement header carries k={k_hdr}, sent k={cb.degree_k}"
         )
     decoded = squeeze.decode(payload_bits, cb, true_len)
-    if not np.array_equal(decoded, bits):
+    if not (decoded.size == n and np.count_nonzero(decoded) == ones.size
+            and decoded[ones].all()):
         raise SimulationIntegrityError(f"{what} announcement decode mismatch")
     return stats.output_bits
 
 
+def record_positions(ranks: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """Record position of each rank among the records not at ``excluded``.
+
+    ``excluded`` holds sorted, distinct record positions.  Before excluded
+    position j lie ``excluded[j] - j`` kept records, so rank r lands past
+    every excluded position whose count is at most r.
+    """
+    return ranks + np.searchsorted(excluded - np.arange(excluded.size), ranks,
+                                   side="right")
+
+
 def sample_rate(
     alice: np.ndarray, bob: np.ndarray, count: int, rng: np.random.Generator,
+    excluded: np.ndarray = NO_POSITIONS,
 ) -> tuple[float | None, np.ndarray]:
-    """Disagreement rate on ``count`` positions drawn from two keys, and a keep mask.
+    """Disagreement rate on ``count`` records drawn from one subset, and a keep mask.
 
-    The keys are those of one subset; the mask keeps the positions not
-    drawn.  An empty sample gives no rate (None) and keeps every position.
+    The subset is every record of the two keys but the sorted positions
+    ``excluded``; its records are drawn by rank, as ``rng.choice`` over the
+    subset alone would draw them.  The mask keeps the subset's records not
+    drawn.  An empty sample gives no rate (None) and keeps the whole subset.
     """
     keep = np.ones(alice.size, dtype=bool)
+    keep[excluded] = False
     if count == 0:
         return None, keep
-    pos = rng.choice(alice.size, size=count, replace=False)
+    ranks = rng.choice(alice.size - excluded.size, size=count, replace=False)
+    ranks.sort()  # the rate and the mask ignore the order; the map is faster sorted
+    pos = record_positions(ranks, excluded)
     mism = np.count_nonzero(alice[pos] != bob[pos])
     keep[pos] = False
     # a plain float keeps numpy scalars out of the report and the abort flag
@@ -208,7 +231,8 @@ def finish(
     n_qubits: int,
     qubits_sent: int,
     n_detected: int,
-    sifted_keys: tuple[tuple[np.ndarray, np.ndarray], ...],
+    n_disagree: int,
+    n_compared: int,
     reception_ack: int,
     bases: tuple[int, int],
     raw_bases: int,
@@ -221,9 +245,11 @@ def finish(
     size of each; together they give the achieved compression
     1 - sum(bases) / (2 raw_bases), and the sift rate, basis-matched events
     per announced basis bit, f_card / raw_bases (f_card = v_card + w_card).
-    ``sifted_keys`` holds one (alice, bob) key pair per basis, before
-    estimation; together they give the matched disagreement rate.  The error-rate estimate pools every basis sample,
-    sum(rate*count) / sum(count).  With no sample at all, or an estimate of
+    ``n_disagree`` of the ``n_compared`` basis-matched key bits differ
+    before estimation; their ratio is the matched disagreement rate.  BB84
+    compares every basis-matched record (``n_compared = f_card``), the relay
+    session its key (X) events only.  The error-rate estimate pools every
+    basis sample, sum(rate*count) / sum(count).  With no sample at all, or an estimate of
     1/2 or more (where the rate xi - H(e) - f H(e) has no meaning), no key is
     certified and the report says so in ``warnings``.
     """
@@ -262,8 +288,6 @@ def finish(
 
     led = ledger(*bases)
     f_card = pe.v_card + pe.w_card
-    n_matched = sum(a.size for a, _ in sifted_keys)
-    n_disagree = sum(int(np.count_nonzero(a != b)) for a, b in sifted_keys)
     return SessionReport(
         n_qubits=n_qubits,
         n_detected=n_detected,
@@ -281,7 +305,7 @@ def finish(
         bob_key=pe.bob_remaining,
         final_key_bits=final_key,
         empirical_sift_rate=f_card / raw_bases if raw_bases else 0.0,
-        matched_disagreement_rate=n_disagree / n_matched if n_matched else 0.0,
+        matched_disagreement_rate=n_disagree / n_compared if n_compared else 0.0,
         empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
         classical_bits_per_qubit=led.total() / qubits_sent,
         empirical_efficiency=final_key / (qubits_sent + led.total()),

@@ -16,8 +16,11 @@ A decoder therefore only needs k, which is what the container header carries.
 For such a source the stream is mostly 0s, and the code is a run-length code
 over it (Golomb, IEEE Trans. Inf. Theory 12, 399, 1966): the codeword of rank
 r is r 1s and a 0.  Encode and decode therefore work on one-positions and
-runs of 1s alone; beyond one packing pass over their input, both cost
-O(ones + n/k) for n input bits.
+runs of 1s alone, and both cost O(ones + n/k) for n input bits beyond one
+packing pass over their input.  A caller that already holds the sorted
+positions of the 1s (a session's rare basis choices) hands them to
+:func:`encode` as :class:`OnePositions` and skips that pass; a dense
+sequence is reduced to the same form first.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import struct
 from dataclasses import dataclass, field
 from decimal import Decimal
 from math import comb
+from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -74,36 +78,6 @@ def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
             f"need {n_bits} bits but payload holds only {8 * len(data)}"
         )
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="big")[:n_bits]
-
-
-def gamma(i: int) -> int:
-    """Number of 1s in the binary representation of i (block weight)."""
-    if i < 0:
-        raise ParameterError("block index must be nonnegative")
-    return int(i).bit_count()
-
-
-class PreparedBlocks(NamedTuple):
-    """Result of chunking: an (m, k) array of bits plus the unpadded length."""
-
-    blocks: np.ndarray
-    true_bit_length: int
-
-
-def prepare(bits: BitsLike, k: int) -> PreparedBlocks:
-    """Chunk a bit sequence into m = ceil(n/k) blocks of k bits.
-
-    When k does not divide n the final block is padded with the dominant
-    symbol 0; the true length travels alongside so a decoder can strip it.
-    """
-    if k < 1:
-        raise ParameterError("block size k must be a positive integer")
-    arr = as_bits(bits)
-    n = arr.size
-    m = -(-n // k)
-    padded = np.zeros(m * k, dtype=np.uint8)
-    padded[:n] = arr
-    return PreparedBlocks(padded.reshape(m, k), n)
 
 
 def _probabilities_by_weight(k: int, p: float) -> list[float]:
@@ -182,25 +156,55 @@ class CompressionStats:
     sigma_percent: float
 
 
-def encode(bits: BitsLike, cb: Codebook) -> tuple[np.ndarray, CompressionStats]:
+class OnePositions(NamedTuple):
+    """A bit sequence of ``length`` bits given by the sorted positions of its 1s."""
+
+    positions: np.ndarray
+    length: int
+
+
+def _one_positions(bits: BitsLike) -> OnePositions:
+    """The 1s of a dense bit sequence, found by unpacking only the bytes that hold one."""
+    arr = as_bits(bits)
+    packed = np.packbits(arr)
+    nz = np.flatnonzero(packed)
+    at = np.flatnonzero(np.unpackbits(packed[nz]))
+    return OnePositions(nz[at >> 3] * 8 + (at & 7), arr.size)
+
+
+def _checked_positions(ones: OnePositions) -> tuple[np.ndarray, int]:
+    pos, n = np.asarray(ones.positions), ones.length
+    if not isinstance(n, Integral) or n < 0:
+        raise ParameterError(f"bit sequence length must be an integer >= 0, got {n!r}")
+    n = int(n)
+    if pos.ndim != 1 or (pos.size and pos.dtype.kind not in "iu"):
+        raise ParameterError("one-positions must be a one-dimensional integer array")
+    pos = pos.astype(np.int64, copy=False)
+    if pos.size and (pos[0] < 0 or pos[-1] >= n or np.any(pos[1:] <= pos[:-1])):
+        raise ParameterError(f"one-positions must be strictly increasing in [0, {n})")
+    return pos, n
+
+
+def encode(
+    bits: BitsLike | OnePositions, cb: Codebook
+) -> tuple[np.ndarray, CompressionStats]:
     """Encode a bit sequence: concatenated codewords of its k-bit blocks.
 
-    The achieved compression percent is (1 - output_bits / n) * 100, i.e. the
-    per-message baseline cost is one bit per announced bit.
+    ``bits`` is either the dense sequence or its :class:`OnePositions`; a
+    dense sequence is reduced to its 1s first, so both entries share one
+    code path and give the same output.  The achieved compression percent
+    is (1 - output_bits / n) * 100, i.e. the per-message baseline cost is
+    one bit per announced bit.
     """
+    if not isinstance(bits, OnePositions):
+        bits = _one_positions(bits)
+    pos, n = _checked_positions(bits)
     k = cb.degree_k
-    arr = as_bits(bits)
-    n = arr.size
     m = -(-n // k)
     if m == 0:
         return np.zeros(0, dtype=np.uint8), CompressionStats(0, 0, 0, 0.0)
 
     # Only blocks that hold a 1 are valued; every other one is codeword 0.
-    # The 1s are found by unpacking only the packed bytes that hold one.
-    packed = np.packbits(arr)
-    nz = np.flatnonzero(packed)
-    at = np.flatnonzero(np.unpackbits(packed[nz]))
-    pos = nz[at >> 3] * 8 + (at & 7)
     block = pos // k
     new_block = np.ones(pos.size, dtype=bool)
     new_block[1:] = block[1:] != block[:-1]

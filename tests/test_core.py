@@ -23,7 +23,6 @@ from qkdeff.core import (
     efficiency_curve,
     optimality_bb84,
     qber,
-    secret_key_rate,
     single_photon_yield,
     total_efficiency,
     transmittance,
@@ -42,6 +41,11 @@ FIG2 = ChannelParams(alpha=0.2, length_km=0.0, eta_det=0.3,
                      p_dark=1e-8, e_opt=0.03, e0=0.5, f=1.0)
 NOISELESS = ChannelParams(alpha=0.2, length_km=0.0, eta_det=0.3,
                           p_dark=0.0, e_opt=0.0)
+
+
+def secret_key_rate(ch: ChannelParams, pp: ProtocolParams) -> float:
+    """Secret key rate per transmitted qubit, before the clamp at extinction."""
+    return total_efficiency(ch, pp).r_unclamped
 
 
 def random_channel(rng) -> ChannelParams:

@@ -39,6 +39,25 @@ def three_sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+def dense_bases(rec: QubitRecords) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's basis bit of every record (1 = X) as uint8 arrays."""
+    b, b_prime = np.zeros(len(rec), np.uint8), np.zeros(len(rec), np.uint8)
+    b[rec.b], b_prime[rec.b_prime] = 1, 1
+    return b, b_prime
+
+
+def z_keys(res: SiftResult) -> tuple[np.ndarray, np.ndarray]:
+    """The W pair gathered from the records, in record order."""
+    q, k_b = res.z_records
+    keep = np.ones(q.size, dtype=bool)
+    keep[res.z_excluded] = False
+    return q[keep], k_b[keep]
+
+
+def n_sifted(res: SiftResult) -> int:
+    return res.x_keys[0].size + res.n_detected - res.z_excluded.size
+
+
 class TestPrepareAndMeasure:
     def test_fully_biased_noiseless_limit(self):
         cfg = SessionConfig(n_qubits=20_000, p_b=1 - 1e-12, channel=NOISELESS,
@@ -46,13 +65,14 @@ class TestPrepareAndMeasure:
         rec = prepare_and_measure(cfg)
         assert np.array_equal(rec.b, rec.b_prime)
         assert np.array_equal(rec.k_b, rec.q)
+        assert rec.b.dtype == rec.b_prime.dtype == np.int64
 
     def test_basis_match_rate_concentrates(self):
         n, p_b = 100_000, 0.99
         cfg = SessionConfig(n_qubits=n, p_b=p_b, channel=NOISELESS,
                             lossless=True, rng_seed=2)
-        rec = prepare_and_measure(cfg)
-        match = float(np.mean(rec.b == rec.b_prime))
+        b, b_prime = dense_bases(prepare_and_measure(cfg))
+        match = float(np.mean(b == b_prime))
         expect = p_b**2 + (1 - p_b) ** 2
         assert abs(match - expect) < three_sigma(expect, n)
 
@@ -61,7 +81,8 @@ class TestPrepareAndMeasure:
         cfg = SessionConfig(n_qubits=200_000, p_b=0.9, channel=ch,
                             lossless=True, rng_seed=3)
         rec = prepare_and_measure(cfg)
-        matched = rec.b == rec.b_prime
+        b, b_prime = dense_bases(rec)
+        matched = b == b_prime
         rate = float(np.mean(rec.q[matched] != rec.k_b[matched]))
         assert abs(rate - 0.03) < three_sigma(0.03, int(matched.sum()))
 
@@ -85,7 +106,7 @@ class TestSift:
                             channel=NOISELESS, lossless=True, rng_seed=6)
         rec = prepare_and_measure(cfg)
         res = sift(rec, cfg)
-        assert res.n_sifted == n
+        assert n_sifted(res) == n
         # all-dominant d-sequence compresses to exactly one bit per block
         assert res.alice_bits_compressed == -(-n // k)
 
@@ -95,17 +116,17 @@ class TestSift:
                             lossless=True, rng_seed=7)
         res = sift(prepare_and_measure(cfg), cfg)
         expect = p_b**2 + (1 - p_b) ** 2
-        assert abs(res.n_sifted / n - expect) < three_sigma(expect, n)
+        assert abs(n_sifted(res) / n - expect) < three_sigma(expect, n)
 
     def test_adversarial_never_matching_bases(self):
         cfg = SessionConfig(n_qubits=4096, p_b=0.9, channel=NOISELESS,
                             lossless=True, rng_seed=8)
         rec = prepare_and_measure(cfg)
-        rec = QubitRecords(q=rec.q, b=rec.b, b_prime=(1 - rec.b).astype(np.uint8),
-                           k_b=rec.k_b)
+        every_other = np.setdiff1d(np.arange(len(rec)), rec.b)  # Bob never matches
+        rec = QubitRecords(q=rec.q, b=rec.b, b_prime=every_other, k_b=rec.k_b)
         res = sift(rec, cfg)
-        assert res.n_sifted == 0
-        assert all(key.size == 0 for key in res.x_keys + res.z_keys)
+        assert n_sifted(res) == 0
+        assert all(key.size == 0 for key in res.x_keys + z_keys(res))
 
     @pytest.mark.parametrize("lossless, length_km", [(True, 0.0), (False, 50.0)])
     def test_keys_split_by_basis_in_record_order(self, lossless, length_km):
@@ -116,21 +137,22 @@ class TestSift:
                             channel=ch, lossless=lossless, rng_seed=18)
         rec = prepare_and_measure(cfg)
         res = sift(rec, cfg)
-        both_x = (rec.b == 1) & (rec.b_prime == 1)
-        both_z = (rec.b == 0) & (rec.b_prime == 0)
-        for (alice, bob), mask in ((res.x_keys, both_x), (res.z_keys, both_z)):
+        b, b_prime = dense_bases(rec)
+        both_x = (b == 1) & (b_prime == 1)
+        both_z = (b == 0) & (b_prime == 0)
+        for (alice, bob), mask in ((res.x_keys, both_x), (z_keys(res), both_z)):
             assert alice.dtype == bob.dtype == np.uint8
             assert np.array_equal(alice, rec.q[mask])
             assert np.array_equal(bob, rec.k_b[mask])
             assert 0 < alice.size and np.any(alice != bob)
-        assert res.n_sifted == np.count_nonzero(both_x) + np.count_nonzero(both_z)
+        assert n_sifted(res) == np.count_nonzero(both_x) + np.count_nonzero(both_z)
 
     def test_lossy_mode_announces_detected_only(self):
         cfg = SessionConfig(n_qubits=100_000, p_b=0.999, channel=FIG2, rng_seed=9)
         rec = prepare_and_measure(cfg)
         res = sift(rec, cfg)
         assert res.n_detected == len(rec) < cfg.n_qubits
-        assert 0 < res.n_sifted <= res.n_detected
+        assert 0 < n_sifted(res) <= res.n_detected
 
     def test_decode_mismatch_is_fatal(self, monkeypatch):
         cfg = SessionConfig(n_qubits=1024, p_b=0.9, channel=NOISELESS,
@@ -163,8 +185,9 @@ class TestParameterEstimation:
         bob = np.asarray(bob, dtype=np.uint8)
         x = np.asarray(basis) == 1
         return SiftResult(
-            x_keys=(alice[x], bob[x]), z_keys=(alice[~x], bob[~x]),
-            n_detected=alice.size, n_sifted=alice.size,
+            x_keys=(alice[x], bob[x]), z_records=(alice, bob),
+            z_excluded=np.flatnonzero(x), n_detected=alice.size,
+            n_disagree=int(np.count_nonzero(alice != bob)),
             bob_bits_compressed=0, alice_bits_compressed=0,
         )
 
@@ -286,9 +309,10 @@ class TestParameterEstimationMatchesReference:
             rec = prepare_and_measure(cfg, rng_prep)
             sifted = sift(rec, cfg)
             # the oracle reads the matched records' keys in record order
-            matched = rec.b == rec.b_prime
+            b, b_prime = dense_bases(rec)
+            matched = b == b_prime
             record_order = SimpleNamespace(
-                alice_key=rec.q[matched], bob_key=rec.k_b[matched], basis=rec.b[matched],
+                alice_key=rec.q[matched], bob_key=rec.k_b[matched], basis=b[matched],
             )
             _, ref_rng = stage_rngs(seed)
             pe = parameter_estimation(sifted, cfg, rng_pe)
@@ -481,7 +505,8 @@ class TestDrawLaw:
         for seed in range(20):
             cfg = SessionConfig(n_qubits=self.N, p_b=0.6, channel=ch, rng_seed=seed)
             rec = prepare_and_measure(cfg)
-            m = rec.b != rec.b_prime
+            b, b_prime = dense_bases(rec)
+            m = b != b_prime
             mism += int(m.sum())
             agree += int(np.count_nonzero(rec.q[m] == rec.k_b[m]))
         assert abs(agree / mism - 0.5) <= six_sigma(0.5, mism)

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qkdeff.errors import ParameterError
+from qkdeff import squeeze
+from qkdeff.errors import ParameterError, SimulationIntegrityError
 from qkdeff.proto_tf import TfConfig, run_tf_session
 
 IDEAL = TfConfig(
@@ -58,6 +59,18 @@ class TestClickModel:
         # the error odds are p_conflict*(1-p_match) : p_match*(1-p_conflict)
         err = 0.05 * 0.1 / (0.05 * 0.1 + 0.9 * 0.95)
         assert abs(rep.qber_x - err) < three_sigma(err, rep.v_prime)
+
+    def test_matched_disagreement_rate_counts_x_events_only(self):
+        # the decoy (both-Z) events carry no key bits, so the rate is over the
+        # v_card X events, not over f_card; here w_card is ~30% of f_card
+        cfg = replace(IDEAL, n_pulses=60_000, p_x=0.6, p_click_match=0.6,
+                      p_click_conflict=0.4, rng_seed=1)
+        rep = run_tf_session(cfg)
+        assert rep.w_card > 0.2 * rep.f_card
+        wrong = rep.matched_disagreement_rate * rep.v_card
+        assert wrong == pytest.approx(round(wrong), abs=1e-6)
+        err = 0.4 * 0.4 / (0.6 * 0.6 + 0.4 * 0.4)  # b(1-a)/s
+        assert abs(rep.matched_disagreement_rate - err) < 2 * three_sigma(err, rep.v_card)
 
     def test_saturated_dark_counts_kill_sifting(self):
         cfg = replace(IDEAL, p_dark_relay=1.0, rng_seed=4, n_pulses=10_000)
@@ -140,6 +153,22 @@ class TestAnnouncements:
             sizes_b.append(rep.ledger.bob_bases)
         # identical distributions: means agree within a few expected codewords
         assert abs(np.mean(sizes_a) - np.mean(sizes_b)) < 0.01 * np.mean(sizes_a)
+
+    @pytest.mark.parametrize("flipped", [(0,), (1,), (0, 1)])
+    def test_decode_mismatch_is_fatal(self, monkeypatch, flipped):
+        # the read-back check compares the decoded announcement with the sent
+        # one-positions: a flipped bit, 0 to 1 or 1 to 0, must be caught, and
+        # so must a 1 moved elsewhere (both flips; the count of 1s holds)
+        real_decode = squeeze.decode
+
+        def corrupt(stream, cb, true_length):
+            bits = real_decode(stream, cb, true_length).copy()
+            bits[[np.flatnonzero(bits == value)[0] for value in flipped]] ^= 1
+            return bits
+
+        monkeypatch.setattr("qkdeff.proto_tf.squeeze.decode", corrupt)
+        with pytest.raises(SimulationIntegrityError, match="decode mismatch"):
+            run_tf_session(replace(IDEAL, n_pulses=4096, p_x=0.9, rng_seed=3))
 
     def test_empty_session_all_zero(self):
         rep = run_tf_session(replace(IDEAL, n_pulses=0))

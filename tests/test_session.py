@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdeff import session, squeeze
 from qkdeff.cli import main
 from qkdeff.errors import SimulationIntegrityError
-from qkdeff.proto_bb84 import SessionConfig, run_session
+from qkdeff.proto_bb84 import QubitRecords, SessionConfig, run_session, sift
 from qkdeff.proto_tf import TfConfig, run_tf_session
 
 NO_SAMPLE = {
@@ -38,13 +40,29 @@ def test_no_error_rate_sample_certifies_no_key(protocol):
 DRAWS, WIDTH = 20_000, 10
 
 
+def dense(positions: np.ndarray, n: int) -> np.ndarray:
+    """The uint8 bit sequence of length n with 1s at ``positions``."""
+    bits = np.zeros(n, np.uint8)
+    bits[positions] = 1
+    return bits
+
+
+def checked_positions(positions: np.ndarray, n: int) -> np.ndarray:
+    """``rare_bits`` output: int64, strictly increasing, within [0, n)."""
+    assert positions.dtype == np.int64 and positions.ndim == 1
+    assert np.all(np.diff(positions) > 0)
+    assert positions.size == 0 or (positions[0] >= 0 and positions[-1] < n)
+    return positions
+
+
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, None])
 def test_bit_samplers_follow_bernoulli_law(p):
     # p=None draws fair bits.  Each position is Bernoulli(p), so an off-by-one
     # in the geometric gaps (or in the byte unpacking) shows at an end position
     rng = np.random.default_rng(11)
     rows = np.array([
-        session.fair_bits(rng, WIDTH) if p is None else session.rare_bits(rng, WIDTH, p)
+        session.fair_bits(rng, WIDTH) if p is None
+        else dense(checked_positions(session.rare_bits(rng, WIDTH, p), WIDTH), WIDTH)
         for _ in range(DRAWS)
     ])
     p = 0.5 if p is None else p
@@ -61,10 +79,59 @@ def test_bit_samplers_follow_bernoulli_law(p):
 
 def test_bit_samplers_degenerate_cases():
     rng = np.random.default_rng(12)
-    for bits in (session.rare_bits(rng, 0, 0.3), session.fair_bits(rng, 0)):
-        assert bits.size == 0 and bits.dtype == np.uint8
-    assert not session.rare_bits(rng, 1000, 0.0).any()
-    assert session.rare_bits(rng, 1000, 1.0).all()
+    bits = session.fair_bits(rng, 0)
+    assert bits.size == 0 and bits.dtype == np.uint8
+    assert checked_positions(session.rare_bits(rng, 0, 0.3), 0).size == 0
+    never, always = (checked_positions(session.rare_bits(rng, 1000, p), 1000)
+                     for p in (0.0, 1.0))
+    assert not dense(never, 1000).any()
+    assert dense(always, 1000).all()
+    assert np.array_equal(always, np.arange(1000))
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (997, 0.01), (5000, 0.3), (40, 0.999)])
+def test_rare_bit_positions_are_sorted_and_in_range(n, p):
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        checked_positions(session.rare_bits(rng, n, p), n)
+
+
+def excluded_sets(n: int):
+    """Excluded position sets over n records that keep at least one record:
+    any, none, both ends (n > 2) and all but one."""
+    shapes = [
+        st.sets(st.integers(0, n - 1), max_size=n - 1),
+        st.just(set()),
+        st.integers(0, n - 1).map(lambda kept: set(range(n)) - {kept}),
+    ]
+    if n > 2:
+        shapes.append(st.sets(st.integers(1, n - 2), max_size=n - 3).map(
+            lambda inner: inner | {0, n - 1}))
+    return st.one_of(shapes)
+
+
+@st.composite
+def rank_cases(draw):
+    n = draw(st.integers(1, 300))
+    excluded = draw(excluded_sets(n))
+    ranks = draw(st.lists(st.integers(0, n - len(excluded) - 1), max_size=60))
+    return n, excluded, ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rank_cases())
+@example(case=(6, {0, 2, 5}, [0, 1, 2, 2, 0]))  # excluded at both ends and between
+def test_rank_map_equals_kept_positions(case):
+    n, excluded, ranks = case
+    mask = np.zeros(n, dtype=bool)
+    mask[list(excluded)] = True
+    excl = np.flatnonzero(mask)
+    ranks = np.asarray(ranks, np.int64)
+    got = session.record_positions(ranks, excl)
+    assert np.array_equal(got, np.flatnonzero(~mask)[ranks])
+    # every kept record is reached: the map is onto the kept positions
+    assert np.array_equal(session.record_positions(np.arange(n - excl.size), excl),
+                          np.flatnonzero(~mask))
 
 
 def test_announce_rejects_header_degree_mismatch(monkeypatch):
@@ -77,7 +144,7 @@ def test_announce_rejects_header_degree_mismatch(monkeypatch):
 
     monkeypatch.setattr(squeeze, "read_container", read_with_other_k)
     with pytest.raises(SimulationIntegrityError, match="k=5, sent k=4"):
-        session.announce(np.zeros(40, np.uint8), cb, "bob_bases")
+        session.announce(np.zeros(0, np.int64), 40, cb, "bob_bases")
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 1000, 9999, 10000])
@@ -98,6 +165,23 @@ def test_sample_rate_draws_as_choice_over_idx(count):
     assert rate == float(np.count_nonzero(alice[chosen] != bob[chosen]) / count)
     assert np.array_equal(idx[keep], np.setdiff1d(idx, chosen, assume_unique=True))
     # both generators are left in the same state
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1000, 9999, 10000])
+def test_sample_rate_over_excluded_records_draws_as_over_the_subset(count):
+    # the W subset is passed as every record but the excluded positions: the
+    # draws, the rate and the kept records equal those of the gathered subset
+    rng_data = np.random.default_rng(4)
+    alice = (rng_data.random(30000) < 0.5).astype(np.uint8)
+    bob = alice ^ (rng_data.random(30000) < 0.1).astype(np.uint8)
+    idx = np.flatnonzero(rng_data.random(30000) < 0.4)[:10000]
+    excluded = np.setdiff1d(np.arange(alice.size), idx)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    rate, keep = session.sample_rate(alice, bob, count, rng, excluded=excluded)
+    ref_rate, ref_keep = session.sample_rate(alice[idx], bob[idx], count, ref_rng)
+    assert rate == ref_rate and keep.shape == alice.shape
+    assert np.array_equal(np.flatnonzero(keep), idx[ref_keep])
     assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
@@ -129,7 +213,7 @@ def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
     )
     rep = session.finish(
         pe, n_qubits=200, qubits_sent=200, n_detected=200,
-        sifted_keys=((key, key),), reception_ack=0, bases=(10, 10),
+        n_disagree=0, n_compared=100, reception_ack=0, bases=(10, 10),
         raw_bases=200, f=1.0,
     )
     assert rep.f_card == pe.v_card + pe.w_card
@@ -143,21 +227,26 @@ def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
 
 
 def test_matched_disagreement_rate_pools_the_basis_pairs():
-    # 4 of the 8 matched records disagree: 3 in the first pair, 1 in the second
+    # 4 of the 8 matched records disagree: 3 of the 3 both-X records and 1 of
+    # the 5 both-Z ones; the 2 mismatched records disagree too but are not
+    # compared.  BB84's sift pools the two bases into one count.
+    q = np.zeros(10, np.uint8)
+    k_b = np.array([1, 1, 1, 0, 0, 0, 0, 1, 1, 1], np.uint8)
+    rec = QubitRecords(q=q, b=np.array([0, 1, 2, 8]), b_prime=np.array([0, 1, 2, 9]),
+                       k_b=k_b)
+    sifted = sift(rec, SessionConfig(n_qubits=10, p_b=0.9, degree_k=2))
+    assert sifted.n_disagree == 4
     none = np.zeros(0, np.uint8)
     pe = session.PeResult(
         qber_x=None, qber_z=0.0, aborted=False, alice_remaining=none,
         bob_remaining=none, v_card=3, w_card=5, v_prime=0, w_prime=1,
         announced_bits=2,
     )
-    ones, zeros = np.ones(3, np.uint8), np.zeros(5, np.uint8)
-    one_wrong = np.array([0, 0, 0, 0, 1], np.uint8)
-    for pairs, rate in ((((ones, 1 - ones), (zeros, one_wrong)), 0.5),
-                        (((none, none), (none, none)), 0.0)):
+    for (n_disagree, n_compared), rate in (((4, 8), 0.5), ((0, 0), 0.0)):
         rep = session.finish(
             pe, n_qubits=10, qubits_sent=10, n_detected=10,
-            sifted_keys=pairs, reception_ack=0, bases=(5, 5),
-            raw_bases=10, f=1.0,
+            n_disagree=n_disagree, n_compared=n_compared, reception_ack=0,
+            bases=(5, 5), raw_bases=10, f=1.0,
         )
         assert type(rep.matched_disagreement_rate) is float
         assert rep.matched_disagreement_rate == rate
@@ -174,7 +263,7 @@ def test_sift_rate_with_no_announced_basis_is_zero():
     )
     rep = session.finish(
         pe, n_qubits=40, qubits_sent=40, n_detected=0,
-        sifted_keys=((none, none),), reception_ack=40, bases=(0, 0),
+        n_disagree=0, n_compared=0, reception_ack=40, bases=(0, 0),
         raw_bases=0, f=1.0,
     )
     assert rep.f_card == 0
@@ -193,6 +282,16 @@ GOLDEN = {
     "tf": (
         ["simulate-tf", "--seed", "5", "--set", "tf.p_click_conflict=0.02"],
         "b7deb2d3cc1f11fac2b313171c9fb31f706dad2ac78c14d0bb23d0f7f6e19704",
+    ),
+    "bb84-lossless": (
+        ["simulate-bb84", "--seed", "5", "--set", "lossless=true",
+         "--set", "n_qubits=200000"],
+        "6f9ee97ce6ae2ee9e3f3671e3ed6675270fe0c385cfa9561043994b56e51fe77",
+    ),
+    "bb84-50km": (
+        ["simulate-bb84", "--seed", "5", "--set", "length_km=50",
+         "--set", "n_qubits=2000000"],
+        "c8530b32eb3ed593af59a5c73c2cb85015c8dfacb3da2eca2e8589b82f35c0b9",
     ),
 }
 

@@ -4,10 +4,11 @@ import math
 import struct
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdeff import squeeze
@@ -20,9 +21,7 @@ from qkdeff.squeeze import (
     decode,
     encode,
     expected_codeword_length,
-    gamma,
     pack_bits,
-    prepare,
     read_container,
     sigma_asymptotic,
     sigma_curve,
@@ -41,6 +40,37 @@ SIGMA_K2_P999 = (1 - LAVC_K2_P999 / 2) * 100  # = 49.85005
 
 def bitstr(arr) -> str:
     return "".join(str(int(b)) for b in arr)
+
+
+def gamma(i: int) -> int:
+    """Number of 1s in the binary representation of i (block weight)."""
+    if i < 0:
+        raise ParameterError("block index must be nonnegative")
+    return int(i).bit_count()
+
+
+class PreparedBlocks(NamedTuple):
+    """Result of chunking: an (m, k) array of bits plus the unpadded length."""
+
+    blocks: np.ndarray
+    true_bit_length: int
+
+
+def prepare(bits, k: int) -> PreparedBlocks:
+    """Chunk a bit sequence into m = ceil(n/k) blocks of k bits.
+
+    When k does not divide n the final block is padded with the dominant
+    symbol 0; the true length travels alongside so a decoder can strip it.
+    The block view of the reference encoder.
+    """
+    if k < 1:
+        raise ParameterError("block size k must be a positive integer")
+    arr = as_bits(bits)
+    n = arr.size
+    m = -(-n // k)
+    padded = np.zeros(m * k, dtype=np.uint8)
+    padded[:n] = arr
+    return PreparedBlocks(padded.reshape(m, k), n)
 
 
 def gamma_recursive(i: int) -> int:
@@ -426,6 +456,44 @@ class TestEncodeMatchesReference:
         ref_out, ref_stats = reference_encode(bits, cb)
         assert out.dtype == np.uint8 and out.tobytes() == ref_out.tobytes()
         assert stats == ref_stats
+
+
+# one-positions inputs: every CODEC_INPUTS shape, plus sequences with a 1 at
+# both ends (n chosen freely, so k often does not divide it)
+ENDS_SET = st.integers(1, 3000).flatmap(
+    lambda n: st.sets(st.integers(0, n - 1), max_size=12).map(
+        lambda ones: [int(i in ones or i in (0, n - 1)) for i in range(n)]))
+
+
+class TestPositionsEntry:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 12]),
+           bits=st.one_of(CODEC_INPUTS, ENDS_SET))
+    @example(k=3, bits=[])
+    @example(k=1, bits=[1])
+    @example(k=5, bits=[1] + [0] * 11 + [1])  # n = 13: ones at 0 and n-1
+    @example(k=12, bits=[1] + [0] * 23 + [1])
+    def test_same_bytes_and_stats_as_dense_entry(self, k, bits):
+        cb = codebook(k)
+        ones = squeeze.OnePositions(np.flatnonzero(np.asarray(bits, np.uint8)), len(bits))
+        out, stats = encode(ones, cb)
+        dense_out, dense_stats = encode(bits, cb)
+        assert out.dtype == np.uint8 and out.tobytes() == dense_out.tobytes()
+        assert stats == dense_stats
+
+    @pytest.mark.parametrize("positions, length", [
+        ([3, 1], 5),  # not increasing
+        ([1, 1], 5),  # repeated
+        ([5], 5),  # past the end
+        ([-1, 2], 5),  # negative
+        ([0.5], 5),  # not integers
+        ([[1]], 5),  # not one-dimensional
+        ([], -1),  # negative length
+        ([1], 2.0),  # length not an integer
+    ])
+    def test_invalid_positions_rejected(self, positions, length):
+        with pytest.raises(ParameterError):
+            encode(squeeze.OnePositions(np.asarray(positions), length), codebook(4))
 
 
 class TestCodecProperties:
