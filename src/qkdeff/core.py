@@ -7,16 +7,18 @@ that combined budget,
 
     E = R*N / (N + M),
 
-with the secret key rate R = eta~ * s * (xi - H(e) - f*H(e)) and M the sum of
-announced classical bits.  All operations here are pure functions; the
-asymptotic regime (N -> infinity, delta = 0) drops the -1/N Toeplitz-seed term
-and works in per-qubit units.
+with the certified key rate R = (1-delta) * eta~ * s * (xi - H(e) - f*H(e))
+and M the sum of announced classical bits.  All operations here are pure
+functions; the asymptotic regime (N -> infinity, delta = 0) drops the -1/N
+Toeplitz-seed term and works in per-qubit units.  The ledger and E are built
+here once, by :func:`build_ledger` and :func:`efficiency`, from expected
+counts for the model and from measured counts for a simulated session.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from .errors import DegenerateChannelError, ParameterError
@@ -96,12 +98,14 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class SessionLedger:
-    """Announced classical bits per procedure.
+    """Announced classical bits per procedure, built by :func:`build_ledger`.
 
     Counts are per session of N qubits in finite mode and per transmitted
     qubit in asymptotic mode.  ``feasible`` is False when the privacy-
-    amplification entry would be negative (rate extinction); the raw value is
-    kept so that total() still satisfies the collapsed-sum identity.
+    amplification entry would be negative (rate extinction).  The model and
+    the sessions differ in one way there: the model keeps the raw negative
+    entry, so that total() still satisfies the collapsed-sum identity, while
+    a session, which cannot announce a negative seed, records 0.
     """
 
     reception_ack: float
@@ -117,14 +121,8 @@ class SessionLedger:
                 + self.pe_sacrifice + self.ec_bits + self.pa_bits)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "reception_ack": self.reception_ack,
-            "bob_bases": self.bob_bases,
-            "alice_match": self.alice_match,
-            "pe_sacrifice": self.pe_sacrifice,
-            "ec_bits": self.ec_bits,
-            "pa_bits": self.pa_bits,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "feasible"}
 
 
 @dataclass(frozen=True)
@@ -147,17 +145,7 @@ class EfficiencyReport:
     ledger: SessionLedger
 
     def as_dict(self) -> dict:
-        d = {
-            "eta_tilde": self.eta_tilde,
-            "y1": self.y1,
-            "e": self.e,
-            "h_e": self.h_e,
-            "R": self.R,
-            "r_unclamped": self.r_unclamped,
-            "M_per_qubit": self.M_per_qubit,
-            "efficiency": self.efficiency,
-            "extinct": self.extinct,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ledger"}
         d.update({f"ledger.{k}": v for k, v in self.ledger.as_dict().items()})
         return d
 
@@ -210,72 +198,85 @@ def _rate_terms(
     return eta, e, h, eta * pp.s * (pp.xi - h - ch.f * h)
 
 
-def classical_bits(ch: ChannelParams, pp: ProtocolParams) -> SessionLedger:
-    """Announced-bit ledger of one BB84 session.
-
-    Entries (finite mode, per session of N qubits):
-      reception_ack  N             detection acknowledgments
-      bob_bases      (1-sigma)*eta~*N   compressed measurement bases
-      alice_match    (1-sigma)*eta~*N   compressed match announcements
-      pe_sacrifice   delta*N       parameter-estimation sample
-      ec_bits        (1-delta)*s*eta~*N * f*H(e)
-      pa_bits        (1-delta)*s*eta~*N * (1 - f*H(e)) + R*N - 1   Toeplitz seed
-
-    The total collapses to N + 2(1-sigma)*eta~*N + delta*N + (1-delta)*s*eta~*N
-    + R*N - 1 with R the asymptotic rate.  Asymptotic mode divides by N and
-    drops the -1 seed term.
-    """
-    eta, _, h, r_asym = _rate_terms(ch, pp)
-    return _ledger(ch, pp, eta, h, r_asym)
-
-
-def _ledger(
-    ch: ChannelParams, pp: ProtocolParams, eta: float, h: float, r_asym: float
+def build_ledger(
+    acks: float, bases: tuple[float, float], pe_bits: float, key_in: float,
+    h: float, f: float, key_out: float, seed: float, *, clamp: bool = False,
 ) -> SessionLedger:
-    n = 1.0 if pp.asymptotic else float(pp.n_qubits)
+    """Announced-bit ledger from counts, expected (the model) or measured (a session).
 
-    basis_bits = (1.0 - pp.sigma) * eta * n
-    sifted = (1.0 - pp.delta) * pp.s * eta * n
-    ec = sifted * ch.f * h
-    pa = sifted - ec + r_asym * n
-    if not pp.asymptotic:
-        pa -= 1.0
-    return SessionLedger(
-        reception_ack=n,
-        bob_bases=basis_bits,
-        alice_match=basis_bits,
-        pe_sacrifice=pp.delta * n,
-        ec_bits=ec,
-        pa_bits=pa,
-        feasible=pa >= 0.0,
-    )
+    ``bases`` holds the two basis-announcement sizes in ledger order
+    (bob_bases, alice_match).  Error correction and privacy amplification
+    enter as bit-count stubs on the ``key_in`` key bits that reach them: EC
+    leaks key_in*f*H(e) syndrome bits, and PA announces a Toeplitz seed of
+    (key_in - EC) + key_out - ``seed`` bits, ``seed`` being the -1 of the
+    seed length (0 in asymptotic units).  ``clamp`` sets an infeasible PA
+    entry to 0 (see SessionLedger).
+    """
+    ec = key_in * f * h
+    pa = key_in - ec + key_out - seed
+    feasible = pa >= 0.0
+    if clamp and not feasible:
+        pa = 0.0
+    return SessionLedger(acks, *bases, pe_bits, ec, pa, feasible)
+
+
+def efficiency(key: float, uses: float, ledger: SessionLedger) -> float:
+    """Total efficiency E = key / (uses + M), M the ledger total; 0 with no key.
+
+    With no key nothing is divided: the ledger of an extinct model point may
+    hold a negative raw PA entry, and so a total of -uses or less.
+    """
+    return key / (uses + ledger.total()) if key > 0 else 0.0
+
+
+def classical_bits(ch: ChannelParams, pp: ProtocolParams) -> SessionLedger:
+    """Expected announced-bit ledger of one BB84 session (see total_efficiency).
+
+    The model has no lossless form: the ledger always counts N reception
+    acknowledgments, where a lossless session announces none.
+    """
+    return total_efficiency(ch, pp).ledger
 
 
 def total_efficiency(ch: ChannelParams, pp: ProtocolParams) -> EfficiencyReport:
     """Total efficiency E = R*N / (N + M) for one parameter point.
+
+    The ledger is :func:`build_ledger` on expected counts (finite mode, per
+    session of N qubits):
+      reception_ack  N                   detection acknowledgments
+      bob_bases      (1-sigma)*eta~*N    compressed measurement bases
+      alice_match    (1-sigma)*eta~*N    compressed match announcements
+      pe_sacrifice   delta*N             parameter-estimation sample
+      ec_bits        (1-delta)*s*eta~*N * f*H(e)
+      pa_bits        (1-delta)*s*eta~*N * (1 - f*H(e)) + R*N - 1   Toeplitz seed
+
+    with R = (1-delta)*eta~*s*(xi - H(e) - f*H(e)) the certified key rate.
+    The total collapses to N + 2(1-sigma)*eta~*N + delta*N + (1-delta)*s*eta~*N
+    + R*N - 1.  Asymptotic mode (delta = 0) works per qubit: N = 1 and no -1
+    seed term.  The model has no lossless form: it always charges N
+    acknowledgments, where a lossless session charges none.
 
     Under rate extinction (xi - H(e) - f*H(e) <= 0) the reported R and E are
     clamped to 0 and the report is flagged.
     """
     eta, e, h, r_asym = _rate_terms(ch, pp)
     r_mode = (1.0 - pp.delta) * r_asym
-
-    ledger = _ledger(ch, pp, eta, h, r_asym)
+    r = max(0.0, r_mode)
     n = 1.0 if pp.asymptotic else float(pp.n_qubits)
-    m_per_qubit = ledger.total() / n
-
-    extinct = r_asym <= 0.0
-    eff = 0.0 if extinct else r_asym / (1.0 + m_per_qubit)
+    basis_bits = (1.0 - pp.sigma) * eta * n
+    ledger = build_ledger(n, (basis_bits, basis_bits), pp.delta * n,
+                          (1.0 - pp.delta) * pp.s * eta * n, h, ch.f, r_mode * n,
+                          0.0 if pp.asymptotic else 1.0)
     return EfficiencyReport(
         eta_tilde=eta,
         y1=single_photon_yield(ch),
         e=e,
         h_e=h,
-        R=max(0.0, r_mode),
+        R=r,
         r_unclamped=r_mode,
-        M_per_qubit=m_per_qubit,
-        efficiency=eff,
-        extinct=extinct,
+        M_per_qubit=ledger.total() / n,
+        efficiency=efficiency(r * n, n, ledger),
+        extinct=r_asym <= 0.0,
         ledger=ledger,
     )
 

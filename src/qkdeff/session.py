@@ -3,14 +3,15 @@
 Each protocol draws its own events, with the exact samplers here and only
 where a report reads them, and maps them to sifted keys per basis; from
 there on both run the same stages: squeezed announcements read back and
-verified, error-rate sampling, the EC/PA bit-count stub, the two ledgers and
-the report.  Rare events (the minority basis choices, channel flips) stay
-sorted int64 positions from the sampler on: announcements are encoded from
-them, and a subset that holds nearly every record is kept as the record
-arrays plus the sorted positions it excludes, so no stage copies it before
-the remaining key is built.  The certification rule lives here, once: a
-session with no error-rate sample in any basis, or with an estimate of 1/2
-or more, certifies no key.
+verified, error-rate sampling, certification and the report.  Rare events
+(the minority basis choices, channel flips) stay sorted int64 positions
+from the sampler on: announcements are encoded from them, and a subset that
+holds nearly every record is kept as the record arrays plus the sorted
+positions it excludes, so no stage copies it before the remaining key is
+built.  The certification rule lives here, once: a session with no
+error-rate sample in any basis, or with an estimate of 1/2 or more, certifies
+no key.  The ledgers and the efficiency come from ``core.build_ledger`` and
+``core.efficiency``, the functions the model uses, fed measured counts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from . import squeeze
-from .core import SessionLedger, binary_entropy
+from .core import SessionLedger, binary_entropy, build_ledger, efficiency
 from .errors import ParameterError, SimulationIntegrityError
 
 NO_ESTIMATE = "no error-rate estimate: no key certified"
@@ -147,9 +148,9 @@ class SessionReport:
 
     ``ledger`` counts the announcements as actually made (squeezed bases);
     ``ledger_raw`` is the sigma = 0 counterpart with uncompressed bases.
-    Error correction and privacy amplification enter as bit-count stubs: the
-    EC leakage is f*H(e_est) per remaining key bit and the PA announcement is
-    the Toeplitz seed (input length + output length - 1).
+    Both come from ``core.build_ledger``: error correction and privacy
+    amplification enter as bit-count stubs on the remaining key, with the
+    estimate e_est as the error rate.
 
     ``empirical_sift_rate`` follows one rule in both protocols: basis-matched
     events per announced basis bit, ``f_card / raw_bases``.  BB84 announces a
@@ -212,7 +213,7 @@ class SessionReport:
 
 def empty_report() -> SessionReport:
     """Report of a session that sent nothing."""
-    zero = SessionLedger(0, 0, 0, 0, 0, 0)
+    zero = build_ledger(0, (0, 0), 0, 0, 0, 0, 0, 0)
     empty = np.zeros(0, np.uint8)
     return SessionReport(
         n_qubits=0, n_detected=0, f_card=0, v_card=0, w_card=0,
@@ -238,7 +239,7 @@ def finish(
     raw_bases: int,
     f: float,
 ) -> SessionReport:
-    """EC/PA accounting, both ledgers and the report of one session.
+    """Certification and the report of one session, ledgers and E from core.
 
     ``bases`` holds the squeezed sizes of the two basis announcements in
     ledger order (bob_bases, alice_match); ``raw_bases`` is the uncompressed
@@ -249,9 +250,11 @@ def finish(
     before estimation; their ratio is the matched disagreement rate.  BB84
     compares every basis-matched record (``n_compared = f_card``), the relay
     session its key (X) events only.  The error-rate estimate pools every
-    basis sample, sum(rate*count) / sum(count).  With no sample at all, or an estimate of
-    1/2 or more (where the rate xi - H(e) - f H(e) has no meaning), no key is
-    certified and the report says so in ``warnings``.
+    basis sample, sum(rate*count) / sum(count).  With no sample at all, or an
+    estimate of 1/2 or more (where the rate xi - H(e) - f H(e) has no
+    meaning), no key is certified and the report says so in ``warnings``; an
+    abort or an empty remaining key certifies nothing either.  A certified
+    key is int(k_rem * (xi - H(e_est) - f H(e_est))) bits, at least 0.
     """
     samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
                if r is not None]
@@ -264,29 +267,15 @@ def finish(
         warnings += (f"error-rate estimate {e_est:.6g} >= 1/2: no key certified",)
     k_rem = pe.alice_remaining.size
     if pe.aborted or k_rem == 0 or e_est is None or e_est >= 0.5:
-        ec_bits = pa_bits = 0.0
-        final_key = 0
-        feasible = True
+        k_rem = final_key = 0  # nothing certified: no EC, no PA
+        h_est = seed = 0.0
     else:
         h_est = binary_entropy(e_est)
-        ec_bits = k_rem * f * h_est
         final_key = max(0, int(k_rem * (XI - h_est - f * h_est)))
-        pa_raw = k_rem - ec_bits + final_key - 1.0
-        feasible = pa_raw >= 0.0
-        pa_bits = max(0.0, pa_raw)
-
-    def ledger(bob_bits: float, alice_bits: float) -> SessionLedger:
-        return SessionLedger(
-            reception_ack=reception_ack,
-            bob_bases=bob_bits,
-            alice_match=alice_bits,
-            pe_sacrifice=pe.announced_bits,
-            ec_bits=ec_bits,
-            pa_bits=pa_bits,
-            feasible=feasible,
-        )
-
-    led = ledger(*bases)
+        seed = 1.0
+    led, led_raw = (build_ledger(reception_ack, b, pe.announced_bits, k_rem, h_est, f,
+                                 final_key, seed, clamp=True)
+                    for b in (bases, (raw_bases, raw_bases)))
     f_card = pe.v_card + pe.w_card
     return SessionReport(
         n_qubits=n_qubits,
@@ -308,8 +297,8 @@ def finish(
         matched_disagreement_rate=n_disagree / n_compared if n_compared else 0.0,
         empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
         classical_bits_per_qubit=led.total() / qubits_sent,
-        empirical_efficiency=final_key / (qubits_sent + led.total()),
+        empirical_efficiency=efficiency(final_key, qubits_sent, led),
         ledger=led,
-        ledger_raw=ledger(raw_bases, raw_bases),
+        ledger_raw=led_raw,
         warnings=warnings,
     )

@@ -216,7 +216,7 @@ class TestClassicalBits:
             r = eta * pp.s * (pp.xi - h - ch.f * h)
             n = 1.0 if pp.asymptotic else pp.n_qubits
             collapsed = (n + 2 * (1 - pp.sigma) * eta * n + pp.delta * n
-                         + (1 - pp.delta) * pp.s * eta * n + r * n)
+                         + (1 - pp.delta) * pp.s * eta * n + (1 - pp.delta) * r * n)
             if not pp.asymptotic:
                 collapsed -= 1.0
             led = classical_bits(ch, pp)
@@ -261,6 +261,28 @@ class TestTotalEfficiency:
             pp_fin = replace(pp_asym, n_qubits=float(n))
             e_fin = total_efficiency(FIG2, pp_fin).efficiency
             assert abs(e_fin - e_asym) <= 2.0 / n
+
+    def test_finite_mode_certifies_r_times_n(self):
+        # E and the PA entry count the key R*N = (1-delta)*r_asym*N
+        rng = np.random.default_rng(505)
+        tested = 0
+        while tested < 300:
+            ch = random_channel(rng)
+            n = float(rng.integers(10**3, 10**9))
+            pp = replace(random_protocol(rng), delta=rng.uniform(0.0, 0.9), n_qubits=n)
+            rep = total_efficiency(ch, pp)
+            if rep.extinct:
+                continue
+            assert rep.efficiency == pytest.approx(
+                rep.R * n / (n + rep.ledger.total()), rel=1e-14
+            )
+            tested += 1
+
+    def test_sacrificed_key_lowers_the_efficiency(self):
+        # half the sifted key sacrificed for estimation is half the key lost
+        pp = ProtocolParams(s=1.0, sigma=1.0, xi=1.0, delta=0.5, n_qubits=1e6)
+        no_sacrifice = total_efficiency(FIG2, replace(pp, delta=0.0)).efficiency
+        assert total_efficiency(FIG2, pp).efficiency < no_sacrifice
 
     def test_clamping_under_extinction(self):
         ch = replace(FIG2, e_opt=0.25, p_dark=0.0)

@@ -368,6 +368,35 @@ class TestRunSession:
         analytic = total_efficiency(FIG2, pp).efficiency
         assert abs(rep.empirical_efficiency - analytic) / analytic < 0.10
 
+    def test_model_fed_the_session_counts_matches_its_pa_and_key(self):
+        # lossless, half of each sifted subset sacrificed; the model gets the
+        # session's s, sigma, delta and pooled estimate (eta~ = 1, no dark counts)
+        n = 10**6
+        cfg = SessionConfig(n_qubits=n, lossless=True, epsilon_frac=0.5,
+                            lambda_frac=0.5, rng_seed=2)
+        rep = run_session(cfg)
+        samples = [(q, c) for q, c in ((rep.qber_x, rep.v_prime), (rep.qber_z, rep.w_prime))
+                   if q is not None]
+        e_est = sum(q * c for q, c in samples) / sum(c for _, c in samples)
+        ch = ChannelParams(eta_det=1.0, p_dark=0.0, e_opt=e_est, f=cfg.channel.f)
+        pp = ProtocolParams(
+            s=rep.empirical_sift_rate, sigma=rep.empirical_sigma,
+            delta=rep.ledger.pe_sacrifice / n, xi=1.0, n_qubits=float(n),
+        )
+        model = total_efficiency(ch, pp)
+        assert model.ledger.pa_bits == pytest.approx(rep.ledger.pa_bits, rel=0.01)
+        assert model.R * n == pytest.approx(rep.final_key_bits, rel=0.01)
+
+    def test_infeasible_pa_entry_is_clamped(self):
+        # f*H(0.1) > 1: the seed would be negative, so the session records 0
+        ch = ChannelParams(e_opt=0.1, f=3.0)
+        rep = run_session(SessionConfig(n_qubits=200_000, lossless=True,
+                                        channel=ch, rng_seed=5))
+        assert not rep.aborted and rep.alice_key.size > 0
+        for led in (rep.ledger, rep.ledger_raw):
+            assert led.pa_bits == 0.0 and led.feasible is False
+        assert rep.final_key_bits == 0 and rep.empirical_efficiency == 0.0
+
     def test_near_uniform_ledger_matches_standard_accounting(self):
         # p_b ~ 0.5 and k = 1 reproduce the no-compression standard protocol
         n = 200_000
