@@ -17,9 +17,11 @@ basis, W where both used the Z basis.  With the dominant basis being Z
 
 X-basis choices are rare, so both parties' bases are kept as the sorted
 positions of their X choices, and the channel flips are drawn as positions
-too.  Sifting forms V as the intersection of the two position sets and W as
-every record but their union; the W keys are never gathered apart from the
-records, only the remaining key after estimation is.
+too.  From sifting to the remaining key the session works on one record set:
+V is the intersection of the two position sets, the discarded records their
+symmetric difference, and W every record but their union.  No key is
+gathered before estimation; the remaining key V'' and W'' is gathered once,
+in record order.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .session import (
     fair_bits,
     finish,
     rare_bits,
+    remaining_keys,
     sample_rate,
     stage_rngs,
 )
@@ -129,26 +132,23 @@ def prepare_and_measure(
 
 @dataclass(frozen=True)
 class SiftResult:
-    x_keys: tuple[np.ndarray, np.ndarray]  # (q, k_b) where both used X: V
-    # W is every record of z_records = (q, k_b) but the sorted positions
-    # z_excluded, where either party used X
-    z_records: tuple[np.ndarray, np.ndarray]
-    z_excluded: np.ndarray
-    n_detected: int
+    records: QubitRecords
+    x: np.ndarray  # sorted positions where both used X: V
+    mismatched: np.ndarray  # sorted positions where the bases differ: discarded
     n_disagree: int  # basis-matched records whose key bits differ
     bob_bits_compressed: int
     alice_bits_compressed: int
 
 
 def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
-    """Run the announcement round: bases out, match bits back, keys split by basis.
+    """Run the announcement round: bases out, match bits back, records split by basis.
 
     Bob's measured bases and Alice's match/discard sequence are squeezed with
     the degree-k codec and exchanged in the container format; both directions
     are decoded and verified, so a codec fault surfaces as
-    SimulationIntegrityError rather than key damage.  The V pair comes back
-    gathered, in record order; the W pair as the records and the positions
-    W excludes.
+    SimulationIntegrityError rather than key damage.  The split comes back as
+    positions into the records: V (both used X) and the discarded records;
+    W (both used Z) is every other record.
     """
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
     n, b, b_prime = len(records), records.b, records.b_prime
@@ -156,15 +156,13 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     bob_bits = announce(b_prime, n, cb, "basis")
     alice_bits = announce(mismatched, n, cb, "match")  # 1 = discard
 
-    x = np.intersect1d(b, b_prime, assume_unique=True)
     q, k_b = records.q, records.k_b
     disagree = (np.count_nonzero(q != k_b)
                 - np.count_nonzero(q[mismatched] != k_b[mismatched]))
     return SiftResult(
-        x_keys=(q[x], k_b[x]),
-        z_records=(q, k_b),
-        z_excluded=np.sort(np.concatenate([x, mismatched])),  # either used X
-        n_detected=n,
+        records=records,
+        x=np.intersect1d(b, b_prime, assume_unique=True),
+        mismatched=mismatched,
         n_disagree=int(disagree),
         bob_bits_compressed=bob_bits,
         alice_bits_compressed=alice_bits,
@@ -180,11 +178,15 @@ def parameter_estimation(
     the both-Z subset (plus Bob's one-bit proceed/terminate message, which is
     counted).  A subset whose sacrifice rounds to zero yields no estimate; the
     condition is reported in ``warnings`` instead of being silently skipped.
+    The remaining key is every basis-matched record not sampled, in record
+    order.
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[1]
-    (ax, bx), (q, k_b) = sifted.x_keys, sifted.z_records
-    v_card, w_card = ax.size, q.size - sifted.z_excluded.size
+    x, mismatched, rec = sifted.x, sifted.mismatched, sifted.records
+    q, k_b = rec.q, rec.k_b
+    excluded = np.union1d(rec.b, rec.b_prime)  # either used X: not W
+    v_card, w_card = x.size, q.size - excluded.size
     v_prime = int(cfg.epsilon_frac * v_card)
     w_prime = int(cfg.lambda_frac * w_card)
 
@@ -194,29 +196,20 @@ def parameter_estimation(
     if w_prime == 0:
         warnings.append("z-basis parameter-estimation sample is empty")
 
-    qber_x, keep_x = sample_rate(ax, bx, v_prime, rng)
-    qber_z, keep_z = sample_rate(q, k_b, w_prime, rng, excluded=sifted.z_excluded)
+    qber_x, drawn_x = sample_rate(q[x], k_b[x], v_prime, rng)
+    qber_z, drawn_z = sample_rate(q, k_b, w_prime, rng, excluded=excluded)
 
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
     aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
 
-    if aborted:
-        alice_rem = np.zeros(0, np.uint8)
-        bob_rem = np.zeros(0, np.uint8)
-    else:  # V'' then W'' order
-        alice_rem = np.concatenate([ax[keep_x], q[keep_z]])
-        bob_rem = np.concatenate([bx[keep_x], k_b[keep_z]])
+    alice_rem = bob_rem = np.zeros(0, np.uint8)
+    if not aborted:
+        alice_rem, bob_rem = remaining_keys(q, k_b, mismatched, x[drawn_x], drawn_z)
     return PeResult(
-        qber_x=qber_x,
-        qber_z=qber_z,
-        aborted=aborted,
-        alice_remaining=alice_rem,
-        bob_remaining=bob_rem,
-        v_card=v_card,
-        w_card=w_card,
-        v_prime=v_prime,
-        w_prime=w_prime,
+        qber_x=qber_x, qber_z=qber_z, aborted=aborted,
+        alice_remaining=alice_rem, bob_remaining=bob_rem,
+        v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=w_prime,
         announced_bits=v_prime + w_prime + 1,  # + proceed/terminate bit
         warnings=tuple(warnings),
     )
@@ -235,11 +228,11 @@ def run_session(cfg: SessionConfig) -> SessionReport:
         pe,
         n_qubits=cfg.n_qubits,
         qubits_sent=cfg.n_qubits,
-        n_detected=sifted.n_detected,
+        n_detected=len(records),
         n_disagree=sifted.n_disagree,
         n_compared=pe.v_card + pe.w_card,
         reception_ack=0 if cfg.lossless else cfg.n_qubits,
         bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
-        raw_bases=sifted.n_detected,
+        raw_bases=len(records),
         f=cfg.channel.f,
     )

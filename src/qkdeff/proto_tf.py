@@ -44,6 +44,7 @@ from .session import (
     fair_bits,
     finish,
     rare_bits,
+    remaining_keys,
     sample_rate,
     stage_rngs,
 )
@@ -131,10 +132,11 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     # error-rate estimate on a sacrificed X subset (decoy analysis out of scope)
     v_prime = int(cfg.pe_frac * v_card)
     warnings = () if v_prime else ("x-basis parameter-estimation sample is empty",)
-    qber_x, keep = sample_rate(key_a, key_b, v_prime, rng_pe)
+    qber_x, drawn = sample_rate(key_a, key_b, v_prime, rng_pe)
+    alice_rem, bob_rem = remaining_keys(key_a, key_b, drawn)
     pe = PeResult(
         qber_x=qber_x, qber_z=None, aborted=False,
-        alice_remaining=key_a[keep], bob_remaining=key_b[keep],
+        alice_remaining=alice_rem, bob_remaining=bob_rem,
         v_card=v_card, w_card=w_card,
         v_prime=v_prime, w_prime=0, announced_bits=v_prime, warnings=warnings,
     )

@@ -1,23 +1,25 @@
 """Session stages shared by the BB84 and relay simulations.
 
 Each protocol draws its own events, with the exact samplers here and only
-where a report reads them, and maps them to sifted keys per basis; from
+where a report reads them, and maps them to sifted subsets per basis; from
 there on both run the same stages: squeezed announcements read back and
 verified, error-rate sampling, certification and the report.  Rare events
 (the minority basis choices, channel flips) stay sorted int64 positions
 from the sampler on: announcements are encoded from them, and a subset that
 holds nearly every record is kept as the record arrays plus the sorted
-positions it excludes, so no stage copies it before the remaining key is
-built.  The certification rule lives here, once: a session with no
-error-rate sample in any basis, or with an estimate of 1/2 or more, certifies
-no key.  The ledgers and the efficiency come from ``core.build_ledger`` and
+positions it excludes, so no stage copies it.  Both sessions build the
+remaining key by one rule: one mask clears the discarded and sampled
+positions, and each party's key is gathered once, in record order.  The
+certification rule lives here, once: a session with no error-rate sample in
+any basis, or with an estimate of 1/2 or more, certifies no key.  The
+ledgers and the efficiency come from ``core.build_ledger`` and
 ``core.efficiency``, the functions the model uses, fed measured counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -107,24 +109,36 @@ def sample_rate(
     alice: np.ndarray, bob: np.ndarray, count: int, rng: np.random.Generator,
     excluded: np.ndarray = NO_POSITIONS,
 ) -> tuple[float | None, np.ndarray]:
-    """Disagreement rate on ``count`` records drawn from one subset, and a keep mask.
+    """Disagreement rate on ``count`` records drawn from one subset, and their positions.
 
     The subset is every record of the two keys but the sorted positions
     ``excluded``; its records are drawn by rank, as ``rng.choice`` over the
-    subset alone would draw them.  The mask keeps the subset's records not
-    drawn.  An empty sample gives no rate (None) and keeps the whole subset.
+    subset alone would draw them, and come back as sorted int64 record
+    positions.  An empty sample gives no rate (None) and no positions, and
+    draws nothing.
+    """
+    if count == 0:
+        return None, NO_POSITIONS
+    ranks = rng.choice(alice.size - excluded.size, size=count, replace=False)
+    ranks.sort()  # sorted ranks map to sorted positions, and faster
+    drawn = record_positions(ranks, excluded)
+    mism = np.count_nonzero(alice[drawn] != bob[drawn])
+    # a plain float keeps numpy scalars out of the report and the abort flag
+    return float(mism / count), drawn
+
+
+def remaining_keys(
+    alice: np.ndarray, bob: np.ndarray, *cleared: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each party's key at every record not in ``cleared``, in record order.
+
+    ``cleared`` holds position arrays (discarded and sampled records); one
+    mask over the records drops them all, and each key is gathered once.
     """
     keep = np.ones(alice.size, dtype=bool)
-    keep[excluded] = False
-    if count == 0:
-        return None, keep
-    ranks = rng.choice(alice.size - excluded.size, size=count, replace=False)
-    ranks.sort()  # the rate and the mask ignore the order; the map is faster sorted
-    pos = record_positions(ranks, excluded)
-    mism = np.count_nonzero(alice[pos] != bob[pos])
-    keep[pos] = False
-    # a plain float keeps numpy scalars out of the report and the abort flag
-    return float(mism / count), keep
+    for positions in cleared:
+        keep[positions] = False
+    return alice[keep], bob[keep]
 
 
 @dataclass(frozen=True)
@@ -155,6 +169,11 @@ class SessionReport:
     ``empirical_sift_rate`` follows one rule in both protocols: basis-matched
     events per announced basis bit, ``f_card / raw_bases``.  BB84 announces a
     basis for each detected qubit, the relay session one for each pulse pair.
+
+    ``matched_disagreement_rate`` does not: BB84 compares every basis-matched
+    record (both-X and both-Z, ``f_card`` of them), the relay session only
+    its X key events (``v_card``), while its ``f_card`` also counts the Z
+    decoy events.  The two protocols' rates are not comparable.
     """
 
     n_qubits: int
@@ -169,45 +188,27 @@ class SessionReport:
     qber_x: float | None
     qber_z: float | None
     aborted: bool
-    alice_key: np.ndarray
-    bob_key: np.ndarray
     final_key_bits: int
     empirical_sift_rate: float
     matched_disagreement_rate: float
     empirical_sigma: float
     classical_bits_per_qubit: float
     empirical_efficiency: float
+    alice_key: np.ndarray
+    bob_key: np.ndarray
     ledger: SessionLedger
     ledger_raw: SessionLedger
     warnings: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        d = {
-            "n_qubits": self.n_qubits,
-            "n_detected": self.n_detected,
-            "f_card": self.f_card,
-            "v_card": self.v_card,
-            "w_card": self.w_card,
-            "v_prime": self.v_prime,
-            "w_prime": self.w_prime,
-            "v_dprime": self.v_dprime,
-            "w_dprime": self.w_dprime,
-            "qber_x": self.qber_x,
-            "qber_z": self.qber_z,
-            "aborted": self.aborted,
-            "final_key_bits": self.final_key_bits,
-            "empirical_sift_rate": self.empirical_sift_rate,
-            "matched_disagreement_rate": self.matched_disagreement_rate,
-            "empirical_sigma": self.empirical_sigma,
-            "classical_bits_per_qubit": self.classical_bits_per_qubit,
-            "empirical_efficiency": self.empirical_efficiency,
-            "alice_key_hex": squeeze.pack_bits(self.alice_key).hex(),
-            "bob_key_hex": squeeze.pack_bits(self.bob_key).hex(),
-            "key_bit_length": int(self.alice_key.size),
-            "warnings": list(self.warnings),
-        }
-        d.update({f"ledger.{k}": v for k, v in self.ledger.as_dict().items()})
-        d.update({f"ledger_raw.{k}": v for k, v in self.ledger_raw.as_dict().items()})
+        """Plain fields by name, the keys as hex and bit length, then both ledgers."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("alice_key", "bob_key", "ledger", "ledger_raw", "warnings")}
+        d.update(alice_key_hex=squeeze.pack_bits(self.alice_key).hex(),
+                 bob_key_hex=squeeze.pack_bits(self.bob_key).hex(),
+                 key_bit_length=int(self.alice_key.size), warnings=list(self.warnings))
+        for name in ("ledger", "ledger_raw"):
+            d.update({f"{name}.{k}": v for k, v in getattr(self, name).as_dict().items()})
         return d
 
 

@@ -46,16 +46,20 @@ def dense_bases(rec: QubitRecords) -> tuple[np.ndarray, np.ndarray]:
     return b, b_prime
 
 
+def x_keys(res: SiftResult) -> tuple[np.ndarray, np.ndarray]:
+    """The V pair gathered from the records, in record order."""
+    return res.records.q[res.x], res.records.k_b[res.x]
+
+
 def z_keys(res: SiftResult) -> tuple[np.ndarray, np.ndarray]:
     """The W pair gathered from the records, in record order."""
-    q, k_b = res.z_records
-    keep = np.ones(q.size, dtype=bool)
-    keep[res.z_excluded] = False
-    return q[keep], k_b[keep]
+    keep = np.ones(len(res.records), dtype=bool)
+    keep[res.x] = keep[res.mismatched] = False
+    return res.records.q[keep], res.records.k_b[keep]
 
 
 def n_sifted(res: SiftResult) -> int:
-    return res.x_keys[0].size + res.n_detected - res.z_excluded.size
+    return len(res.records) - res.mismatched.size
 
 
 class TestPrepareAndMeasure:
@@ -126,12 +130,12 @@ class TestSift:
         rec = QubitRecords(q=rec.q, b=rec.b, b_prime=every_other, k_b=rec.k_b)
         res = sift(rec, cfg)
         assert n_sifted(res) == 0
-        assert all(key.size == 0 for key in res.x_keys + z_keys(res))
+        assert all(key.size == 0 for key in x_keys(res) + z_keys(res))
 
     @pytest.mark.parametrize("lossless, length_km", [(True, 0.0), (False, 50.0)])
     def test_keys_split_by_basis_in_record_order(self, lossless, length_km):
-        # PE draws positions within each pair and keeps V'' before W'', so
-        # both the split and the order within a basis reach the report
+        # PE draws within each subset and keeps the rest in record order, so
+        # both the split and the order reach the report
         ch = ChannelParams(length_km=length_km, e_opt=0.05)
         cfg = SessionConfig(n_qubits=200_000 if lossless else 2_000_000, p_b=0.8,
                             channel=ch, lossless=lossless, rng_seed=18)
@@ -140,7 +144,7 @@ class TestSift:
         b, b_prime = dense_bases(rec)
         both_x = (b == 1) & (b_prime == 1)
         both_z = (b == 0) & (b_prime == 0)
-        for (alice, bob), mask in ((res.x_keys, both_x), (z_keys(res), both_z)):
+        for (alice, bob), mask in ((x_keys(res), both_x), (z_keys(res), both_z)):
             assert alice.dtype == bob.dtype == np.uint8
             assert np.array_equal(alice, rec.q[mask])
             assert np.array_equal(bob, rec.k_b[mask])
@@ -151,8 +155,8 @@ class TestSift:
         cfg = SessionConfig(n_qubits=100_000, p_b=0.999, channel=FIG2, rng_seed=9)
         rec = prepare_and_measure(cfg)
         res = sift(rec, cfg)
-        assert res.n_detected == len(rec) < cfg.n_qubits
-        assert 0 < n_sifted(res) <= res.n_detected
+        assert res.records is rec and len(rec) < cfg.n_qubits
+        assert 0 < n_sifted(res) <= len(rec)
 
     def test_decode_mismatch_is_fatal(self, monkeypatch):
         cfg = SessionConfig(n_qubits=1024, p_b=0.9, channel=NOISELESS,
@@ -176,17 +180,17 @@ class TestSift:
                             channel=NOISELESS, lossless=True, rng_seed=11)
         res = sift(prepare_and_measure(cfg), cfg)
         compressed = res.bob_bits_compressed + res.alice_bits_compressed
-        assert compressed < 0.55 * 2 * res.n_detected
+        assert compressed < 0.55 * 2 * len(res.records)
 
 
 class TestParameterEstimation:
     def _sifted(self, alice, bob, basis):
         alice = np.asarray(alice, dtype=np.uint8)
         bob = np.asarray(bob, dtype=np.uint8)
-        x = np.asarray(basis) == 1
+        x = np.flatnonzero(np.asarray(basis) == 1)
         return SiftResult(
-            x_keys=(alice[x], bob[x]), z_records=(alice, bob),
-            z_excluded=np.flatnonzero(x), n_detected=alice.size,
+            records=QubitRecords(q=alice, b=x, b_prime=x, k_b=bob),
+            x=x, mismatched=np.zeros(0, np.int64),
             n_disagree=int(np.count_nonzero(alice != bob)),
             bob_bits_compressed=0, alice_bits_compressed=0,
         )
@@ -238,16 +242,28 @@ class TestParameterEstimation:
         assert any("x-basis" in w for w in pe.warnings)
         assert pe.qber_z is not None
 
-    def test_survivors_keep_x_then_z_order(self):
-        n = 1000
-        basis = np.concatenate([np.ones(n // 2), np.zeros(n // 2)])
-        alice = np.concatenate([np.ones(n // 2), np.zeros(n // 2)])
-        cfg = SessionConfig(n_qubits=n, p_b=0.7, channel=NOISELESS,
-                            lossless=True, rng_seed=16)
-        pe = parameter_estimation(self._sifted(alice, alice, basis), cfg)
-        vpp = pe.v_card - pe.v_prime
-        assert np.all(pe.alice_remaining[:vpp] == 1)  # X block first
-        assert np.all(pe.alice_remaining[vpp:] == 0)  # then Z block
+    def test_remaining_key_is_the_undrawn_matched_records_in_record_order(self):
+        # p_b = 0.8 puts ~4% of the records in V, so V'' is far from empty and
+        # a V''-then-W'' key would differ from the record-order one
+        cfg = SessionConfig(n_qubits=20_000, p_b=0.8, epsilon_frac=0.1,
+                            channel=ChannelParams(e_opt=0.05), lossless=True,
+                            rng_seed=16)
+        rng_prep, rng_pe = stage_rngs(cfg.rng_seed)
+        rec = prepare_and_measure(cfg, rng_prep)
+        res = sift(rec, cfg)
+        pe = parameter_estimation(res, cfg, rng_pe)
+        assert not pe.aborted and pe.v_card - pe.v_prime > 0
+        # redraw the two samples from the same generator, as dense masks
+        _, ref_rng = stage_rngs(cfg.rng_seed)
+        b, b_prime = dense_bases(rec)
+        keep = np.zeros(len(rec), dtype=bool)
+        for idx, count in ((np.flatnonzero((b == 1) & (b_prime == 1)), pe.v_prime),
+                           (np.flatnonzero((b == 0) & (b_prime == 0)), pe.w_prime)):
+            keep[idx] = True
+            keep[ref_rng.choice(idx, size=count, replace=False)] = False
+        assert np.array_equal(pe.alice_remaining, rec.q[keep])
+        assert np.array_equal(pe.bob_remaining, rec.k_b[keep])
+        assert np.any(pe.alice_remaining != pe.bob_remaining)
 
 
 def reference_parameter_estimation(sifted, cfg, rng):
@@ -279,7 +295,8 @@ def reference_parameter_estimation(sifted, cfg, rng):
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
     aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
-    keep = np.zeros(0, np.intp) if aborted else np.concatenate([x_rest, z_rest])
+    keep = (np.zeros(0, np.intp) if aborted
+            else np.sort(np.concatenate([x_rest, z_rest])))  # record order
     return PeResult(
         qber_x=qber_x, qber_z=qber_z, aborted=aborted,
         alice_remaining=keys[0][keep], bob_remaining=keys[1][keep],

@@ -149,21 +149,23 @@ def test_announce_rejects_header_degree_mismatch(monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 1, 7, 1000, 9999, 10000])
 def test_sample_rate_draws_as_choice_over_idx(count):
-    # sampling the keys of a subset idx draws and keeps the same positions as
-    # rng.choice(idx) and a set difference, so the session RNG stream and
-    # reports stay as they were
+    # sampling the keys of a subset idx draws the same positions as
+    # rng.choice(idx), so the session RNG stream and reports stay as they were
     rng_data = np.random.default_rng(3)
     alice = (rng_data.random(30000) < 0.5).astype(np.uint8)
     bob = alice ^ (rng_data.random(30000) < 0.1).astype(np.uint8)
     idx = np.flatnonzero(rng_data.random(30000) < 0.4)[:10000]
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    rate, keep = session.sample_rate(alice[idx], bob[idx], count, rng)
+    rate, drawn = session.sample_rate(alice[idx], bob[idx], count, rng)
+    assert drawn.dtype == np.int64
     if count == 0:
-        assert rate is None and keep.shape == idx.shape and keep.all()
+        assert rate is None and drawn.size == 0
+        # an empty sample draws nothing
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
         return
     chosen = ref_rng.choice(idx, size=count, replace=False)
     assert rate == float(np.count_nonzero(alice[chosen] != bob[chosen]) / count)
-    assert np.array_equal(idx[keep], np.setdiff1d(idx, chosen, assume_unique=True))
+    assert np.array_equal(idx[drawn], np.sort(chosen))
     # both generators are left in the same state
     assert rng.integers(2**62) == ref_rng.integers(2**62)
 
@@ -171,17 +173,18 @@ def test_sample_rate_draws_as_choice_over_idx(count):
 @pytest.mark.parametrize("count", [0, 1, 7, 1000, 9999, 10000])
 def test_sample_rate_over_excluded_records_draws_as_over_the_subset(count):
     # the W subset is passed as every record but the excluded positions: the
-    # draws, the rate and the kept records equal those of the gathered subset
+    # draws and the rate equal those of the gathered subset, and the drawn
+    # positions are record positions
     rng_data = np.random.default_rng(4)
     alice = (rng_data.random(30000) < 0.5).astype(np.uint8)
     bob = alice ^ (rng_data.random(30000) < 0.1).astype(np.uint8)
     idx = np.flatnonzero(rng_data.random(30000) < 0.4)[:10000]
     excluded = np.setdiff1d(np.arange(alice.size), idx)
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    rate, keep = session.sample_rate(alice, bob, count, rng, excluded=excluded)
-    ref_rate, ref_keep = session.sample_rate(alice[idx], bob[idx], count, ref_rng)
-    assert rate == ref_rate and keep.shape == alice.shape
-    assert np.array_equal(np.flatnonzero(keep), idx[ref_keep])
+    rate, drawn = session.sample_rate(alice, bob, count, rng, excluded=excluded)
+    ref_rate, ref_drawn = session.sample_rate(alice[idx], bob[idx], count, ref_rng)
+    assert rate == ref_rate and drawn.dtype == np.int64
+    assert np.array_equal(drawn, idx[ref_drawn])
     assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
