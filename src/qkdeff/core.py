@@ -159,15 +159,35 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _detection(ch: ChannelParams, length_km: float) -> tuple[float, float]:
+    """eta~ and y1 of the channel at length_km."""
+    eta = ch.eta_det * 10.0 ** (-ch.alpha * length_km / 10.0)
+    return eta, ch.p_dark + eta - ch.p_dark * eta
+
+
+def _channel_terms(
+    ch: ChannelParams, length_km: float
+) -> tuple[float, float, float, float]:
+    """eta~, y1, e and H(e) of the channel at length_km (see qber)."""
+    eta, y1 = _detection(ch, length_km)
+    if y1 <= 0.0:
+        raise DegenerateChannelError("no detection events: y1 = 0")
+    e = (ch.e0 * ch.p_dark + ch.e_opt * eta) / y1
+    if e > 1.0:
+        raise DegenerateChannelError(
+            f"error model breakdown: computed error rate {e:.3f} > 1"
+        )
+    return eta, y1, e, binary_entropy(e)
+
+
 def transmittance(ch: ChannelParams) -> float:
     """Total transmittance eta~ = eta_det * 10^(-alpha*L/10)."""
-    return ch.eta_det * 10.0 ** (-ch.alpha * ch.length_km / 10.0)
+    return _detection(ch, ch.length_km)[0]
 
 
 def single_photon_yield(ch: ChannelParams) -> float:
-    """Probability y1 that a transmitted photon produces a detection event."""
-    eta = transmittance(ch)
-    return ch.p_dark + eta - ch.p_dark * eta
+    """Probability y1 = p_dark + eta~ - p_dark*eta~ of a detection event."""
+    return _detection(ch, ch.length_km)[1]
 
 
 def qber(ch: ChannelParams) -> float:
@@ -177,25 +197,7 @@ def qber(ch: ChannelParams) -> float:
     coincide (e0 + e_opt near 2); the error model does not apply there and
     the channel is treated as degenerate.
     """
-    y1 = single_photon_yield(ch)
-    if y1 <= 0.0:
-        raise DegenerateChannelError("no detection events: y1 = 0")
-    e = (ch.e0 * ch.p_dark + ch.e_opt * transmittance(ch)) / y1
-    if e > 1.0:
-        raise DegenerateChannelError(
-            f"error model breakdown: computed error rate {e:.3f} > 1"
-        )
-    return e
-
-
-def _rate_terms(
-    ch: ChannelParams, pp: ProtocolParams
-) -> tuple[float, float, float, float]:
-    """eta~, e, H(e) and the asymptotic rate eta~*s*(xi - H(e) - f*H(e))."""
-    eta = transmittance(ch)
-    e = qber(ch)
-    h = binary_entropy(e)
-    return eta, e, h, eta * pp.s * (pp.xi - h - ch.f * h)
+    return _channel_terms(ch, ch.length_km)[2]
 
 
 def build_ledger(
@@ -259,17 +261,24 @@ def total_efficiency(ch: ChannelParams, pp: ProtocolParams) -> EfficiencyReport:
     Under rate extinction (xi - H(e) - f*H(e) <= 0) the reported R and E are
     clamped to 0 and the report is flagged.
     """
-    eta, e, h, r_asym = _rate_terms(ch, pp)
+    return _report(_channel_terms(ch, ch.length_km), ch.f, pp)
+
+
+def _report(terms: tuple[float, float, float, float], f: float,
+            pp: ProtocolParams) -> EfficiencyReport:
+    """The report of :func:`total_efficiency` from the channel terms."""
+    eta, y1, e, h = terms
+    r_asym = eta * pp.s * (pp.xi - h - f * h)
     r_mode = (1.0 - pp.delta) * r_asym
     r = max(0.0, r_mode)
     n = 1.0 if pp.asymptotic else float(pp.n_qubits)
     basis_bits = (1.0 - pp.sigma) * eta * n
     ledger = build_ledger(n, (basis_bits, basis_bits), pp.delta * n,
-                          (1.0 - pp.delta) * pp.s * eta * n, h, ch.f, r_mode * n,
+                          (1.0 - pp.delta) * pp.s * eta * n, h, f, r_mode * n,
                           0.0 if pp.asymptotic else 1.0)
     return EfficiencyReport(
         eta_tilde=eta,
-        y1=single_photon_yield(ch),
+        y1=y1,
         e=e,
         h_e=h,
         R=r,
@@ -288,10 +297,9 @@ def optimality_bb84(ch: ChannelParams) -> float:
     0 under rate extinction.  It bounds the asymptotic efficiency only: with
     finite N the -1 seed term can lift total_efficiency above it.
     """
-    eta = transmittance(ch)
-    if eta <= 0.0:
+    if transmittance(ch) <= 0.0:
         raise DegenerateChannelError("optimality undefined for eta~ = 0")
-    h = binary_entropy(qber(ch))
+    eta, _, _, h = _channel_terms(ch, ch.length_km)
     num = 1.0 - h - ch.f * h
     if num <= 0.0:
         return 0.0
@@ -325,21 +333,21 @@ def efficiency_curve(
     """Standard vs optimal efficiency over a grid of link lengths.
 
     The standard setting evaluates pp with s = 1/2 and sigma = 0; the optimal
-    setting takes the s, sigma -> 1 limit at the same capacity xi.
+    setting takes the s, sigma -> 1 limit at the same capacity xi.  Both share
+    one evaluation of the channel terms (eta~, y1, e, H(e)) per length.
     """
     if len(lengths) == 0:
         raise ParameterError("lengths must be nonempty")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ParameterError("lengths must be strictly increasing")
     std_pp = replace(pp, s=0.5, sigma=0.0)
+    opt_pp = ProtocolParams(s=1.0, sigma=1.0, xi=pp.xi)
     points = []
     for length in lengths:
-        ch_l = replace(ch, length_km=float(length))
-        points.append(
-            CurvePoint(
-                length_km=float(length),
-                standard=total_efficiency(ch_l, std_pp),
-                optimal=determine_optimality(ch_l, pp.xi),
-            )
-        )
+        length = float(length)
+        if not 0.0 <= length < math.inf:  # the length_km check of ChannelParams
+            raise ParameterError(f"length_km must be finite and >= 0, got {length}")
+        terms = _channel_terms(ch, length)
+        points.append(CurvePoint(length, _report(terms, ch.f, std_pp),
+                                 _report(terms, ch.f, opt_pp)))
     return points

@@ -82,8 +82,9 @@ def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
 
 def _probabilities_by_weight(k: int, p: float) -> list[float]:
     # Decimal keeps tabulated decimal probabilities exact: float(1 - 0.999)
-    # carries rounding junk, Decimal("0.999") does not.
-    dp = Decimal(repr(p))
+    # carries rounding junk, Decimal("0.999") does not.  float() first: the
+    # repr of a numpy scalar is not a number literal under numpy 2.
+    dp = Decimal(repr(float(p)))
     dq = 1 - dp
     return [float(dp ** (k - g) * dq**g) for g in range(k + 1)]
 

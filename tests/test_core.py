@@ -423,6 +423,61 @@ class TestEfficiencyCurve:
         with pytest.raises(ParameterError):
             efficiency_curve(FIG2, ProtocolParams(), [10.0, 5.0])
 
+    @pytest.mark.parametrize("grid", [
+        [-1.0, 0.0, 5.0], [-math.inf, 0.0, 5.0], [0.0, 5.0, math.inf],
+        [math.nan, 0.0, 5.0], [0.0, math.nan, 5.0], [0.0, 5.0, math.nan],
+    ])
+    def test_bad_length_has_the_channel_message(self, grid):
+        bad = next(x for x in grid if not 0.0 <= x < math.inf)
+        with pytest.raises(ParameterError) as single:
+            replace(FIG2, length_km=bad)
+        assert str(single.value) == f"length_km must be finite and >= 0, got {bad}"
+        with pytest.raises(ParameterError) as curve:
+            efficiency_curve(FIG2, ProtocolParams(), grid)
+        assert str(curve.value) == str(single.value)
+
+    @pytest.mark.parametrize("ch", [
+        ChannelParams(eta_det=0.0, p_dark=0.0), ChannelParams(e0=1.0, e_opt=1.0),
+    ])
+    def test_degenerate_channel_has_the_single_point_message(self, ch):
+        with pytest.raises(DegenerateChannelError) as single:
+            total_efficiency(ch, ProtocolParams())
+        with pytest.raises(DegenerateChannelError) as curve:
+            efficiency_curve(ch, ProtocolParams(), [0.0, 10.0])
+        assert str(curve.value) == str(single.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # e0, e_opt <= 1/2 keep e <= 1, and p_dark > 0 keeps y1 > 0
+        ch=st.builds(
+            ChannelParams, alpha=st.floats(0.1, 0.5), eta_det=st.floats(0.01, 1.0),
+            p_dark=st.floats(1e-9, 1e-3), e_opt=st.floats(0.0, 0.5),
+            e0=st.floats(0.25, 0.5), f=st.floats(1.0, 1.5),
+        ),
+        pp=st.one_of(
+            st.builds(ProtocolParams, s=st.floats(0.01, 1.0),
+                      sigma=st.floats(0.0, 1.0),
+                      xi=st.floats(0.0, 1.0, exclude_max=True)),
+            st.builds(ProtocolParams, s=st.floats(0.01, 1.0),
+                      sigma=st.floats(0.0, 1.0),
+                      xi=st.floats(0.0, 1.0, exclude_max=True),
+                      delta=st.floats(0.0, 0.9, exclude_min=True),
+                      n_qubits=st.integers(1, 10**12).map(float)),
+        ),
+        grid=st.lists(st.floats(0.0, 999.0), max_size=12, unique=True).map(sorted),
+    )
+    def test_points_equal_the_single_point_reports(self, ch, pp, grid):
+        # 1000 km is dark-count dominated for every channel drawn: extinct
+        grid = grid + [1000.0]
+        pts = efficiency_curve(ch, pp, grid)
+        assert [pt.length_km for pt in pts] == grid
+        assert pts[-1].standard.extinct and pts[-1].optimal.extinct
+        std_pp = replace(pp, s=0.5, sigma=0.0)
+        for pt in pts:
+            ch_l = replace(ch, length_km=pt.length_km)
+            assert pt.standard.as_dict() == total_efficiency(ch_l, std_pp).as_dict()
+            assert pt.optimal.as_dict() == determine_optimality(ch_l, pp.xi).as_dict()
+
 
 class TestProtocolParamsValidation:
     def test_sifting_coefficient_domain(self):

@@ -572,6 +572,17 @@ class TestSigmaAnalytics:
         with pytest.raises(ParameterError):
             sigma_curve([], 0.999)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("p", [0.9, 0.999])
+    def test_numpy_scalar_bias_equals_float_bias(self, dtype, p):
+        # under numpy 2 repr(np.float64(0.9)) is 'np.float64(0.9)', no number
+        bias = dtype(p)
+        assert sigma_curve([2, 3], bias) == sigma_curve([2, 3], float(bias))
+        assert expected_codeword_length(4, bias) == expected_codeword_length(
+            4, float(bias))
+        assert build_codebook(3, bias).entries == build_codebook(
+            3, float(bias)).entries
+
     def test_empirical_sigma_concentrates_on_expected(self):
         k, p, n = 8, 0.999, 1_000_000
         cb = build_codebook(k, p)
