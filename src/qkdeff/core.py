@@ -222,13 +222,14 @@ def build_ledger(
     return SessionLedger(acks, *bases, pe_bits, ec, pa, feasible)
 
 
-def efficiency(key: float, uses: float, ledger: SessionLedger) -> float:
-    """Total efficiency E = key / (uses + M), M the ledger total; 0 with no key.
+def efficiency(key: float, uses: float, announced: float) -> float:
+    """Total efficiency E = key / (uses + M), M the ``announced`` ledger total.
 
-    With no key nothing is divided: the ledger of an extinct model point may
-    hold a negative raw PA entry, and so a total of -uses or less.
+    E is 0 with no key, and then nothing is divided: the ledger of an extinct
+    model point may hold a negative raw PA entry, and so a total of -uses or
+    less.
     """
-    return key / (uses + ledger.total()) if key > 0 else 0.0
+    return key / (uses + announced) if key > 0 else 0.0
 
 
 def classical_bits(ch: ChannelParams, pp: ProtocolParams) -> SessionLedger:
@@ -271,11 +272,11 @@ def _report(terms: tuple[float, float, float, float], f: float,
     r_asym = eta * pp.s * (pp.xi - h - f * h)
     r_mode = (1.0 - pp.delta) * r_asym
     r = max(0.0, r_mode)
-    n = 1.0 if pp.asymptotic else float(pp.n_qubits)
+    n, seed = (1.0, 0.0) if pp.asymptotic else (float(pp.n_qubits), 1.0)
     basis_bits = (1.0 - pp.sigma) * eta * n
     ledger = build_ledger(n, (basis_bits, basis_bits), pp.delta * n,
-                          (1.0 - pp.delta) * pp.s * eta * n, h, f, r_mode * n,
-                          0.0 if pp.asymptotic else 1.0)
+                          (1.0 - pp.delta) * pp.s * eta * n, h, f, r_mode * n, seed)
+    announced = ledger.total()
     return EfficiencyReport(
         eta_tilde=eta,
         y1=y1,
@@ -283,8 +284,8 @@ def _report(terms: tuple[float, float, float, float], f: float,
         h_e=h,
         R=r,
         r_unclamped=r_mode,
-        M_per_qubit=ledger.total() / n,
-        efficiency=efficiency(r * n, n, ledger),
+        M_per_qubit=announced / n,
+        efficiency=efficiency(r * n, n, announced),
         extinct=r_asym <= 0.0,
         ledger=ledger,
     )

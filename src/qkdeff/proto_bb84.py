@@ -1,10 +1,10 @@
 """Monte-Carlo simulation of the biased-basis, squeezed-announcement BB84 session.
 
-The quantum layer is modeled classically at the record level: preparation and
-measurement happen in the Z (bit 0) or X (bit 1) basis, matched-basis outcomes
-flip with the channel QBER, mismatched-basis outcomes are uniform.  This is
-statistically exact for Z/X prepare-and-measure protocols.  Records are drawn
-for detected qubits only: in lossy mode the detected count is drawn first,
+The quantum layer is modeled classically: preparation and measurement happen
+in the Z (bit 0) or X (bit 1) basis, matched-basis outcomes flip with the
+channel QBER e, mismatched-basis outcomes are uniform.  This is statistically
+exact for Z/X prepare-and-measure protocols.  Records are drawn for detected
+qubits only: in lossy mode the detected count is drawn first,
 Binomial(N, eta~), and since records are i.i.d. and nothing reads an
 undetected one, this gives the same law as drawing all N and discarding.
 Announcements run through the real squeeze codec (encode -> decode with
@@ -16,12 +16,14 @@ basis, W where both used the Z basis.  With the dominant basis being Z
 (~(1-p_b)^2 N).
 
 X-basis choices are rare, so both parties' bases are kept as the sorted
-positions of their X choices, and the channel flips are drawn as positions
-too.  From sifting to the remaining key the session works on one record set:
-V is the intersection of the two position sets, the discarded records their
-symmetric difference, and W every record but their union.  No key is
-gathered before estimation; the remaining key V'' and W'' is gathered once,
-in record order.
+positions of their X choices; sifting announces them and counts V (both
+sets) and W (neither).  The session draws only what a report reads, at
+count level: the matched records err i.i.d. with probability e and the
+samples are picked independently of their errors, so each sample's error
+count is Binomial(size, e), and the k_rem records left after the samples
+carry fair bits for Alice with i.i.d. Bernoulli(e) disagreements in Bob's
+copy, independent of the samples.  This is the same law as drawing every
+record's bits and flips.  No stage after sifting reads a position.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from .session import (
     SessionReport,
     announce,
     check_count,
+    draw_keys,
     empty_report,
-    fair_bits,
     finish,
     rare_bits,
-    remaining_keys,
-    sample_rate,
+    sample_errors,
     stage_rngs,
 )
 
@@ -88,20 +89,20 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class QubitRecords:
-    """Column-wise batch of the detected qubits' records (struct-of-arrays).
+    """The detected qubits' records, as far as any stage reads them.
 
-    ``q`` and ``k_b`` hold Alice's and Bob's key bit of every record (uint8);
-    ``b`` and ``b_prime`` hold the sorted int64 positions of the records
-    where Alice and Bob used the X basis (every other record used Z).
+    ``n`` counts the records; ``b`` and ``b_prime`` hold the sorted int64
+    positions of the records where Alice and Bob used the X basis (every
+    other record used Z).  Key bits are not kept per record: estimation
+    draws them at count level for the matched records (module docstring).
     """
 
-    q: np.ndarray
+    n: int
     b: np.ndarray
     b_prime: np.ndarray
-    k_b: np.ndarray
 
     def __len__(self) -> int:
-        return self.q.size
+        return self.n
 
 
 def prepare_and_measure(
@@ -110,60 +111,49 @@ def prepare_and_measure(
     """Simulate qubit preparation, transfer, and measurement for one session.
 
     Returns the records of the detected qubits only.  Their count is N when
-    lossless and Binomial(N, eta~) otherwise.  Key bits are uniform; bases
-    are drawn independently with bias p_b toward basis 0, as the positions
-    of the basis-1 (X) choices.  Matched-basis outcomes flip with the
-    channel QBER; mismatched outcomes are uniform.
+    lossless and Binomial(N, eta~) otherwise.  Bases are drawn independently
+    with bias p_b toward basis 0, as the positions of the basis-1 (X)
+    choices.  No key bit is drawn here: the mismatched records' outcomes are
+    discarded unread, and the matched ones' bits and channel flips are drawn
+    by parameter estimation, at count level.
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[0]
     n = cfg.n_qubits
     if not cfg.lossless:
         n = int(rng.binomial(n, transmittance(cfg.channel)))
-    q = fair_bits(rng, n)
     b = rare_bits(rng, n, 1.0 - cfg.p_b)
     b_prime = rare_bits(rng, n, 1.0 - cfg.p_b)
-    k_b = q.copy()
-    k_b[rare_bits(rng, n, qber(cfg.channel))] ^= 1
-    mismatched = np.setxor1d(b, b_prime, assume_unique=True)
-    k_b[mismatched] = fair_bits(rng, mismatched.size)
-    return QubitRecords(q=q, b=b, b_prime=b_prime, k_b=k_b)
+    return QubitRecords(n=n, b=b, b_prime=b_prime)
 
 
 @dataclass(frozen=True)
 class SiftResult:
-    records: QubitRecords
-    x: np.ndarray  # sorted positions where both used X: V
-    mismatched: np.ndarray  # sorted positions where the bases differ: discarded
-    n_disagree: int  # basis-matched records whose key bits differ
+    v_card: int  # records where both used X: |V|
+    w_card: int  # records where both used Z: |W|
     bob_bits_compressed: int
     alice_bits_compressed: int
 
 
 def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
-    """Run the announcement round: bases out, match bits back, records split by basis.
+    """Run the announcement round: bases out, match bits back, records counted by basis.
 
     Bob's measured bases and Alice's match/discard sequence are squeezed with
     the degree-k codec and exchanged in the container format; both directions
     are decoded and verified, so a codec fault surfaces as
-    SimulationIntegrityError rather than key damage.  The split comes back as
-    positions into the records: V (both used X) and the discarded records;
-    W (both used Z) is every other record.
+    SimulationIntegrityError rather than key damage.  The discarded records
+    are the symmetric difference of the two X-position sets, so
+    |V| = (|b| + |b'| - discarded) / 2 and W is every other record.
     """
     cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
     n, b, b_prime = len(records), records.b, records.b_prime
     mismatched = np.setxor1d(b, b_prime, assume_unique=True)
     bob_bits = announce(b_prime, n, cb, "basis")
     alice_bits = announce(mismatched, n, cb, "match")  # 1 = discard
-
-    q, k_b = records.q, records.k_b
-    disagree = (np.count_nonzero(q != k_b)
-                - np.count_nonzero(q[mismatched] != k_b[mismatched]))
+    v_card = (b.size + b_prime.size - mismatched.size) // 2
     return SiftResult(
-        records=records,
-        x=np.intersect1d(b, b_prime, assume_unique=True),
-        mismatched=mismatched,
-        n_disagree=int(disagree),
+        v_card=v_card,
+        w_card=n - mismatched.size - v_card,
         bob_bits_compressed=bob_bits,
         alice_bits_compressed=alice_bits,
     )
@@ -178,15 +168,13 @@ def parameter_estimation(
     the both-Z subset (plus Bob's one-bit proceed/terminate message, which is
     counted).  A subset whose sacrifice rounds to zero yields no estimate; the
     condition is reported in ``warnings`` instead of being silently skipped.
-    The remaining key is every basis-matched record not sampled, in record
-    order.
+    Each sample's error count is Binomial with the channel QBER, and the
+    remaining key, every basis-matched record not sampled, is drawn after
+    the samples (module docstring).
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[1]
-    x, mismatched, rec = sifted.x, sifted.mismatched, sifted.records
-    q, k_b = rec.q, rec.k_b
-    excluded = np.union1d(rec.b, rec.b_prime)  # either used X: not W
-    v_card, w_card = x.size, q.size - excluded.size
+    v_card, w_card = sifted.v_card, sifted.w_card
     v_prime = int(cfg.epsilon_frac * v_card)
     w_prime = int(cfg.lambda_frac * w_card)
 
@@ -196,20 +184,21 @@ def parameter_estimation(
     if w_prime == 0:
         warnings.append("z-basis parameter-estimation sample is empty")
 
-    qber_x, drawn_x = sample_rate(q[x], k_b[x], v_prime, rng)
-    qber_z, drawn_z = sample_rate(q, k_b, w_prime, rng, excluded=excluded)
+    e = qber(cfg.channel)
+    qber_x, errors_x = sample_errors(rng, v_prime, e)
+    qber_z, errors_z = sample_errors(rng, w_prime, e)
 
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
     aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
 
-    alice_rem = bob_rem = np.zeros(0, np.uint8)
-    if not aborted:
-        alice_rem, bob_rem = remaining_keys(q, k_b, mismatched, x[drawn_x], drawn_z)
+    alice_rem, bob_rem, key_errors = draw_keys(
+        rng, v_card - v_prime + w_card - w_prime, e)
     return PeResult(
         qber_x=qber_x, qber_z=qber_z, aborted=aborted,
         alice_remaining=alice_rem, bob_remaining=bob_rem,
         v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=w_prime,
+        n_disagree=errors_x + errors_z + key_errors,
         announced_bits=v_prime + w_prime + 1,  # + proceed/terminate bit
         warnings=tuple(warnings),
     )
@@ -229,8 +218,6 @@ def run_session(cfg: SessionConfig) -> SessionReport:
         n_qubits=cfg.n_qubits,
         qubits_sent=cfg.n_qubits,
         n_detected=len(records),
-        n_disagree=sifted.n_disagree,
-        n_compared=pe.v_card + pe.w_card,
         reception_ack=0 if cfg.lossless else cfg.n_qubits,
         bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
         raw_bases=len(records),

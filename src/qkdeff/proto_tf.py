@@ -12,11 +12,14 @@ relative phase.
 With a = 1-(1-p_click_match)(1-p_dark_relay) for the selected port and
 b = 1-(1-p_click_conflict)(1-p_dark_relay) for the other, every pair
 single-clicks with probability s = a(1-b) + b(1-a), whatever its bases or
-phase.  So the session draws only what a report reads: the two basis
-sequences, Binomial(count, s) single clicks among the both-X, both-Z and
-mismatched pairs, fair key bits for Alice, and Bob's key after the flip rule,
-wrong with probability b(1-a)/s on each both-X single click.  This is the
-same law as drawing every pulse pair's bits and clicks.  The Z choices are
+phase, and Bob's bit after the flip rule is wrong with probability
+e = b(1-a)/s on each both-X single click, independently of the others.  So
+the session draws only what a report reads: the two basis sequences,
+Binomial(count, s) single clicks among the both-X, both-Z and mismatched
+pairs, a Binomial(v_prime, e) error count for the sacrificed X sample, and
+for the X events left after it fair key bits for Alice and Bob's copy with
+i.i.d. Bernoulli(e) flips.  This is the same law as drawing every pulse
+pair's bits and clicks.  The Z choices are
 rare, so each basis sequence is kept as the sorted positions of its Z
 choices: the pair counts come from the size of their intersection and
 union, and the announcements are encoded from the positions.
@@ -40,12 +43,11 @@ from .session import (
     SessionReport,
     announce,
     check_count,
+    draw_keys,
     empty_report,
-    fair_bits,
     finish,
     rare_bits,
-    remaining_keys,
-    sample_rate,
+    sample_errors,
     stage_rngs,
 )
 
@@ -123,30 +125,26 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
         int(rng_events.binomial(count, s)) for count in (n_xx, n_zz, n - n_xx - n_zz)
     )
 
-    # flip rule: Bob's bit is wrong when only the other port fired
-    key_a = fair_bits(rng_events, v_card)
-    flips = rare_bits(rng_events, v_card, b * (1.0 - a) / s if s else 0.0)
-    key_b = key_a.copy()
-    key_b[flips] ^= 1
-
-    # error-rate estimate on a sacrificed X subset (decoy analysis out of scope)
+    # error-rate estimate on a sacrificed X subset (decoy analysis out of
+    # scope), then the remaining key; Bob's bit is wrong when only the other
+    # port fired
+    e = b * (1.0 - a) / s if s else 0.0
     v_prime = int(cfg.pe_frac * v_card)
     warnings = () if v_prime else ("x-basis parameter-estimation sample is empty",)
-    qber_x, drawn = sample_rate(key_a, key_b, v_prime, rng_pe)
-    alice_rem, bob_rem = remaining_keys(key_a, key_b, drawn)
+    qber_x, errors_x = sample_errors(rng_pe, v_prime, e)
+    alice_rem, bob_rem, key_errors = draw_keys(rng_pe, v_card - v_prime, e)
     pe = PeResult(
         qber_x=qber_x, qber_z=None, aborted=False,
         alice_remaining=alice_rem, bob_remaining=bob_rem,
-        v_card=v_card, w_card=w_card,
-        v_prime=v_prime, w_prime=0, announced_bits=v_prime, warnings=warnings,
+        v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=0,
+        n_disagree=errors_x + key_errors, announced_bits=v_prime,
+        warnings=warnings,
     )
     return finish(
         pe,
         n_qubits=n,
         qubits_sent=2 * n,
         n_detected=v_card + w_card + n_mismatched,
-        n_disagree=flips.size,
-        n_compared=v_card,
         reception_ack=2 * n,  # one bit per detector per pulse pair
         bases=(bits_b_announced, bits_a_announced),
         raw_bases=n,

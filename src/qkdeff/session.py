@@ -1,19 +1,20 @@
 """Session stages shared by the BB84 and relay simulations.
 
 Each protocol draws its own events, with the exact samplers here and only
-where a report reads them, and maps them to sifted subsets per basis; from
+where a report reads them, and counts its sifted subsets per basis; from
 there on both run the same stages: squeezed announcements read back and
 verified, error-rate sampling, certification and the report.  Rare events
-(the minority basis choices, channel flips) stay sorted int64 positions
-from the sampler on: announcements are encoded from them, and a subset that
-holds nearly every record is kept as the record arrays plus the sorted
-positions it excludes, so no stage copies it.  Both sessions build the
-remaining key by one rule: one mask clears the discarded and sampled
-positions, and each party's key is gathered once, in record order.  The
-certification rule lives here, once: a session with no error-rate sample in
-any basis, or with an estimate of 1/2 or more, certifies no key.  The
-ledgers and the efficiency come from ``core.build_ledger`` and
-``core.efficiency``, the functions the model uses, fed measured counts.
+(the minority basis choices) stay sorted int64 positions from the sampler
+on, and announcements are encoded from them.  Estimation reads only counts
+and the remaining key: matched records err i.i.d. with a known probability
+e and samples are picked independently of their errors, so each sample's
+error count is drawn as Binomial(size, e) (``sample_errors``), and both
+sessions draw the remaining key by one rule (``draw_keys``): fair bits for
+Alice, and Bob's copy with i.i.d. Bernoulli(e) flips.  The certification
+rule lives here, once: a session with no error-rate sample in any basis, or
+with an estimate of 1/2 or more, certifies no key.  The ledgers and the
+efficiency come from ``core.build_ledger`` and ``core.efficiency``, the
+functions the model uses, fed measured counts.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .errors import ParameterError, SimulationIntegrityError
 
 NO_ESTIMATE = "no error-rate estimate: no key certified"
 XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
-NO_POSITIONS = np.zeros(0, np.int64)
-NO_POSITIONS.setflags(write=False)
 
 
 def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -94,55 +93,50 @@ def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
     return stats.output_bits
 
 
-def record_positions(ranks: np.ndarray, excluded: np.ndarray) -> np.ndarray:
-    """Record position of each rank among the records not at ``excluded``.
+def sample_errors(
+    rng: np.random.Generator, count: int, e: float
+) -> tuple[float | None, int]:
+    """Disagreement rate and count of an error-rate sample of ``count`` matched records.
 
-    ``excluded`` holds sorted, distinct record positions.  Before excluded
-    position j lie ``excluded[j] - j`` kept records, so rank r lands past
-    every excluded position whose count is at most r.
-    """
-    return ranks + np.searchsorted(excluded - np.arange(excluded.size), ranks,
-                                   side="right")
-
-
-def sample_rate(
-    alice: np.ndarray, bob: np.ndarray, count: int, rng: np.random.Generator,
-    excluded: np.ndarray = NO_POSITIONS,
-) -> tuple[float | None, np.ndarray]:
-    """Disagreement rate on ``count`` records drawn from one subset, and their positions.
-
-    The subset is every record of the two keys but the sorted positions
-    ``excluded``; its records are drawn by rank, as ``rng.choice`` over the
-    subset alone would draw them, and come back as sorted int64 record
-    positions.  An empty sample gives no rate (None) and no positions, and
-    draws nothing.
+    Matched records err i.i.d. with probability ``e``, and the sample is
+    picked independently of their errors, so its error count is
+    Binomial(count, e).  An empty sample gives no rate (None) and draws
+    nothing.
     """
     if count == 0:
-        return None, NO_POSITIONS
-    ranks = rng.choice(alice.size - excluded.size, size=count, replace=False)
-    ranks.sort()  # sorted ranks map to sorted positions, and faster
-    drawn = record_positions(ranks, excluded)
-    mism = np.count_nonzero(alice[drawn] != bob[drawn])
+        return None, 0
+    errors = int(rng.binomial(count, e))
     # a plain float keeps numpy scalars out of the report and the abort flag
-    return float(mism / count), drawn
+    return errors / count, errors
 
 
-def remaining_keys(
-    alice: np.ndarray, bob: np.ndarray, *cleared: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each party's key at every record not in ``cleared``, in record order.
+def draw_keys(
+    rng: np.random.Generator, k_rem: int, e: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both parties' keys on the ``k_rem`` matched records no sample drew.
 
-    ``cleared`` holds position arrays (discarded and sampled records); one
-    mask over the records drops them all, and each key is gathered once.
+    Alice's bits are fair; Bob's bit differs from hers with probability
+    ``e``, independently of the samples and of each other.  Returns Alice's
+    key, Bob's key and the count of bits where they differ.
     """
-    keep = np.ones(alice.size, dtype=bool)
-    for positions in cleared:
-        keep[positions] = False
-    return alice[keep], bob[keep]
+    alice = fair_bits(rng, k_rem)
+    flips = rare_bits(rng, k_rem, e)
+    bob = alice.copy()
+    bob[flips] ^= 1
+    return alice, bob, flips.size
 
 
 @dataclass(frozen=True)
 class PeResult:
+    """Error-rate estimates, subset counts and the remaining key of one session.
+
+    The remaining key (``alice_remaining``, ``bob_remaining``) holds the
+    matched records no sample drew; it is drawn whether or not the session
+    aborts, and ``finish`` reports it only when it does not.  ``n_disagree``
+    counts the compared records whose key bits differ: the errors found in
+    the samples plus those of the remaining key.
+    """
+
     qber_x: float | None
     qber_z: float | None
     aborted: bool
@@ -152,6 +146,7 @@ class PeResult:
     w_card: int
     v_prime: int
     w_prime: int
+    n_disagree: int
     announced_bits: int
     warnings: tuple[str, ...] = ()
 
@@ -170,10 +165,18 @@ class SessionReport:
     events per announced basis bit, ``f_card / raw_bases``.  BB84 announces a
     basis for each detected qubit, the relay session one for each pulse pair.
 
-    ``matched_disagreement_rate`` does not: BB84 compares every basis-matched
-    record (both-X and both-Z, ``f_card`` of them), the relay session only
-    its X key events (``v_card``), while its ``f_card`` also counts the Z
-    decoy events.  The two protocols' rates are not comparable.
+    ``matched_disagreement_rate`` does not: it is the share of disagreeing
+    key bits among the compared records, the error-rate samples and the
+    remaining key.  BB84 compares every basis-matched record (both-X and
+    both-Z, ``f_card`` of them), the relay session only its X key events
+    (``v_card``), while its ``f_card`` also counts the Z decoy events.  The
+    two protocols' rates are not comparable.
+
+    ``alice_key`` and ``bob_key`` are the remaining key (V'' and W''), drawn
+    at count level; they are empty when the session aborts.  Every report
+    that did not abort satisfies the identity
+    round(matched_disagreement_rate * compared) = sample errors +
+    count(alice_key != bob_key).
     """
 
     n_qubits: int
@@ -233,8 +236,6 @@ def finish(
     n_qubits: int,
     qubits_sent: int,
     n_detected: int,
-    n_disagree: int,
-    n_compared: int,
     reception_ack: int,
     bases: tuple[int, int],
     raw_bases: int,
@@ -247,15 +248,17 @@ def finish(
     size of each; together they give the achieved compression
     1 - sum(bases) / (2 raw_bases), and the sift rate, basis-matched events
     per announced basis bit, f_card / raw_bases (f_card = v_card + w_card).
-    ``n_disagree`` of the ``n_compared`` basis-matched key bits differ
-    before estimation; their ratio is the matched disagreement rate.  BB84
-    compares every basis-matched record (``n_compared = f_card``), the relay
-    session its key (X) events only.  The error-rate estimate pools every
-    basis sample, sum(rate*count) / sum(count).  With no sample at all, or an
-    estimate of 1/2 or more (where the rate xi - H(e) - f H(e) has no
-    meaning), no key is certified and the report says so in ``warnings``; an
-    abort or an empty remaining key certifies nothing either.  A certified
-    key is int(k_rem * (xi - H(e_est) - f H(e_est))) bits, at least 0.
+    The compared records are the samples and the remaining key, and
+    ``pe.n_disagree`` of them differ; their ratio is the matched disagreement
+    rate.  BB84 samples both bases and so compares every basis-matched record
+    (f_card), the relay session its key (X) events only (v_card).  The
+    error-rate estimate pools every basis sample,
+    sum(rate*count) / sum(count).  With no sample at all, or an estimate of
+    1/2 or more (where the rate xi - H(e) - f H(e) has no meaning), no key is
+    certified and the report says so in ``warnings``; an abort or an empty
+    remaining key certifies nothing either, and an aborted session reports no
+    key.  A certified key is int(k_rem * (xi - H(e_est) - f H(e_est))) bits,
+    at least 0.
     """
     samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
                if r is not None]
@@ -267,6 +270,10 @@ def finish(
     elif e_est >= 0.5:
         warnings += (f"error-rate estimate {e_est:.6g} >= 1/2: no key certified",)
     k_rem = pe.alice_remaining.size
+    n_compared = pe.v_prime + pe.w_prime + k_rem
+    alice_key, bob_key = pe.alice_remaining, pe.bob_remaining
+    if pe.aborted:
+        alice_key = bob_key = np.zeros(0, np.uint8)
     if pe.aborted or k_rem == 0 or e_est is None or e_est >= 0.5:
         k_rem = final_key = 0  # nothing certified: no EC, no PA
         h_est = seed = 0.0
@@ -277,6 +284,7 @@ def finish(
     led, led_raw = (build_ledger(reception_ack, b, pe.announced_bits, k_rem, h_est, f,
                                  final_key, seed, clamp=True)
                     for b in (bases, (raw_bases, raw_bases)))
+    announced = led.total()
     f_card = pe.v_card + pe.w_card
     return SessionReport(
         n_qubits=n_qubits,
@@ -291,14 +299,14 @@ def finish(
         qber_x=pe.qber_x,
         qber_z=pe.qber_z,
         aborted=pe.aborted,
-        alice_key=pe.alice_remaining,
-        bob_key=pe.bob_remaining,
+        alice_key=alice_key,
+        bob_key=bob_key,
         final_key_bits=final_key,
         empirical_sift_rate=f_card / raw_bases if raw_bases else 0.0,
-        matched_disagreement_rate=n_disagree / n_compared if n_compared else 0.0,
+        matched_disagreement_rate=pe.n_disagree / n_compared if n_compared else 0.0,
         empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
-        classical_bits_per_qubit=led.total() / qubits_sent,
-        empirical_efficiency=efficiency(final_key, qubits_sent, led),
+        classical_bits_per_qubit=announced / qubits_sent,
+        empirical_efficiency=efficiency(final_key, qubits_sent, announced),
         ledger=led,
         ledger_raw=led_raw,
         warnings=warnings,

@@ -3,12 +3,11 @@
 import json
 import math
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qkdeff import squeeze
+from qkdeff import session, squeeze
 from qkdeff.core import (
     ChannelParams,
     ProtocolParams,
@@ -46,20 +45,8 @@ def dense_bases(rec: QubitRecords) -> tuple[np.ndarray, np.ndarray]:
     return b, b_prime
 
 
-def x_keys(res: SiftResult) -> tuple[np.ndarray, np.ndarray]:
-    """The V pair gathered from the records, in record order."""
-    return res.records.q[res.x], res.records.k_b[res.x]
-
-
-def z_keys(res: SiftResult) -> tuple[np.ndarray, np.ndarray]:
-    """The W pair gathered from the records, in record order."""
-    keep = np.ones(len(res.records), dtype=bool)
-    keep[res.x] = keep[res.mismatched] = False
-    return res.records.q[keep], res.records.k_b[keep]
-
-
 def n_sifted(res: SiftResult) -> int:
-    return len(res.records) - res.mismatched.size
+    return res.v_card + res.w_card
 
 
 class TestPrepareAndMeasure:
@@ -68,7 +55,6 @@ class TestPrepareAndMeasure:
                             lossless=True, rng_seed=1)
         rec = prepare_and_measure(cfg)
         assert np.array_equal(rec.b, rec.b_prime)
-        assert np.array_equal(rec.k_b, rec.q)
         assert rec.b.dtype == rec.b_prime.dtype == np.int64
 
     def test_basis_match_rate_concentrates(self):
@@ -81,14 +67,17 @@ class TestPrepareAndMeasure:
         assert abs(match - expect) < three_sigma(expect, n)
 
     def test_matched_basis_flip_rate(self):
+        # the matched records' flips are drawn by estimation, at count level:
+        # in the samples and the remaining key, every matched record
         ch = replace(NOISELESS, e_opt=0.03)  # e_flip = 0.03
         cfg = SessionConfig(n_qubits=200_000, p_b=0.9, channel=ch,
                             lossless=True, rng_seed=3)
-        rec = prepare_and_measure(cfg)
-        b, b_prime = dense_bases(rec)
-        matched = b == b_prime
-        rate = float(np.mean(rec.q[matched] != rec.k_b[matched]))
-        assert abs(rate - 0.03) < three_sigma(0.03, int(matched.sum()))
+        rng_prep, rng_pe = stage_rngs(cfg.rng_seed)
+        sifted = sift(prepare_and_measure(cfg, rng_prep), cfg)
+        pe = parameter_estimation(sifted, cfg, rng_pe)
+        matched = pe.v_card + pe.w_card
+        assert pe.v_prime + pe.w_prime + pe.alice_remaining.size == matched
+        assert abs(pe.n_disagree / matched - 0.03) < three_sigma(0.03, matched)
 
     def test_lossy_detection_rate(self):
         cfg = SessionConfig(n_qubits=200_000, p_b=0.9, channel=FIG2, rng_seed=4)
@@ -127,35 +116,41 @@ class TestSift:
                             lossless=True, rng_seed=8)
         rec = prepare_and_measure(cfg)
         every_other = np.setdiff1d(np.arange(len(rec)), rec.b)  # Bob never matches
-        rec = QubitRecords(q=rec.q, b=rec.b, b_prime=every_other, k_b=rec.k_b)
+        rec = QubitRecords(n=len(rec), b=rec.b, b_prime=every_other)
         res = sift(rec, cfg)
-        assert n_sifted(res) == 0
-        assert all(key.size == 0 for key in x_keys(res) + z_keys(res))
+        assert res.v_card == res.w_card == 0
+        pe = parameter_estimation(res, cfg)
+        assert pe.alice_remaining.size == pe.bob_remaining.size == 0
 
     @pytest.mark.parametrize("lossless, length_km", [(True, 0.0), (False, 50.0)])
-    def test_keys_split_by_basis_in_record_order(self, lossless, length_km):
-        # PE draws within each subset and keeps the rest in record order, so
-        # both the split and the order reach the report
+    def test_split_counts_match_the_bases(self, lossless, length_km):
         ch = ChannelParams(length_km=length_km, e_opt=0.05)
         cfg = SessionConfig(n_qubits=200_000 if lossless else 2_000_000, p_b=0.8,
                             channel=ch, lossless=lossless, rng_seed=18)
         rec = prepare_and_measure(cfg)
         res = sift(rec, cfg)
         b, b_prime = dense_bases(rec)
-        both_x = (b == 1) & (b_prime == 1)
-        both_z = (b == 0) & (b_prime == 0)
-        for (alice, bob), mask in ((x_keys(res), both_x), (z_keys(res), both_z)):
-            assert alice.dtype == bob.dtype == np.uint8
-            assert np.array_equal(alice, rec.q[mask])
-            assert np.array_equal(bob, rec.k_b[mask])
-            assert 0 < alice.size and np.any(alice != bob)
-        assert n_sifted(res) == np.count_nonzero(both_x) + np.count_nonzero(both_z)
+        assert res.v_card == np.count_nonzero((b == 1) & (b_prime == 1)) > 0
+        assert res.w_card == np.count_nonzero((b == 0) & (b_prime == 0)) > 0
+
+    @pytest.mark.parametrize("b, b_prime, v_card, w_card", [
+        ([], [], 0, 7),                 # all Z
+        ([0, 3, 6], [0, 3, 6], 3, 4),   # the same X choices
+        ([0, 1], [5, 6], 0, 3),         # disjoint X choices
+        ([0, 2, 4, 6], [1, 2, 6], 2, 2),
+    ])
+    def test_split_counts_of_hand_built_bases(self, b, b_prime, v_card, w_card):
+        cfg = SessionConfig(n_qubits=7, p_b=0.9, degree_k=2)
+        rec = QubitRecords(n=7, b=np.array(b, np.int64),
+                           b_prime=np.array(b_prime, np.int64))
+        res = sift(rec, cfg)
+        assert (res.v_card, res.w_card) == (v_card, w_card)
 
     def test_lossy_mode_announces_detected_only(self):
         cfg = SessionConfig(n_qubits=100_000, p_b=0.999, channel=FIG2, rng_seed=9)
         rec = prepare_and_measure(cfg)
         res = sift(rec, cfg)
-        assert res.records is rec and len(rec) < cfg.n_qubits
+        assert len(rec) < cfg.n_qubits
         assert 0 < n_sifted(res) <= len(rec)
 
     def test_decode_mismatch_is_fatal(self, monkeypatch):
@@ -180,21 +175,25 @@ class TestSift:
                             channel=NOISELESS, lossless=True, rng_seed=11)
         res = sift(prepare_and_measure(cfg), cfg)
         compressed = res.bob_bits_compressed + res.alice_bits_compressed
-        assert compressed < 0.55 * 2 * len(res.records)
+        assert compressed < 0.55 * 2 * cfg.n_qubits
+
+
+class ScriptedErrors:
+    """A generator whose sample error counts come from a script, in draw order;
+    every other draw is a real generator's."""
+
+    def __init__(self, *errors: int):
+        self.errors = list(errors)
+        self.rng = np.random.default_rng(0)
+
+    def binomial(self, n, p):
+        return self.errors.pop(0)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 class TestParameterEstimation:
-    def _sifted(self, alice, bob, basis):
-        alice = np.asarray(alice, dtype=np.uint8)
-        bob = np.asarray(bob, dtype=np.uint8)
-        x = np.flatnonzero(np.asarray(basis) == 1)
-        return SiftResult(
-            records=QubitRecords(q=alice, b=x, b_prime=x, k_b=bob),
-            x=x, mismatched=np.zeros(0, np.int64),
-            n_disagree=int(np.count_nonzero(alice != bob)),
-            bob_bits_compressed=0, alice_bits_compressed=0,
-        )
-
     def test_noiseless_rates_are_zero(self):
         cfg = SessionConfig(n_qubits=50_000, p_b=0.7, channel=NOISELESS,
                             lossless=True, rng_seed=12)
@@ -215,23 +214,21 @@ class TestParameterEstimation:
 
     def test_abort_requires_both_rates_over_threshold(self):
         n = 10_000
-        basis = np.concatenate([np.ones(n // 2), np.zeros(n // 2)])
+        sifted = SiftResult(v_card=n // 2, w_card=n // 2, bob_bits_compressed=0,
+                            alice_bits_compressed=0)
         cfg = SessionConfig(n_qubits=n, p_b=0.7, qber_threshold=0.11,
-                            channel=NOISELESS, lossless=True, rng_seed=14)
+                            channel=NOISELESS, lossless=True)
+        cfg_or = replace(cfg, abort_on_either=True)
         # disagreements everywhere: both rates 1.0 -> abort under the AND rule
-        pe = parameter_estimation(
-            self._sifted(np.zeros(n), np.ones(n), basis), cfg
-        )
+        pe = parameter_estimation(sifted, cfg, ScriptedErrors(50, 50))
+        assert pe.qber_x == pe.qber_z == 1.0
         assert pe.aborted
-        assert pe.alice_remaining.size == 0
 
         # X clean, Z broken: AND rule proceeds, OR rule aborts
-        bob = np.concatenate([np.zeros(n // 2), np.ones(n // 2)])
-        pe = parameter_estimation(self._sifted(np.zeros(n), bob, basis), cfg)
+        pe = parameter_estimation(sifted, cfg, ScriptedErrors(0, 50))
+        assert pe.qber_x == 0.0 and pe.qber_z == 1.0
         assert not pe.aborted
-        cfg_or = replace(cfg, abort_on_either=True)
-        pe = parameter_estimation(self._sifted(np.zeros(n), bob, basis), cfg_or)
-        assert pe.aborted
+        assert parameter_estimation(sifted, cfg_or, ScriptedErrors(0, 50)).aborted
 
     def test_empty_sample_reported(self):
         cfg = SessionConfig(n_qubits=20_000, p_b=0.999, channel=NOISELESS,
@@ -242,65 +239,37 @@ class TestParameterEstimation:
         assert any("x-basis" in w for w in pe.warnings)
         assert pe.qber_z is not None
 
-    def test_remaining_key_is_the_undrawn_matched_records_in_record_order(self):
-        # p_b = 0.8 puts ~4% of the records in V, so V'' is far from empty and
-        # a V''-then-W'' key would differ from the record-order one
-        cfg = SessionConfig(n_qubits=20_000, p_b=0.8, epsilon_frac=0.1,
-                            channel=ChannelParams(e_opt=0.05), lossless=True,
-                            rng_seed=16)
-        rng_prep, rng_pe = stage_rngs(cfg.rng_seed)
-        rec = prepare_and_measure(cfg, rng_prep)
-        res = sift(rec, cfg)
-        pe = parameter_estimation(res, cfg, rng_pe)
-        assert not pe.aborted and pe.v_card - pe.v_prime > 0
-        # redraw the two samples from the same generator, as dense masks
-        _, ref_rng = stage_rngs(cfg.rng_seed)
-        b, b_prime = dense_bases(rec)
-        keep = np.zeros(len(rec), dtype=bool)
-        for idx, count in ((np.flatnonzero((b == 1) & (b_prime == 1)), pe.v_prime),
-                           (np.flatnonzero((b == 0) & (b_prime == 0)), pe.w_prime)):
-            keep[idx] = True
-            keep[ref_rng.choice(idx, size=count, replace=False)] = False
-        assert np.array_equal(pe.alice_remaining, rec.q[keep])
-        assert np.array_equal(pe.bob_remaining, rec.k_b[keep])
-        assert np.any(pe.alice_remaining != pe.bob_remaining)
 
-
-def reference_parameter_estimation(sifted, cfg, rng):
-    """Index-based estimation (int64 subset indices, keys gathered through
-    them): the oracle for the mask-based ``parameter_estimation``."""
-    keys = sifted.alice_key, sifted.bob_key
-
-    def sample(idx, count):
-        if count == 0:
-            return None, idx
-        pos = rng.choice(idx.size, size=count, replace=False)
-        chosen = idx[pos]
-        keep = np.ones(idx.size, dtype=bool)
-        keep[pos] = False
-        mism = np.count_nonzero(keys[0][chosen] != keys[1][chosen])
-        return float(mism / count), idx[keep]
-
-    x_idx = np.flatnonzero(sifted.basis == 1)
-    z_idx = np.flatnonzero(sifted.basis == 0)
-    v_prime = int(cfg.epsilon_frac * x_idx.size)
-    w_prime = int(cfg.lambda_frac * z_idx.size)
+def reference_parameter_estimation(rec, cfg, rng):
+    """Estimation written out from the dense bases of every record: the
+    oracle for ``parameter_estimation`` fed the counts ``sift`` takes from
+    the verified announcements."""
+    b, b_prime = dense_bases(rec)
+    v_card = int(np.count_nonzero((b == 1) & (b_prime == 1)))
+    w_card = int(np.count_nonzero((b == 0) & (b_prime == 0)))
+    v_prime = int(cfg.epsilon_frac * v_card)
+    w_prime = int(cfg.lambda_frac * w_card)
+    e = qber(cfg.channel)
     warnings = []
     if v_prime == 0:
         warnings.append("x-basis parameter-estimation sample is empty")
     if w_prime == 0:
         warnings.append("z-basis parameter-estimation sample is empty")
-    qber_x, x_rest = sample(x_idx, v_prime)
-    qber_z, z_rest = sample(z_idx, w_prime)
+    rates, errors = [], 0
+    for count in (v_prime, w_prime):
+        drawn = int(rng.binomial(count, e)) if count else 0
+        rates.append(drawn / count if count else None)
+        errors += drawn
+    qber_x, qber_z = rates
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
     aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
-    keep = (np.zeros(0, np.intp) if aborted
-            else np.sort(np.concatenate([x_rest, z_rest])))  # record order
+    alice, bob, _ = session.draw_keys(rng, v_card - v_prime + w_card - w_prime, e)
     return PeResult(
         qber_x=qber_x, qber_z=qber_z, aborted=aborted,
-        alice_remaining=keys[0][keep], bob_remaining=keys[1][keep],
-        v_card=x_idx.size, w_card=z_idx.size, v_prime=v_prime, w_prime=w_prime,
+        alice_remaining=alice, bob_remaining=bob,
+        v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=w_prime,
+        n_disagree=errors + int(np.count_nonzero(alice != bob)),
         announced_bits=v_prime + w_prime + 1, warnings=tuple(warnings),
     )
 
@@ -324,16 +293,9 @@ class TestParameterEstimationMatchesReference:
             )
             rng_prep, rng_pe = stage_rngs(seed)
             rec = prepare_and_measure(cfg, rng_prep)
-            sifted = sift(rec, cfg)
-            # the oracle reads the matched records' keys in record order
-            b, b_prime = dense_bases(rec)
-            matched = b == b_prime
-            record_order = SimpleNamespace(
-                alice_key=rec.q[matched], bob_key=rec.k_b[matched], basis=b[matched],
-            )
+            pe = parameter_estimation(sift(rec, cfg), cfg, rng_pe)
             _, ref_rng = stage_rngs(seed)
-            pe = parameter_estimation(sifted, cfg, rng_pe)
-            ref = reference_parameter_estimation(record_order, cfg, ref_rng)
+            ref = reference_parameter_estimation(rec, cfg, ref_rng)
             for f in fields(PeResult):
                 got, want = getattr(pe, f.name), getattr(ref, f.name)
                 if isinstance(want, np.ndarray):
@@ -373,17 +335,22 @@ class TestRunSession:
         assert abs(rep.v_card / n - v_expect) < three_sigma(v_expect, n)
 
     def test_empirical_efficiency_near_analytic(self):
-        # summary efficiency tracks the closed-form value at matching knobs
+        # summary efficiency tracks the closed-form value at matching knobs,
+        # pooled over seeds: one seed's estimate from ~1,200 Z samples moves
+        # E by ~7% (sd), the mean over 30 seeds by ~1.3%
         n = 400_000
-        cfg = SessionConfig(n_qubits=n, p_b=0.999, degree_k=8,
-                            channel=FIG2, rng_seed=31)
-        rep = run_session(cfg)
-        pp = ProtocolParams(
-            s=rep.empirical_sift_rate, sigma=rep.empirical_sigma,
-            delta=rep.ledger.pe_sacrifice / n, xi=1.0, n_qubits=float(n),
-        )
-        analytic = total_efficiency(FIG2, pp).efficiency
-        assert abs(rep.empirical_efficiency - analytic) / analytic < 0.10
+        deviations = []
+        for seed in range(30):
+            cfg = SessionConfig(n_qubits=n, p_b=0.999, degree_k=8,
+                                channel=FIG2, rng_seed=seed)
+            rep = run_session(cfg)
+            pp = ProtocolParams(
+                s=rep.empirical_sift_rate, sigma=rep.empirical_sigma,
+                delta=rep.ledger.pe_sacrifice / n, xi=1.0, n_qubits=float(n),
+            )
+            analytic = total_efficiency(FIG2, pp).efficiency
+            deviations.append((rep.empirical_efficiency - analytic) / analytic)
+        assert abs(np.mean(deviations)) < 0.10
 
     def test_model_fed_the_session_counts_matches_its_pa_and_key(self):
         # lossless, half of each sifted subset sacrificed; the model gets the
@@ -543,19 +510,6 @@ class TestDrawLaw:
         assert abs(squeezed - want) <= tol
         sigma = total(lambda r: r.empirical_sigma * r.n_detected) / n_det
         assert sigma == pytest.approx(1.0 - squeezed / (2.0 * n_det), rel=1e-12)
-
-    def test_mismatched_basis_outcomes_are_fair(self):
-        # no report reads these records; prepare_and_measure must still draw them
-        ch = replace(NOISELESS, e_opt=0.03)
-        mism = agree = 0
-        for seed in range(20):
-            cfg = SessionConfig(n_qubits=self.N, p_b=0.6, channel=ch, rng_seed=seed)
-            rec = prepare_and_measure(cfg)
-            b, b_prime = dense_bases(rec)
-            m = b != b_prime
-            mism += int(m.sum())
-            agree += int(np.count_nonzero(rec.q[m] == rec.k_b[m]))
-        assert abs(agree / mism - 0.5) <= six_sigma(0.5, mism)
 
 
 class TestReportsArePlainPython:
