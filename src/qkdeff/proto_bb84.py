@@ -17,13 +17,9 @@ basis, W where both used the Z basis.  With the dominant basis being Z
 
 X-basis choices are rare, so both parties' bases are kept as the sorted
 positions of their X choices; sifting announces them and counts V (both
-sets) and W (neither).  The session draws only what a report reads, at
-count level: the matched records err i.i.d. with probability e and the
-samples are picked independently of their errors, so each sample's error
-count is Binomial(size, e), and the k_rem records left after the samples
-carry fair bits for Alice with i.i.d. Bernoulli(e) disagreements in Bob's
-copy, independent of the samples.  This is the same law as drawing every
-record's bits and flips.  No stage after sifting reads a position.
+sets) and W (neither).  No stage after sifting reads a position: the
+matched records' key bits and errors are drawn at count level by
+``session.estimate``, with the channel QBER as their error rate.
 """
 
 from __future__ import annotations
@@ -32,19 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import squeeze
+from . import session, squeeze
 from .core import ChannelParams, qber, transmittance
 from .errors import ParameterError
 from .session import (
-    PeResult,
     SessionReport,
     announce,
     check_count,
-    draw_keys,
     empty_report,
+    estimate,
     finish,
     rare_bits,
-    sample_errors,
     stage_rngs,
 )
 
@@ -94,7 +88,7 @@ class QubitRecords:
     ``n`` counts the records; ``b`` and ``b_prime`` hold the sorted int64
     positions of the records where Alice and Bob used the X basis (every
     other record used Z).  Key bits are not kept per record: estimation
-    draws them at count level for the matched records (module docstring).
+    draws them at count level for the matched records (``session.estimate``).
     """
 
     n: int
@@ -161,46 +155,19 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
 
 def parameter_estimation(
     sifted: SiftResult, cfg: SessionConfig, rng: np.random.Generator | None = None
-) -> PeResult:
+) -> session.PeResult:
     """Estimate per-basis error rates on sacrificed subsets and decide abort.
 
     Alice announces epsilon*V bits of the both-X subset and lambda*W bits of
-    the both-Z subset (plus Bob's one-bit proceed/terminate message, which is
-    counted).  A subset whose sacrifice rounds to zero yields no estimate; the
-    condition is reported in ``warnings`` instead of being silently skipped.
-    Each sample's error count is Binomial with the channel QBER, and the
-    remaining key, every basis-matched record not sampled, is drawn after
-    the samples (module docstring).
+    the both-Z subset, both subsets are keyed, and the abort rule applies
+    the configured threshold; ``session.estimate`` draws the samples and the
+    remaining key, with the channel QBER as the error rate.
     """
     if rng is None:
         rng = stage_rngs(cfg.rng_seed)[1]
-    v_card, w_card = sifted.v_card, sifted.w_card
-    v_prime = int(cfg.epsilon_frac * v_card)
-    w_prime = int(cfg.lambda_frac * w_card)
-
-    warnings = []
-    if v_prime == 0:
-        warnings.append("x-basis parameter-estimation sample is empty")
-    if w_prime == 0:
-        warnings.append("z-basis parameter-estimation sample is empty")
-
-    e = qber(cfg.channel)
-    qber_x, errors_x = sample_errors(rng, v_prime, e)
-    qber_z, errors_z = sample_errors(rng, w_prime, e)
-
-    exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
-    exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
-    aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
-
-    alice_rem, bob_rem, key_errors = draw_keys(
-        rng, v_card - v_prime + w_card - w_prime, e)
-    return PeResult(
-        qber_x=qber_x, qber_z=qber_z, aborted=aborted,
-        alice_remaining=alice_rem, bob_remaining=bob_rem,
-        v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=w_prime,
-        n_disagree=errors_x + errors_z + key_errors,
-        announced_bits=v_prime + w_prime + 1,  # + proceed/terminate bit
-        warnings=tuple(warnings),
+    return estimate(
+        rng, qber(cfg.channel), (sifted.v_card, sifted.w_card),
+        (cfg.epsilon_frac, cfg.lambda_frac), cfg.qber_threshold, cfg.abort_on_either,
     )
 
 

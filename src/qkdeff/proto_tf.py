@@ -14,15 +14,14 @@ b = 1-(1-p_click_conflict)(1-p_dark_relay) for the other, every pair
 single-clicks with probability s = a(1-b) + b(1-a), whatever its bases or
 phase, and Bob's bit after the flip rule is wrong with probability
 e = b(1-a)/s on each both-X single click, independently of the others.  So
-the session draws only what a report reads: the two basis sequences,
+the session draws only what a report reads: the two basis sequences and
 Binomial(count, s) single clicks among the both-X, both-Z and mismatched
-pairs, a Binomial(v_prime, e) error count for the sacrificed X sample, and
-for the X events left after it fair key bits for Alice and Bob's copy with
-i.i.d. Bernoulli(e) flips.  This is the same law as drawing every pulse
-pair's bits and clicks.  The Z choices are
-rare, so each basis sequence is kept as the sorted positions of its Z
-choices: the pair counts come from the size of their intersection and
-union, and the announcements are encoded from the positions.
+pairs; ``session.estimate`` then draws the X sample's errors and the X key
+at error rate e.  This is the same law as drawing every pulse pair's bits
+and clicks.  The Z choices are rare, so each basis sequence is kept as the
+sorted positions of its Z choices: the pair counts come from the size of
+their intersection and union, and the announcements are encoded from the
+positions.
 
 Basis announcements encode the dominant X basis as bit 0 so the squeeze codec
 sees a 0-biased stream.  Decoy-state analysis is out of scope: Z-basis events
@@ -39,15 +38,13 @@ import numpy as np
 from . import squeeze
 from .errors import ParameterError
 from .session import (
-    PeResult,
     SessionReport,
     announce,
     check_count,
-    draw_keys,
     empty_report,
+    estimate,
     finish,
     rare_bits,
-    sample_errors,
     stage_rngs,
 )
 
@@ -93,7 +90,7 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
 
     Report-field mapping for the relay scheme: f_card counts basis-matched
     single-click events, v_card the sifted X (key) events, w_card the sifted Z
-    (decoy) events; qber_x is estimated on the sacrificed X subset after the
+    (decoy) events, which are never sampled or keyed; qber_x is estimated on the sacrificed X subset after the
     flip rule (destructive-port click means Bob's bit is the complement).
     The ledger maps relay outcome announcements (2 bits per pulse pair) onto
     the reception_ack slot and the two compressed basis announcements onto the
@@ -125,23 +122,12 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
         int(rng_events.binomial(count, s)) for count in (n_xx, n_zz, n - n_xx - n_zz)
     )
 
-    # error-rate estimate on a sacrificed X subset (decoy analysis out of
-    # scope), then the remaining key; Bob's bit is wrong when only the other
-    # port fired
+    # error-rate estimate on a sacrificed X subset, then the X key; the Z
+    # decoys are neither sampled nor keyed (decoy analysis out of scope).
+    # Bob's bit is wrong when only the other port fired
     e = b * (1.0 - a) / s if s else 0.0
-    v_prime = int(cfg.pe_frac * v_card)
-    warnings = () if v_prime else ("x-basis parameter-estimation sample is empty",)
-    qber_x, errors_x = sample_errors(rng_pe, v_prime, e)
-    alice_rem, bob_rem, key_errors = draw_keys(rng_pe, v_card - v_prime, e)
-    pe = PeResult(
-        qber_x=qber_x, qber_z=None, aborted=False,
-        alice_remaining=alice_rem, bob_remaining=bob_rem,
-        v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=0,
-        n_disagree=errors_x + key_errors, announced_bits=v_prime,
-        warnings=warnings,
-    )
     return finish(
-        pe,
+        estimate(rng_pe, e, (v_card, w_card), (cfg.pe_frac, None)),
         n_qubits=n,
         qubits_sent=2 * n,
         n_detected=v_card + w_card + n_mismatched,

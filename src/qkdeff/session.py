@@ -3,18 +3,18 @@
 Each protocol draws its own events, with the exact samplers here and only
 where a report reads them, and counts its sifted subsets per basis; from
 there on both run the same stages: squeezed announcements read back and
-verified, error-rate sampling, certification and the report.  Rare events
-(the minority basis choices) stay sorted int64 positions from the sampler
-on, and announcements are encoded from them.  Estimation reads only counts
-and the remaining key: matched records err i.i.d. with a known probability
-e and samples are picked independently of their errors, so each sample's
-error count is drawn as Binomial(size, e) (``sample_errors``), and both
-sessions draw the remaining key by one rule (``draw_keys``): fair bits for
-Alice, and Bob's copy with i.i.d. Bernoulli(e) flips.  The certification
-rule lives here, once: a session with no error-rate sample in any basis, or
-with an estimate of 1/2 or more, certifies no key.  The ledgers and the
-efficiency come from ``core.build_ledger`` and ``core.efficiency``, the
-functions the model uses, fed measured counts.
+verified, estimation, certification and the report.  Rare events (the
+minority basis choices) stay sorted int64 positions from the sampler on,
+and announcements are encoded from them.  ``estimate`` is the one
+estimation stage, and it reads only counts and the remaining key: matched
+records err i.i.d. with a known probability e and samples are picked
+independently of their errors, so each sample's error count is drawn as
+Binomial(size, e) (``sample_errors``), and the remaining key is fair bits
+for Alice and Bob's copy with i.i.d. Bernoulli(e) flips (``draw_keys``).
+The certification rule lives here, once: a session with no error-rate
+sample in any basis, or with an estimate of 1/2 or more, certifies no key.
+The ledgers and the efficiency come from ``core.build_ledger`` and
+``core.efficiency``, the functions the model uses, fed measured counts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import squeeze
 from .core import SessionLedger, binary_entropy, build_ledger, efficiency
-from .errors import ParameterError, SimulationIntegrityError
+from .errors import MalformedStreamError, ParameterError, SimulationIntegrityError
 
 NO_ESTIMATE = "no error-rate estimate: no key certified"
 XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
@@ -74,19 +74,23 @@ def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
     """Squeeze an ``n``-bit sequence, frame it, and read it back as the peer would.
 
     The sequence is given by the sorted positions of its 1s.  The decoded
-    sequence must equal the sent one, so a codec fault surfaces as
-    SimulationIntegrityError rather than key damage.  Returns the announced
-    payload size (container header framing is not counted; the protocol
-    messages carry counts anyway).
+    sequence must equal the sent one, and the peer must be able to read it,
+    so a codec fault surfaces as SimulationIntegrityError rather than key
+    damage or a malformed-input error.  Returns the announced payload size
+    (container header framing is not counted; the protocol messages carry
+    counts anyway).
     """
     payload, stats = squeeze.encode(squeeze.OnePositions(ones, n), cb)
     blob = squeeze.write_container(payload, cb.degree_k, n)
-    k_hdr, true_len, payload_bits = squeeze.read_container(blob)
-    if k_hdr != cb.degree_k:
-        raise SimulationIntegrityError(
-            f"{what} announcement header carries k={k_hdr}, sent k={cb.degree_k}"
-        )
-    decoded = squeeze.decode(payload_bits, cb, true_len)
+    try:
+        k_hdr, true_len, payload_bits = squeeze.read_container(blob)
+        if k_hdr != cb.degree_k:
+            raise SimulationIntegrityError(
+                f"{what} announcement header carries k={k_hdr}, sent k={cb.degree_k}"
+            )
+        decoded = squeeze.decode(payload_bits, cb, true_len)
+    except MalformedStreamError as exc:
+        raise SimulationIntegrityError(f"{what} announcement unreadable: {exc}") from exc
     if not (decoded.size == n and np.count_nonzero(decoded) == ones.size
             and decoded[ones].all()):
         raise SimulationIntegrityError(f"{what} announcement decode mismatch")
@@ -131,7 +135,7 @@ class PeResult:
     """Error-rate estimates, subset counts and the remaining key of one session.
 
     The remaining key (``alice_remaining``, ``bob_remaining``) holds the
-    matched records no sample drew; it is drawn whether or not the session
+    keyed records no sample drew; it is drawn whether or not the session
     aborts, and ``finish`` reports it only when it does not.  ``n_disagree``
     counts the compared records whose key bits differ: the errors found in
     the samples plus those of the remaining key.
@@ -151,6 +155,54 @@ class PeResult:
     warnings: tuple[str, ...] = ()
 
 
+def estimate(
+    rng: np.random.Generator,
+    e: float,
+    cards: tuple[int, int],
+    fracs: tuple[float | None, float | None],
+    threshold: float | None = None,
+    abort_on_either: bool = False,
+) -> PeResult:
+    """Error-rate samples, abort decision and remaining key of one session.
+
+    ``cards`` holds the basis-matched record counts (|V|, |W|) of the X and
+    Z bases, ``fracs`` the share of each sacrificed for the estimate.  Each
+    sampled basis, X then Z, gives up int(frac * card) records; an empty
+    sample yields no estimate, and ``warnings`` says so.  A basis with no
+    fraction (None) is neither sampled nor keyed: the relay session's Z
+    decoys.  Matched records err i.i.d. with probability ``e``.
+
+    With a ``threshold`` the session aborts when both estimates exceed it
+    (either one, with ``abort_on_either``), a missing estimate counting as
+    not exceeded, and Bob's one-bit proceed/terminate message is counted in
+    ``announced_bits``.  The remaining key, every keyed record no sample
+    drew, is drawn last, whether or not the session aborts.
+    """
+    primes, rates, n_errors, k_rem, warnings = [], [], 0, 0, []
+    for basis, card, frac in zip("xz", cards, fracs):
+        size = 0
+        if frac is not None:
+            size = int(frac * card)
+            k_rem += card - size
+            if size == 0:
+                warnings.append(f"{basis}-basis parameter-estimation sample is empty")
+        rate, errors = sample_errors(rng, size, e)
+        primes.append(size)
+        rates.append(rate)
+        n_errors += errors
+    aborted = threshold is not None and (any if abort_on_either else all)(
+        r is not None and r > threshold for r in rates)
+    alice, bob, key_errors = draw_keys(rng, k_rem, e)
+    return PeResult(
+        qber_x=rates[0], qber_z=rates[1], aborted=aborted,
+        alice_remaining=alice, bob_remaining=bob,
+        v_card=cards[0], w_card=cards[1], v_prime=primes[0], w_prime=primes[1],
+        n_disagree=n_errors + key_errors,
+        announced_bits=sum(primes) + (threshold is not None),
+        warnings=tuple(warnings),
+    )
+
+
 @dataclass(frozen=True)
 class SessionReport:
     """Outcome of one simulated session, with both-sided bit accounting.
@@ -165,17 +217,16 @@ class SessionReport:
     events per announced basis bit, ``f_card / raw_bases``.  BB84 announces a
     basis for each detected qubit, the relay session one for each pulse pair.
 
-    ``matched_disagreement_rate`` does not: it is the share of disagreeing
-    key bits among the compared records, the error-rate samples and the
-    remaining key.  BB84 compares every basis-matched record (both-X and
-    both-Z, ``f_card`` of them), the relay session only its X key events
-    (``v_card``), while its ``f_card`` also counts the Z decoy events.  The
-    two protocols' rates are not comparable.
+    So does ``matched_disagreement_rate``: the share of disagreeing key bits
+    among the keyed matched records, the error-rate samples and the
+    remaining key, v_prime + w_prime + v_dprime + w_dprime of them.  The
+    relay session's W is its Z decoys, which are never keyed (w_prime =
+    w_dprime = 0).
 
     ``alice_key`` and ``bob_key`` are the remaining key (V'' and W''), drawn
     at count level; they are empty when the session aborts.  Every report
-    that did not abort satisfies the identity
-    round(matched_disagreement_rate * compared) = sample errors +
+    that did not abort holds v_dprime + w_dprime key bits and satisfies the
+    identity round(matched_disagreement_rate * compared) = sample errors +
     count(alice_key != bob_key).
     """
 
@@ -248,17 +299,16 @@ def finish(
     size of each; together they give the achieved compression
     1 - sum(bases) / (2 raw_bases), and the sift rate, basis-matched events
     per announced basis bit, f_card / raw_bases (f_card = v_card + w_card).
-    The compared records are the samples and the remaining key, and
-    ``pe.n_disagree`` of them differ; their ratio is the matched disagreement
-    rate.  BB84 samples both bases and so compares every basis-matched record
-    (f_card), the relay session its key (X) events only (v_card).  The
-    error-rate estimate pools every basis sample,
-    sum(rate*count) / sum(count).  With no sample at all, or an estimate of
-    1/2 or more (where the rate xi - H(e) - f H(e) has no meaning), no key is
-    certified and the report says so in ``warnings``; an abort or an empty
-    remaining key certifies nothing either, and an aborted session reports no
-    key.  A certified key is int(k_rem * (xi - H(e_est) - f H(e_est))) bits,
-    at least 0.
+    The remaining key holds v_dprime = v_card - v_prime X records and
+    w_dprime = k_rem - v_dprime Z records.  The compared records are the
+    samples and the remaining key, and ``pe.n_disagree`` of them differ;
+    their ratio is the matched disagreement rate.  The error-rate estimate
+    pools every basis sample, sum(rate*count) / sum(count).  With no sample
+    at all, or an estimate of 1/2 or more (where the rate xi - H(e) - f H(e)
+    has no meaning), no key is certified and the report says so in
+    ``warnings``; an abort or an empty remaining key certifies nothing
+    either, and an aborted session reports no key.  A certified key is
+    int(k_rem * (xi - H(e_est) - f H(e_est))) bits, at least 0.
     """
     samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
                if r is not None]
@@ -270,6 +320,8 @@ def finish(
     elif e_est >= 0.5:
         warnings += (f"error-rate estimate {e_est:.6g} >= 1/2: no key certified",)
     k_rem = pe.alice_remaining.size
+    v_dprime = pe.v_card - pe.v_prime
+    w_dprime = k_rem - v_dprime
     n_compared = pe.v_prime + pe.w_prime + k_rem
     alice_key, bob_key = pe.alice_remaining, pe.bob_remaining
     if pe.aborted:
@@ -294,8 +346,8 @@ def finish(
         w_card=pe.w_card,
         v_prime=pe.v_prime,
         w_prime=pe.w_prime,
-        v_dprime=pe.v_card - pe.v_prime,
-        w_dprime=pe.w_card - pe.w_prime,
+        v_dprime=v_dprime,
+        w_dprime=w_dprime,
         qber_x=pe.qber_x,
         qber_z=pe.qber_z,
         aborted=pe.aborted,

@@ -72,6 +72,12 @@ class TestClickModel:
         err = 0.4 * 0.4 / (0.6 * 0.6 + 0.4 * 0.4)  # b(1-a)/s
         assert abs(rep.matched_disagreement_rate - err) < 2 * three_sigma(err, rep.v_card)
 
+    def test_decoy_events_are_not_keyed(self):
+        # the key is the X events left after the sample; no decoy joins it
+        rep = run_tf_session(TfConfig(n_pulses=100_000, p_x=0.9, rng_seed=1))
+        assert rep.w_card == 870 and rep.w_prime == rep.w_dprime == 0
+        assert rep.alice_key.size == rep.v_dprime + rep.w_dprime == 72_080
+
     def test_saturated_dark_counts_kill_sifting(self):
         cfg = replace(IDEAL, p_dark_relay=1.0, rng_seed=4, n_pulses=10_000)
         rep = run_tf_session(cfg)  # both detectors always click -> no singles

@@ -3,7 +3,7 @@ identity and law of both sessions, and golden digests."""
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -97,6 +97,22 @@ def test_rare_bit_positions_are_sorted_and_in_range(n, p):
         checked_positions(session.rare_bits(rng, n, p), n)
 
 
+def test_unreadable_announcement_is_an_integrity_error(monkeypatch, tmp_path):
+    # a session's own announcement that its peer cannot parse is a codec
+    # fault (exit 3), not malformed outside input (exit 2)
+    encode = squeeze.encode
+
+    def drop_last_bits(bits, cb):
+        payload, stats = encode(bits, cb)
+        return payload[:-3], stats
+
+    monkeypatch.setattr(squeeze, "encode", drop_last_bits)
+    with pytest.raises(SimulationIntegrityError, match="announcement unreadable: stream holds"):
+        run_session(SessionConfig(n_qubits=10_000))
+    out = str(tmp_path / "report.csv")
+    assert main(["simulate-bb84", "--set", "n_qubits=10000", "--out", out]) == 3
+
+
 def test_announce_rejects_header_degree_mismatch(monkeypatch):
     cb = squeeze.build_codebook(4, 0.99)
     read = squeeze.read_container
@@ -179,6 +195,44 @@ def test_estimate_of_one_half_or_more_certifies_no_key():
     assert rep.ledger.ec_bits == 0.0 and rep.ledger.pa_bits == 0.0
     assert rep.empirical_efficiency == 0.0
     assert "error-rate estimate 1 >= 1/2: no key certified" in rep.warnings
+
+
+def reference_relay_estimate(rng, e, v_card, w_card, frac) -> session.PeResult:
+    """The relay session's estimation written out: one X sample at error rate
+    e, then the X key; the Z decoys are neither sampled nor keyed, and no
+    threshold means no abort and no decision bit."""
+    v_prime = int(frac * v_card)
+    errors = int(rng.binomial(v_prime, e)) if v_prime else 0
+    alice, bob, _ = session.draw_keys(rng, v_card - v_prime, e)
+    return session.PeResult(
+        qber_x=errors / v_prime if v_prime else None, qber_z=None, aborted=False,
+        alice_remaining=alice, bob_remaining=bob,
+        v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=0,
+        n_disagree=errors + int(np.count_nonzero(alice != bob)),
+        announced_bits=v_prime,
+        warnings=() if v_prime else ("x-basis parameter-estimation sample is empty",),
+    )
+
+
+def test_relay_estimate_matches_written_out_reference():
+    # v_card = 0 (seeds 0, 3, ...), X records but an empty sample (seeds 1,
+    # 2), and samples of up to ~90 events; decoys on every seed
+    e, frac = 0.2, 0.01
+    empty_x = set()
+    for seed in range(24):
+        v_card, w_card = (0 if seed % 3 == 0 else 400 * seed), 7 * seed + 1
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pe = session.estimate(rng, e, (v_card, w_card), (frac, None))
+        ref = reference_relay_estimate(ref_rng, e, v_card, w_card, frac)
+        for f in fields(session.PeResult):
+            got, want = getattr(pe, f.name), getattr(ref, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+            else:
+                assert got == want and type(got) is type(want), f.name
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+        empty_x.add(pe.qber_x is None)
+    assert empty_x == {False, True}
 
 
 def pe_result(key: np.ndarray, **counts) -> session.PeResult:
@@ -273,11 +327,6 @@ def error_rate(cfg) -> float:
     return qber(cfg.channel) if isinstance(cfg, SessionConfig) else relay_error_rate(cfg)
 
 
-def compared(rep, cfg) -> int:
-    """BB84 compares every basis-matched record, the relay session its X events."""
-    return rep.f_card if isinstance(cfg, SessionConfig) else rep.v_card
-
-
 def sample_errors_of(rep) -> int:
     return sum(round(rate * count) for rate, count in
                ((rep.qber_x, rep.v_prime), (rep.qber_z, rep.w_prime)) if rate is not None)
@@ -293,8 +342,8 @@ def test_disagreements_are_the_sample_errors_plus_the_key_errors(name):
         if rep.aborted:
             continue
         kept += 1
-        n_compared = compared(rep, cfg)
-        assert n_compared == rep.v_prime + rep.w_prime + rep.alice_key.size
+        assert rep.alice_key.size == rep.v_dprime + rep.w_dprime
+        n_compared = rep.v_prime + rep.w_prime + rep.v_dprime + rep.w_dprime
         key_errors = np.count_nonzero(rep.alice_key != rep.bob_key)
         assert (round(rep.matched_disagreement_rate * n_compared)
                 == sample_errors_of(rep) + key_errors)
