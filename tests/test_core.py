@@ -5,6 +5,9 @@ forms (binary entropy, QBER chain, efficiency ratios) done independently of
 this package.
 """
 
+import dataclasses
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -16,8 +19,12 @@ from hypothesis import strategies as st
 from qkdeff.core import (
     INFINITE,
     ChannelParams,
+    CurvePoint,
+    EfficiencyReport,
     ProtocolParams,
+    SessionLedger,
     binary_entropy,
+    build_ledger,
     classical_bits,
     determine_optimality,
     efficiency_curve,
@@ -28,6 +35,7 @@ from qkdeff.core import (
     transmittance,
 )
 from qkdeff.errors import DegenerateChannelError, ParameterError
+from qkdeff.proto_bb84 import SessionConfig, run_session
 
 # 40-digit oracle values
 H_003 = 0.1943918578315761608655943296458712861413
@@ -477,6 +485,76 @@ class TestEfficiencyCurve:
             ch_l = replace(ch, length_km=pt.length_km)
             assert pt.standard.as_dict() == total_efficiency(ch_l, std_pp).as_dict()
             assert pt.optimal.as_dict() == determine_optimality(ch_l, pp.xi).as_dict()
+
+
+LEDGER_KEYS = ["reception_ack", "bob_bases", "alice_match", "pe_sacrifice",
+               "ec_bits", "pa_bits"]
+REPORT_KEYS = ["eta_tilde", "y1", "e", "h_e", "R", "r_unclamped", "M_per_qubit",
+               "efficiency", "extinct"]
+
+
+class TestRecordContract:
+    """What callers rely on in the report records, whatever class backs them."""
+
+    @staticmethod
+    def point(length=10.0):
+        return efficiency_curve(FIG2, ProtocolParams(), [length])[0]
+
+    def test_every_field_is_read_only(self):
+        pt = self.point()
+        led = pt.standard.ledger
+        for rec, names in ((pt, ["length_km", "standard", "optimal"]),
+                           (pt.standard, REPORT_KEYS + ["ledger"]),
+                           (led, LEDGER_KEYS + ["feasible"])):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, getattr(rec, name))
+
+    def test_equal_values_compare_and_hash_equal(self):
+        a, b = self.point(), self.point()
+        assert a is not b
+        for x, y in ((a, b), (a.standard, b.standard), (a.standard.ledger, b.standard.ledger)):
+            assert x == y and hash(x) == hash(y)
+        assert a != self.point(20.0)
+        assert a.standard.ledger != a.optimal.ledger
+
+    def test_replace_on_curve_point_and_report(self):
+        pt = self.point()
+        rep = replace(pt.optimal, efficiency=0.5)
+        assert rep.efficiency == 0.5 and rep.ledger == pt.optimal.ledger
+        bad = replace(pt, optimal=rep)
+        assert bad.optimal.efficiency == 0.5 and bad.standard == pt.standard
+        assert dataclasses.is_dataclass(EfficiencyReport)
+        assert dataclasses.is_dataclass(CurvePoint)
+
+    def test_ledger_is_a_named_tuple(self):
+        led = build_ledger(1.0, (2.0, 3.0), 4.0, 10.0, 0.5, 1.0, 2.0, 1.0)
+        assert isinstance(led, SessionLedger) and len(led) == 7
+        assert led == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, True)
+        assert tuple(led) == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, True)
+        assert led.total() == 21.0
+        assert SessionLedger(1, 2, 3, 4, 5, 6).feasible is True
+
+    def test_as_dict_key_order(self):
+        rep = self.point().standard
+        assert list(rep.ledger.as_dict()) == LEDGER_KEYS
+        assert list(rep.as_dict()) == REPORT_KEYS + [f"ledger.{k}" for k in LEDGER_KEYS]
+        d = run_session(SessionConfig(n_qubits=10**4, rng_seed=1)).as_dict()
+        keys = [k for k in d if k.startswith("ledger")]
+        assert keys == ([f"ledger.{k}" for k in LEDGER_KEYS]
+                        + [f"ledger_raw.{k}" for k in LEDGER_KEYS])
+        assert list(d)[-len(keys):] == keys
+
+    def test_curve_values_match_the_golden_digest(self):
+        # every value of 2 x 2,001 curve points, bit for bit, as first computed
+        # with frozen-dataclass records
+        h = hashlib.sha256()
+        for ch in (ChannelParams(), ChannelParams(e_opt=0.05, f=1.16)):
+            for pt in efficiency_curve(ch, ProtocolParams(), [i * 0.1 for i in range(2001)]):
+                h.update(json.dumps([pt.length_km, pt.standard.as_dict(),
+                                     pt.optimal.as_dict()]).encode())
+        assert h.hexdigest() == (
+            "5fbb2171c1e7ebb6eb4733da2373c718e41f137af3dbd25a337978bf3d7b4c58")
 
 
 class TestProtocolParamsValidation:
