@@ -38,6 +38,7 @@ from .squeeze import (
     OnePositions,
     build_codebook,
     decode,
+    decode_positions,
     encode,
     sigma_curve,
     sigma_expected,

@@ -7,8 +7,9 @@ exact for Z/X prepare-and-measure protocols.  Records are drawn for detected
 qubits only: in lossy mode the detected count is drawn first,
 Binomial(N, eta~), and since records are i.i.d. and nothing reads an
 undetected one, this gives the same law as drawing all N and discarding.
-Announcements run through the real squeeze codec (encode -> decode with
-integrity checks), so the ledger carries actually-achieved compressed sizes.
+Announcements run through the real squeeze codec (encode, then read back
+as one-positions with integrity checks), so the ledger carries
+actually-achieved compressed sizes.
 
 Naming of the sifted subsets: V collects records where both parties used the X
 basis, W where both used the Z basis.  With the dominant basis being Z

@@ -10,7 +10,8 @@ estimation stage, and it reads only counts and the remaining key: matched
 records err i.i.d. with a known probability e and samples are picked
 independently of their errors, so each sample's error count is drawn as
 Binomial(size, e) (``sample_errors``), and the remaining key is fair bits
-for Alice and Bob's copy with i.i.d. Bernoulli(e) flips (``draw_keys``).
+for Alice and Bob's copy with i.i.d. Bernoulli(e) flips (``draw_keys``),
+kept packed eight bits to a byte from the draw to the report's hex.
 The certification rule lives here, once: a session with no error-rate
 sample in any basis, or with an estimate of 1/2 or more, certifies no key.
 The ledgers and the efficiency come from ``core.build_ledger`` and
@@ -47,11 +48,6 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
-def fair_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` fair coins as uint8, eight to each random byte."""
-    return np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), np.uint8), count=n)
-
-
 def rare_bits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """Sorted int64 positions of the successes among ``n`` Bernoulli(p) trials.
 
@@ -73,10 +69,11 @@ def rare_bits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
 def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
     """Squeeze an ``n``-bit sequence, frame it, and read it back as the peer would.
 
-    The sequence is given by the sorted positions of its 1s.  The decoded
-    sequence must equal the sent one, and the peer must be able to read it,
-    so a codec fault surfaces as SimulationIntegrityError rather than key
-    damage or a malformed-input error.  Returns the announced payload size
+    The sequence is given by the sorted positions of its 1s, and the peer
+    reads it back in the same form.  The decoded length and positions must
+    equal the sent ones, and the peer must be able to read it, so a codec
+    fault surfaces as SimulationIntegrityError rather than key damage or a
+    malformed-input error.  Returns the announced payload size
     (container header framing is not counted; the protocol messages carry
     counts anyway).
     """
@@ -88,11 +85,10 @@ def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
             raise SimulationIntegrityError(
                 f"{what} announcement header carries k={k_hdr}, sent k={cb.degree_k}"
             )
-        decoded = squeeze.decode(payload_bits, cb, true_len)
+        decoded = squeeze.decode_positions(payload_bits, cb, true_len)
     except MalformedStreamError as exc:
         raise SimulationIntegrityError(f"{what} announcement unreadable: {exc}") from exc
-    if not (decoded.size == n and np.count_nonzero(decoded) == ones.size
-            and decoded[ones].all()):
+    if not (decoded.length == n and np.array_equal(decoded.positions, ones)):
         raise SimulationIntegrityError(f"{what} announcement decode mismatch")
     return stats.output_bits
 
@@ -119,14 +115,18 @@ def draw_keys(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Both parties' keys on the ``k_rem`` matched records no sample drew.
 
-    Alice's bits are fair; Bob's bit differs from hers with probability
-    ``e``, independently of the samples and of each other.  Returns Alice's
-    key, Bob's key and the count of bits where they differ.
+    Alice's bits are fair, eight to each random byte; Bob's bit differs from
+    hers with probability ``e``, independently of the samples and of each
+    other.  Returns Alice's key and Bob's key, each packed MSB-first into
+    ceil(k_rem / 8) uint8 bytes with the padding bits 0, and the count of
+    bits where they differ.
     """
-    alice = fair_bits(rng, k_rem)
+    alice = np.frombuffer(rng.bytes(-(-k_rem // 8)), np.uint8).copy()
+    if k_rem % 8:
+        alice[-1] &= 0xFF << (8 - k_rem % 8) & 0xFF
     flips = rare_bits(rng, k_rem, e)
     bob = alice.copy()
-    bob[flips] ^= 1
+    np.bitwise_xor.at(bob, flips >> 3, (0x80 >> (flips & 7)).astype(np.uint8))
     return alice, bob, flips.size
 
 
@@ -134,8 +134,9 @@ def draw_keys(
 class PeResult:
     """Error-rate estimates, subset counts and the remaining key of one session.
 
-    The remaining key (``alice_remaining``, ``bob_remaining``) holds the
-    keyed records no sample drew; it is drawn whether or not the session
+    The remaining key holds the ``k_rem`` keyed records no sample drew,
+    packed as ``draw_keys`` returns it (``alice_remaining_packed``,
+    ``bob_remaining_packed``); it is drawn whether or not the session
     aborts, and ``finish`` reports it only when it does not.  ``n_disagree``
     counts the compared records whose key bits differ: the errors found in
     the samples plus those of the remaining key.
@@ -144,8 +145,9 @@ class PeResult:
     qber_x: float | None
     qber_z: float | None
     aborted: bool
-    alice_remaining: np.ndarray
-    bob_remaining: np.ndarray
+    alice_remaining_packed: np.ndarray
+    bob_remaining_packed: np.ndarray
+    k_rem: int
     v_card: int
     w_card: int
     v_prime: int
@@ -195,7 +197,7 @@ def estimate(
     alice, bob, key_errors = draw_keys(rng, k_rem, e)
     return PeResult(
         qber_x=rates[0], qber_z=rates[1], aborted=aborted,
-        alice_remaining=alice, bob_remaining=bob,
+        alice_remaining_packed=alice, bob_remaining_packed=bob, k_rem=k_rem,
         v_card=cards[0], w_card=cards[1], v_prime=primes[0], w_prime=primes[1],
         n_disagree=n_errors + key_errors,
         announced_bits=sum(primes) + (threshold is not None),
@@ -224,9 +226,12 @@ class SessionReport:
     w_dprime = 0).
 
     ``alice_key`` and ``bob_key`` are the remaining key (V'' and W''), drawn
-    at count level; they are empty when the session aborts.  Every report
-    that did not abort holds v_dprime + w_dprime key bits and satisfies the
-    identity round(matched_disagreement_rate * compared) = sample errors +
+    at count level; they are empty when the session aborts.  The report
+    stores them packed MSB-first, ``key_bit_length`` bits each with zero
+    padding (``alice_key_packed``, ``bob_key_packed``), and the two
+    properties unpack them on access.  Every report that did not abort holds
+    v_dprime + w_dprime key bits and satisfies the identity
+    round(matched_disagreement_rate * compared) = sample errors +
     count(alice_key != bob_key).
     """
 
@@ -248,19 +253,29 @@ class SessionReport:
     empirical_sigma: float
     classical_bits_per_qubit: float
     empirical_efficiency: float
-    alice_key: np.ndarray
-    bob_key: np.ndarray
+    alice_key_packed: np.ndarray
+    bob_key_packed: np.ndarray
+    key_bit_length: int
     ledger: SessionLedger
     ledger_raw: SessionLedger
     warnings: tuple[str, ...] = ()
 
+    @property
+    def alice_key(self) -> np.ndarray:
+        return np.unpackbits(self.alice_key_packed, count=self.key_bit_length)
+
+    @property
+    def bob_key(self) -> np.ndarray:
+        return np.unpackbits(self.bob_key_packed, count=self.key_bit_length)
+
     def as_dict(self) -> dict:
         """Plain fields by name, the keys as hex and bit length, then both ledgers."""
         d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in ("alice_key", "bob_key", "ledger", "ledger_raw", "warnings")}
-        d.update(alice_key_hex=squeeze.pack_bits(self.alice_key).hex(),
-                 bob_key_hex=squeeze.pack_bits(self.bob_key).hex(),
-                 key_bit_length=int(self.alice_key.size), warnings=list(self.warnings))
+             if f.name not in ("alice_key_packed", "bob_key_packed", "key_bit_length",
+                               "ledger", "ledger_raw", "warnings")}
+        d.update(alice_key_hex=self.alice_key_packed.tobytes().hex(),
+                 bob_key_hex=self.bob_key_packed.tobytes().hex(),
+                 key_bit_length=self.key_bit_length, warnings=list(self.warnings))
         for name in ("ledger", "ledger_raw"):
             d.update({f"{name}.{k}": v for k, v in getattr(self, name).as_dict().items()})
         return d
@@ -274,7 +289,8 @@ def empty_report() -> SessionReport:
         n_qubits=0, n_detected=0, f_card=0, v_card=0, w_card=0,
         v_prime=0, w_prime=0, v_dprime=0, w_dprime=0,
         qber_x=None, qber_z=None, aborted=False,
-        alice_key=empty, bob_key=empty, final_key_bits=0,
+        alice_key_packed=empty, bob_key_packed=empty, key_bit_length=0,
+        final_key_bits=0,
         empirical_sift_rate=0.0, matched_disagreement_rate=0.0,
         empirical_sigma=0.0, classical_bits_per_qubit=0.0,
         empirical_efficiency=0.0, ledger=zero, ledger_raw=zero,
@@ -319,13 +335,14 @@ def finish(
         warnings += (NO_ESTIMATE,)
     elif e_est >= 0.5:
         warnings += (f"error-rate estimate {e_est:.6g} >= 1/2: no key certified",)
-    k_rem = pe.alice_remaining.size
+    k_rem = pe.k_rem
     v_dprime = pe.v_card - pe.v_prime
     w_dprime = k_rem - v_dprime
     n_compared = pe.v_prime + pe.w_prime + k_rem
-    alice_key, bob_key = pe.alice_remaining, pe.bob_remaining
+    alice_key, bob_key, key_bits = pe.alice_remaining_packed, pe.bob_remaining_packed, k_rem
     if pe.aborted:
         alice_key = bob_key = np.zeros(0, np.uint8)
+        key_bits = 0
     if pe.aborted or k_rem == 0 or e_est is None or e_est >= 0.5:
         k_rem = final_key = 0  # nothing certified: no EC, no PA
         h_est = seed = 0.0
@@ -351,8 +368,9 @@ def finish(
         qber_x=pe.qber_x,
         qber_z=pe.qber_z,
         aborted=pe.aborted,
-        alice_key=alice_key,
-        bob_key=bob_key,
+        alice_key_packed=alice_key,
+        bob_key_packed=bob_key,
+        key_bit_length=key_bits,
         final_key_bits=final_key,
         empirical_sift_rate=f_card / raw_bases if raw_bases else 0.0,
         matched_disagreement_rate=pe.n_disagree / n_compared if n_compared else 0.0,

@@ -20,7 +20,9 @@ runs of 1s alone, and both cost O(ones + n/k) for n input bits beyond one
 packing pass over their input.  A caller that already holds the sorted
 positions of the 1s (a session's rare basis choices) hands them to
 :func:`encode` as :class:`OnePositions` and skips that pass; a dense
-sequence is reduced to the same form first.
+sequence is reduced to the same form first.  :func:`decode_positions`
+reads a stream back into that form, and :func:`decode` scatters it into
+the dense sequence.
 """
 
 from __future__ import annotations
@@ -229,11 +231,13 @@ def encode(
     return out, CompressionStats(n, m, out.size, sigma)
 
 
-def decode(stream: BitsLike, cb: Codebook, true_length: int) -> np.ndarray:
-    """Invert :func:`encode`, stripping padding beyond ``true_length`` bits.
+def decode_positions(stream: BitsLike, cb: Codebook, true_length: int) -> OnePositions:
+    """Invert :func:`encode` into the :class:`OnePositions` of the ``true_length`` bits.
 
-    Raises MalformedStreamError when the stream is not a valid codeword
-    concatenation for ``ceil(true_length / k)`` blocks.
+    Only the codewords of rank > 0 are read, so the cost is O(runs of 1s)
+    beyond one pass over the stream.  Raises MalformedStreamError when the
+    stream is not a valid codeword concatenation for
+    ``ceil(true_length / k)`` blocks or sets a padding bit.
     """
     if true_length < 0:
         raise ParameterError("true_length must be nonnegative")
@@ -254,27 +258,42 @@ def decode(stream: BitsLike, cb: Codebook, true_length: int) -> np.ndarray:
     if ones.size and edge[-1] == arr.size and rank[-1]:
         raise MalformedStreamError("stream ends inside a codeword")
 
-    n_maximal = int(n_full.sum())
-    n_codewords = arr.size - int(ones.sum()) + n_maximal
+    n_codewords = arr.size - int(ones.sum()) + int(n_full.sum())
     if n_codewords != m_expect:
         raise MalformedStreamError(
             f"stream holds {n_codewords} codewords, expected {m_expect}"
         )
-    if not n_codewords:
-        return np.zeros(0, dtype=np.uint8)
 
-    # Only blocks of rank > 0 are written into a zeroed output.  A run's
-    # first codeword index is the count of 0s before it (each ends a
-    # codeword) plus the maximal codewords of earlier runs.
-    zeros_before = start - (np.cumsum(ones) - ones)
-    out = np.zeros((n_codewords, k), dtype=np.uint8)
-    out[np.repeat(zeros_before, n_full) + np.arange(n_maximal)] = 1  # all-ones block
+    # A run's codewords of rank > 0 are its maximal ones, then the one it
+    # ends with, if any, and they follow one another.  Its first codeword
+    # index is the count of 0s before it (each ends a codeword) plus the
+    # maximal codewords of earlier runs: its start less the 1s of earlier
+    # runs that are not maximal codewords.
+    not_maximal = ones - n_full
+    first = start + not_maximal - np.cumsum(not_maximal)
     ended = rank > 0
-    out[(zeros_before + np.cumsum(n_full))[ended]] = cb._bits_of_rank[rank[ended]]
-    bits = out.reshape(-1)
-    if bits[true_length:].any():
+    per_run = n_full + ended
+    end = np.cumsum(per_run)
+    index = np.repeat(first - end + per_run, per_run)
+    index += np.arange(index.size)
+    ranks = np.full(index.size, last)
+    ranks[end[ended] - 1] = rank[ended]
+    # the 1s of those blocks, row by row; take and flatnonzero on a bool
+    # view outrun fancy indexing and a 2-D nonzero
+    hit = np.take(cb._bits_of_rank.view(bool), ranks, axis=0)
+    rows, cols = np.divmod(np.flatnonzero(hit), k)
+    pos = index[rows] * k + cols
+    if pos.size and pos[-1] >= true_length:
         raise MalformedStreamError("nonzero padding bits beyond the true length")
-    return bits[:true_length]
+    return OnePositions(pos, true_length)
+
+
+def decode(stream: BitsLike, cb: Codebook, true_length: int) -> np.ndarray:
+    """Invert :func:`encode`: the dense form of :func:`decode_positions`."""
+    ones = decode_positions(stream, cb, true_length)
+    out = np.zeros(true_length, dtype=np.uint8)
+    out[ones.positions] = 1
+    return out
 
 
 def expected_codeword_length(k: int, p: float) -> float:
@@ -368,6 +387,8 @@ def read_container(data: bytes) -> tuple[int, int, np.ndarray]:
     payload = data[_HEADER.size:]
     if len(payload) != (payload_len + 7) // 8:
         raise MalformedStreamError("container payload length mismatch")
+    if payload_len % 8 and payload[-1] & (0xFF >> payload_len % 8):
+        raise MalformedStreamError("nonzero padding bits beyond the payload length")
     return k, true_len, unpack_bits(payload, payload_len)
 
 

@@ -38,6 +38,19 @@ def three_sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+# the read-back corruptions: the first 0 turned to 1, the first 1 turned to
+# 0, both (a 1 moved, the count of 1s kept), and none but one bit too many
+CORRUPTIONS = [(0,), (1,), (0, 1), ()]
+
+
+def corrupted(ones: squeeze.OnePositions, flipped: tuple) -> squeeze.OnePositions:
+    """``ones`` with the first 0 and/or the first 1 flipped, or one bit longer."""
+    bits = np.zeros(ones.length, np.uint8)
+    bits[ones.positions] = 1
+    bits[[np.flatnonzero(bits == value)[0] for value in flipped]] ^= 1
+    return squeeze.OnePositions(np.flatnonzero(bits), ones.length + (not flipped))
+
+
 def dense_bases(rec: QubitRecords) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's basis bit of every record (1 = X) as uint8 arrays."""
     b, b_prime = np.zeros(len(rec), np.uint8), np.zeros(len(rec), np.uint8)
@@ -76,7 +89,7 @@ class TestPrepareAndMeasure:
         sifted = sift(prepare_and_measure(cfg, rng_prep), cfg)
         pe = parameter_estimation(sifted, cfg, rng_pe)
         matched = pe.v_card + pe.w_card
-        assert pe.v_prime + pe.w_prime + pe.alice_remaining.size == matched
+        assert pe.v_prime + pe.w_prime + pe.k_rem == matched
         assert abs(pe.n_disagree / matched - 0.03) < three_sigma(0.03, matched)
 
     def test_lossy_detection_rate(self):
@@ -120,7 +133,7 @@ class TestSift:
         res = sift(rec, cfg)
         assert res.v_card == res.w_card == 0
         pe = parameter_estimation(res, cfg)
-        assert pe.alice_remaining.size == pe.bob_remaining.size == 0
+        assert pe.k_rem == pe.alice_remaining_packed.size == pe.bob_remaining_packed.size == 0
 
     @pytest.mark.parametrize("lossless, length_km", [(True, 0.0), (False, 50.0)])
     def test_split_counts_match_the_bases(self, lossless, length_km):
@@ -157,18 +170,14 @@ class TestSift:
         cfg = SessionConfig(n_qubits=1024, p_b=0.9, channel=NOISELESS,
                             lossless=True, rng_seed=10)
         rec = prepare_and_measure(cfg)
-        real_decode = squeeze.decode
+        real_decode = squeeze.decode_positions
+        for flipped in CORRUPTIONS:
+            def corrupt(stream, cb, true_length, flipped=flipped):
+                return corrupted(real_decode(stream, cb, true_length), flipped)
 
-        def corrupt(stream, cb, true_length):
-            bits = real_decode(stream, cb, true_length)
-            if bits.size:
-                bits = bits.copy()
-                bits[0] ^= 1
-            return bits
-
-        monkeypatch.setattr("qkdeff.proto_bb84.squeeze.decode", corrupt)
-        with pytest.raises(SimulationIntegrityError):
-            sift(rec, cfg)
+            monkeypatch.setattr("qkdeff.proto_bb84.squeeze.decode_positions", corrupt)
+            with pytest.raises(SimulationIntegrityError, match="decode mismatch"):
+                sift(rec, cfg)
 
     def test_compression_benefit(self):
         cfg = SessionConfig(n_qubits=100_000, p_b=0.99, degree_k=4,
@@ -264,12 +273,13 @@ def reference_parameter_estimation(rec, cfg, rng):
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
     aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
-    alice, bob, _ = session.draw_keys(rng, v_card - v_prime + w_card - w_prime, e)
+    k_rem = v_card - v_prime + w_card - w_prime
+    alice, bob, _ = session.draw_keys(rng, k_rem, e)
     return PeResult(
         qber_x=qber_x, qber_z=qber_z, aborted=aborted,
-        alice_remaining=alice, bob_remaining=bob,
+        alice_remaining_packed=alice, bob_remaining_packed=bob, k_rem=k_rem,
         v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=w_prime,
-        n_disagree=errors + int(np.count_nonzero(alice != bob)),
+        n_disagree=errors + int(np.count_nonzero(np.unpackbits(alice ^ bob))),
         announced_bits=v_prime + w_prime + 1, warnings=tuple(warnings),
     )
 

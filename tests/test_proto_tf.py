@@ -21,6 +21,19 @@ def three_sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+# the read-back corruptions: the first 0 turned to 1, the first 1 turned to
+# 0, both (a 1 moved, the count of 1s kept), and none but one bit too many
+CORRUPTIONS = [(0,), (1,), (0, 1), ()]
+
+
+def corrupted(ones: squeeze.OnePositions, flipped: tuple) -> squeeze.OnePositions:
+    """``ones`` with the first 0 and/or the first 1 flipped, or one bit longer."""
+    bits = np.zeros(ones.length, np.uint8)
+    bits[ones.positions] = 1
+    bits[[np.flatnonzero(bits == value)[0] for value in flipped]] ^= 1
+    return squeeze.OnePositions(np.flatnonzero(bits), ones.length + (not flipped))
+
+
 class TestIdealClicks:
     def test_flip_rule_gives_identical_keys(self):
         rep = run_tf_session(IDEAL)
@@ -160,19 +173,16 @@ class TestAnnouncements:
         # identical distributions: means agree within a few expected codewords
         assert abs(np.mean(sizes_a) - np.mean(sizes_b)) < 0.01 * np.mean(sizes_a)
 
-    @pytest.mark.parametrize("flipped", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("flipped", CORRUPTIONS)
     def test_decode_mismatch_is_fatal(self, monkeypatch, flipped):
-        # the read-back check compares the decoded announcement with the sent
-        # one-positions: a flipped bit, 0 to 1 or 1 to 0, must be caught, and
-        # so must a 1 moved elsewhere (both flips; the count of 1s holds)
-        real_decode = squeeze.decode
+        # the read-back check compares the decoded one-positions and length
+        # with the sent ones: each corruption must be caught
+        real_decode = squeeze.decode_positions
 
         def corrupt(stream, cb, true_length):
-            bits = real_decode(stream, cb, true_length).copy()
-            bits[[np.flatnonzero(bits == value)[0] for value in flipped]] ^= 1
-            return bits
+            return corrupted(real_decode(stream, cb, true_length), flipped)
 
-        monkeypatch.setattr("qkdeff.proto_tf.squeeze.decode", corrupt)
+        monkeypatch.setattr("qkdeff.proto_tf.squeeze.decode_positions", corrupt)
         with pytest.raises(SimulationIntegrityError, match="decode mismatch"):
             run_tf_session(replace(IDEAL, n_pulses=4096, p_x=0.9, rng_seed=3))
 

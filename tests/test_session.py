@@ -56,13 +56,18 @@ def checked_positions(positions: np.ndarray, n: int) -> np.ndarray:
     return positions
 
 
+def fair_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Alice's key from ``draw_keys``, unpacked: ``n`` fair bits."""
+    return np.unpackbits(session.draw_keys(rng, n, 0.0)[0], count=n)
+
+
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, None])
 def test_bit_samplers_follow_bernoulli_law(p):
     # p=None draws fair bits.  Each position is Bernoulli(p), so an off-by-one
     # in the geometric gaps (or in the byte unpacking) shows at an end position
     rng = np.random.default_rng(11)
     rows = np.array([
-        session.fair_bits(rng, WIDTH) if p is None
+        fair_bits(rng, WIDTH) if p is None
         else dense(checked_positions(session.rare_bits(rng, WIDTH, p), WIDTH), WIDTH)
         for _ in range(DRAWS)
     ])
@@ -80,7 +85,7 @@ def test_bit_samplers_follow_bernoulli_law(p):
 
 def test_bit_samplers_degenerate_cases():
     rng = np.random.default_rng(12)
-    bits = session.fair_bits(rng, 0)
+    bits = fair_bits(rng, 0)
     assert bits.size == 0 and bits.dtype == np.uint8
     assert checked_positions(session.rare_bits(rng, 0, 0.3), 0).size == 0
     never, always = (checked_positions(session.rare_bits(rng, 1000, p), 1000)
@@ -171,12 +176,39 @@ def test_drawn_keys_differ_where_counted(e):
     rng = np.random.default_rng(15)
     n = 200_000
     alice, bob, n_differ = session.draw_keys(rng, n, e)
-    assert alice.dtype == bob.dtype == np.uint8 and alice.size == bob.size == n
-    assert n_differ == np.count_nonzero(alice != bob)
-    assert abs(alice.mean() - 0.5) <= 6.0 * math.sqrt(0.25 / n)
+    assert alice.dtype == bob.dtype == np.uint8 and alice.size == bob.size == -(-n // 8)
+    assert n_differ == np.count_nonzero(np.unpackbits(alice ^ bob))
+    alice_bits = np.unpackbits(alice, count=n)
+    assert abs(alice_bits.mean() - 0.5) <= 6.0 * math.sqrt(0.25 / n)
     assert abs(n_differ / n - e) <= 6.0 * math.sqrt(e * (1 - e) / n)
     empty = session.draw_keys(rng, 0, e)
     assert empty[0].size == empty[1].size == empty[2] == 0
+
+
+def reference_draw_keys(rng, k_rem, e):
+    """The keys drawn unpacked: fair bits for Alice, one byte per eight,
+    and Bob's copy with the ``rare_bits`` flips applied bit by bit."""
+    alice = np.unpackbits(np.frombuffer(rng.bytes(-(-k_rem // 8)), np.uint8), count=k_rem)
+    flips = session.rare_bits(rng, k_rem, e)
+    bob = alice.copy()
+    bob[flips] ^= 1
+    return alice, bob, flips.size
+
+
+@pytest.mark.parametrize("k_rem", [*range(18), 99_999, 1_000_005])
+def test_packed_keys_are_the_unpacked_draw(k_rem):
+    # the same generator draws, so the same bits; the padding bits are 0
+    for seed, e in ((16, 0.03), (17, 0.5)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        alice, bob, n_differ = session.draw_keys(rng, k_rem, e)
+        ref_alice, ref_bob, ref_differ = reference_draw_keys(ref_rng, k_rem, e)
+        for packed, bits in ((alice, ref_alice), (bob, ref_bob)):
+            assert packed.dtype == np.uint8 and packed.size == -(-k_rem // 8)
+            unpacked = np.unpackbits(packed)
+            assert np.array_equal(unpacked[:k_rem], bits)
+            assert not unpacked[k_rem:].any()
+        assert n_differ == ref_differ
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_estimate_of_one_half_or_more_certifies_no_key():
@@ -206,9 +238,9 @@ def reference_relay_estimate(rng, e, v_card, w_card, frac) -> session.PeResult:
     alice, bob, _ = session.draw_keys(rng, v_card - v_prime, e)
     return session.PeResult(
         qber_x=errors / v_prime if v_prime else None, qber_z=None, aborted=False,
-        alice_remaining=alice, bob_remaining=bob,
+        alice_remaining_packed=alice, bob_remaining_packed=bob, k_rem=v_card - v_prime,
         v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=0,
-        n_disagree=errors + int(np.count_nonzero(alice != bob)),
+        n_disagree=errors + int(np.count_nonzero(np.unpackbits(alice ^ bob))),
         announced_bits=v_prime,
         warnings=() if v_prime else ("x-basis parameter-estimation sample is empty",),
     )
@@ -235,9 +267,12 @@ def test_relay_estimate_matches_written_out_reference():
     assert empty_x == {False, True}
 
 
-def pe_result(key: np.ndarray, **counts) -> session.PeResult:
-    """A PeResult with the same key for both parties and the given counts."""
-    return session.PeResult(alice_remaining=key, bob_remaining=key, **counts)
+def pe_result(k_rem: int, **counts) -> session.PeResult:
+    """A PeResult with the same all-zero ``k_rem``-bit key for both parties
+    and the given counts."""
+    key = np.zeros(-(-k_rem // 8), np.uint8)
+    return session.PeResult(alice_remaining_packed=key, bob_remaining_packed=key,
+                            k_rem=k_rem, **counts)
 
 
 def finish(pe: session.PeResult, raw_bases: int, **kw) -> session.SessionReport:
@@ -253,7 +288,7 @@ def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
     # X sample all wrong, Z sample all right: the pooled estimate is
     # 1 / (1 + z_count), exactly 1/2 for one Z event
     pe = pe_result(
-        np.zeros(100, np.uint8), qber_x=1.0, qber_z=0.0, aborted=False,
+        100, qber_x=1.0, qber_z=0.0, aborted=False,
         v_card=10, w_card=10, v_prime=1, w_prime=z_count, n_disagree=1,
         announced_bits=2 + z_count,
     )
@@ -273,7 +308,7 @@ def test_matched_disagreement_rate_pools_the_basis_pairs():
     # its rate still counts the key it discarded.
     for aborted in (False, True):
         pe = pe_result(
-            np.zeros(6, np.uint8), qber_x=1.0, qber_z=0.0, aborted=aborted,
+            6, qber_x=1.0, qber_z=0.0, aborted=aborted,
             v_card=3, w_card=5, v_prime=1, w_prime=1, n_disagree=4,
             announced_bits=3,
         )
@@ -287,7 +322,7 @@ def test_matched_disagreement_rate_pools_the_basis_pairs():
 
 def test_sift_rate_with_no_announced_basis_is_zero():
     pe = pe_result(
-        np.zeros(0, np.uint8), qber_x=None, qber_z=None, aborted=False,
+        0, qber_x=None, qber_z=None, aborted=False,
         v_card=0, w_card=0, v_prime=0, w_prime=0, n_disagree=0, announced_bits=1,
     )
     rep = finish(pe, 0, n_qubits=40, qubits_sent=40, reception_ack=40, bases=(0, 0))

@@ -496,6 +496,52 @@ class TestPositionsEntry:
             encode(squeeze.OnePositions(np.asarray(positions), length), codebook(4))
 
 
+def positions_outcome(fn, stream, cb, true_length):
+    """The decoded one-positions, or the type and message of the error raised."""
+    try:
+        ones = fn(stream, cb, true_length)
+    except (MalformedStreamError, ParameterError) as exc:
+        return type(exc), str(exc)
+    if isinstance(ones, np.ndarray):  # the dense oracle
+        ones = squeeze.OnePositions(np.flatnonzero(ones), ones.size)
+    assert ones.positions.dtype == np.int64 and ones.length == true_length
+    return ones.positions.tolist()
+
+
+class TestDecodePositionsMatchesReference:
+    """``decode_positions`` gives the 1s of the reference decoder's output, or its error."""
+
+    K = st.sampled_from([1, 2, 3, 4, 5, 8, 12])
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=K, stream=st.lists(st.integers(0, 1), max_size=200),
+           true_length=st.integers(0, 600))
+    def test_arbitrary_streams(self, k, stream, true_length):
+        cb = codebook(k)
+        stream = np.asarray(stream, np.uint8)
+        assert positions_outcome(squeeze.decode_positions, stream, cb, true_length) == (
+            positions_outcome(reference_decode, stream, cb, true_length))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=K, bits=CODEC_INPUTS, data=st.data())
+    def test_damaged_streams(self, k, bits, data):
+        # an encoded sequence, then a flipped bit, a cut or appended bits, and
+        # a true length off by up to a block or more
+        cb = codebook(k)
+        out, _ = encode(bits, cb)
+        damage = data.draw(st.sampled_from(["none", "flip", "cut", "append"]))
+        if damage == "flip" and out.size:
+            out[data.draw(st.integers(0, out.size - 1))] ^= 1
+        elif damage == "cut":
+            out = out[: out.size - data.draw(st.integers(0, out.size))]
+        elif damage == "append":
+            extra = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+            out = np.concatenate([out, np.asarray(extra, np.uint8)])
+        true_length = max(0, len(bits) + data.draw(st.integers(-2 * k, 2 * k)))
+        assert positions_outcome(squeeze.decode_positions, out, cb, true_length) == (
+            positions_outcome(reference_decode, out, cb, true_length))
+
+
 class TestCodecProperties:
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, squeeze.MAX_EXPLICIT_DEGREE),
@@ -626,6 +672,18 @@ class TestBitPackingAndContainer:
             read_container(blob[:10])
         with pytest.raises(MalformedStreamError):
             read_container(blob + b"\x00")
+
+    def test_container_rejects_nonzero_padding(self):
+        # '0001000' at k=3 squeezes to a 6-bit payload in one byte: its last
+        # two bits are padding, and a container that sets one is malformed
+        blob, stats = squeeze_bits("0001000", 3)
+        assert stats.output_bits % 8
+        assert unsqueeze_bits(blob).tolist() == [0, 0, 0, 1, 0, 0, 0]
+        damaged = blob[:-1] + bytes([blob[-1] | 1])
+        with pytest.raises(MalformedStreamError, match="nonzero padding bits"):
+            read_container(damaged)
+        with pytest.raises(MalformedStreamError, match="nonzero padding bits"):
+            unsqueeze_bits(damaged)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 1000])
     def test_bits_to_string(self, n):
