@@ -47,13 +47,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_out(args, data: str | bytes) -> None:
-    binary = isinstance(data, bytes)
+def _write_out(args, *pieces: str | bytes) -> None:
+    """Write the pieces in turn, as text or, when they are bytes, as bytes."""
+    binary = isinstance(pieces[0], bytes)
     if args.out:
         with open(args.out, "wb" if binary else "w") as fh:
-            fh.write(data)
+            fh.writelines(pieces)
     else:
-        (sys.stdout.buffer if binary else sys.stdout).write(data)
+        (sys.stdout.buffer if binary else sys.stdout).writelines(pieces)
 
 
 def _csv(rows: list[dict]) -> str:
@@ -63,12 +64,26 @@ def _csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, data: dict | list[dict]) -> None:
-    """Write ``data`` as JSON as it is, or as CSV with a dict taken as one row."""
-    if args.format == "json":
-        _write_out(args, json.dumps(data, indent=2) + "\n")
-    else:
+def _emit(args, data: dict | list[dict], verbatim: tuple[str, ...] = ()) -> None:
+    """Write ``data`` as JSON as it is, or as CSV with a dict taken as one row.
+
+    ``verbatim`` names string fields of a dict, in the dict's order, whose
+    JSON form is the string in quotes (hex, say).  Their values skip the JSON
+    encoder and are written as they are into their slots, so the JSON is
+    still exactly ``json.dumps(data, indent=2) + "\n"``.
+    """
+    if args.format == "csv":
         _write_out(args, _csv([data] if isinstance(data, dict) else data))
+        return
+    blanked = {**data, **dict.fromkeys(verbatim, "")} if verbatim else data
+    text = json.dumps(blanked, indent=2) + "\n"
+    pieces, cut = [], 0
+    for name in verbatim:
+        slot = f'\n  "{name}": "'
+        at = text.index(slot + '"', cut) + len(slot)
+        pieces += [text[cut:at], data[name]]
+        cut = at
+    _write_out(args, *pieces, text[cut:])
 
 
 def cmd_curve(args, cfg) -> int:
@@ -138,7 +153,7 @@ def cmd_optimality(args, cfg) -> int:
 
 
 def _emit_session(args, report) -> int:
-    _emit(args, report.as_dict())
+    _emit(args, report.as_dict(), verbatim=("alice_key_hex", "bob_key_hex"))
     status = "aborted" if report.aborted else "ok"
     print(
         f"status={status} key_bits={report.final_key_bits} "

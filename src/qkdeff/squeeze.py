@@ -250,9 +250,13 @@ def decode_positions(stream: BitsLike, cb: Codebook, true_length: int) -> OnePos
     # maximal codewords (all 1s, no terminating 0) and then the codeword of
     # rank r % last.  A run that reaches the end of the stream must split
     # into maximal codewords exactly.
-    padded = np.zeros(arr.size + 2, dtype=np.uint8)
-    padded[1:-1] = arr
-    edge = np.flatnonzero(padded[1:] != padded[:-1])
+    b = arr.view(bool)
+    edge = np.flatnonzero(b[1:] != b[:-1])
+    edge += 1  # each index whose bit differs from the one before it
+    if arr.size and b[0]:  # a run of 1s starts the stream
+        edge = np.insert(edge, 0, 0)
+    if arr.size and b[-1]:  # a run of 1s ends it
+        edge = np.append(edge, arr.size)
     start, ones = edge[0::2], edge[1::2] - edge[0::2]  # the runs of 1s
     n_full, rank = np.divmod(ones, last)
     if ones.size and edge[-1] == arr.size and rank[-1]:

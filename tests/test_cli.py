@@ -1,5 +1,6 @@
 """CLI and flat-config tests: formats, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,8 +13,8 @@ from qkdeff import config as cfgmod
 from qkdeff.cli import main
 from qkdeff.core import ChannelParams, ProtocolParams
 from qkdeff.errors import ConfigError
-from qkdeff.proto_bb84 import SessionConfig
-from qkdeff.proto_tf import TfConfig
+from qkdeff.proto_bb84 import SessionConfig, run_session
+from qkdeff.proto_tf import TfConfig, run_tf_session
 
 OPT_FIG2_L0 = 0.07383725278977086559877699974772215181614
 
@@ -418,6 +419,56 @@ class TestSimulateCommands:
         warnings = row[header.index("warnings")].split(";")
         assert "x-basis parameter-estimation sample is empty" in warnings
         assert "z-basis parameter-estimation sample is empty" in warnings
+
+
+# (command, settings, seed, what the report must show for the case to hold)
+SESSION_JSON_CASES = {
+    "empty": ("simulate-bb84", {"n_qubits": "0"}, None,
+              lambda r: r.n_qubits == 0 and r.key_bit_length == 0),
+    "lossy-bb84-with-warning": (
+        "simulate-bb84", {"n_qubits": "2000"}, 1,
+        lambda r: not r.aborted and r.key_bit_length > 0 and r.warnings),
+    "aborted-bb84": (
+        "simulate-bb84", {"n_qubits": "50000", "p_b": "0.7", "e_opt": "0.25",
+                          "p_dark": "0", "lossless": "true"}, 1,
+        lambda r: r.aborted and r.key_bit_length == 0),
+    "relay-with-flips": (
+        "simulate-tf", {"n_pulses": "20000", "tf.p_click_conflict": "0.02"}, 5,
+        lambda r: r.alice_key_packed.tobytes() != r.bob_key_packed.tobytes()),
+}
+
+
+class TestSessionJson:
+    """A session's JSON is ``json.dumps`` of its record, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(SESSION_JSON_CASES))
+    def test_file_and_stdout_hold_json_dumps_of_the_record(self, name, tmp_path,
+                                                          capsysbinary):
+        command, settings, seed, holds = SESSION_JSON_CASES[name]
+        if command == "simulate-bb84":
+            report = run_session(cfgmod.bb84_from_mapping(settings, seed=seed))
+        else:
+            report = run_tf_session(cfgmod.tf_from_mapping(settings, seed=seed))
+        assert holds(report)
+        expected = (json.dumps(report.as_dict(), indent=2) + "\n").encode()
+
+        argv = [command, "--format", "json"] + ([] if seed is None else ["--seed", str(seed)])
+        for key, value in settings.items():
+            argv += ["--set", f"{key}={value}"]
+        out = tmp_path / "report.json"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == expected
+        capsysbinary.readouterr()
+        assert run_cli(*argv) == 0
+        assert capsysbinary.readouterr().out == expected
+
+    def test_verbatim_slot_is_the_top_level_field(self, tmp_path):
+        # the slot's text inside a string value or under a nested key is not it
+        data = {"note": '\n  "h": ""', "nested": {"h": ""}, "h": "0f", "tail": [1]}
+        out = tmp_path / "data.json"
+        args = argparse.Namespace(format="json", out=str(out))
+        cli._emit(args, data, verbatim=("h",))
+        assert out.read_text() == json.dumps(data, indent=2) + "\n"
 
 
 class TestSqueezeFilters:

@@ -541,6 +541,25 @@ class TestDecodePositionsMatchesReference:
         assert positions_outcome(squeeze.decode_positions, out, cb, true_length) == (
             positions_outcome(reference_decode, out, cb, true_length))
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("stream", [
+        [],  # empty
+        [0], [1],  # one bit long
+        [1, 1, 1, 0, 0, 1, 0],  # starts with a 1
+        [0, 0, 1, 0, 1, 1, 1],  # ends with a 1
+        [1, 0, 0, 1],  # both
+        [1] * 3, [1] * 15, [1] * 255, [1] * 256,  # all 1s
+    ])
+    def test_run_edges_at_the_stream_ends(self, k, stream):
+        cb = codebook(k)
+        stream = np.asarray(stream, np.uint8)
+        # every block count a stream of this size can hold, each with a full
+        # last block and with one bit of padding
+        for true_length in {max(0, m * k - pad) for m in range(stream.size + 2)
+                            for pad in (0, 1)}:
+            assert positions_outcome(squeeze.decode_positions, stream, cb, true_length) == (
+                positions_outcome(reference_decode, stream, cb, true_length))
+
 
 class TestCodecProperties:
     @settings(max_examples=200, deadline=None)
