@@ -12,6 +12,11 @@ independently of their errors, so each sample's error count is drawn as
 Binomial(size, e) (``sample_errors``), and the remaining key is fair bits
 for Alice and Bob's copy with i.i.d. Bernoulli(e) flips (``draw_keys``),
 kept packed eight bits to a byte from the draw to the report's hex.
+Success positions come from one sampler, ``success_chunks``: the values
+``rng.geometric`` draws (numpy's inversion, vectorised below p = 1/3),
+placed ``CHUNK`` gaps at a time.  ``rare_bits`` joins the chunks, and
+``draw_keys`` XORs each one into Bob's bytes and drops it, so it holds
+O(CHUNK) beyond the two keys.
 The certification rule lives here, once: a session with no error-rate
 sample in any basis, or with an estimate of 1/2 or more, certifies no key.
 The ledgers and the efficiency come from ``core.build_ledger`` and
@@ -21,6 +26,7 @@ The ledgers and the efficiency come from ``core.build_ledger`` and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from numbers import Integral
 
@@ -32,6 +38,7 @@ from .errors import MalformedStreamError, ParameterError, SimulationIntegrityErr
 
 NO_ESTIMATE = "no error-rate estimate: no key certified"
 XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
+CHUNK = 1 << 16  # gaps the success sampler draws and places at a time
 
 
 def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -48,22 +55,58 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
+def success_chunks(rng: np.random.Generator, n: int, p: float) -> Iterator[np.ndarray]:
+    """Sorted int64 positions of the successes among ``n`` Bernoulli(p) trials,
+    at most ``CHUNK`` at a time.
+
+    The gaps between successive successes of i.i.d. trials are i.i.d.
+    Geometric(p), so cumulative gaps place the successes exactly in law.
+    They are drawn in batches that cover the count up to ~6 standard
+    deviations, another while the last position is below n - 1, and each
+    batch ``CHUNK`` gaps at a time.  Each gap is the value ``rng.geometric``
+    would draw from the same stream: below p = 1/3 numpy's inversion
+    ceil(-E / log1p(-p)), here on a whole chunk of exponentials at once;
+    from 1/3 on ``rng.geometric`` itself.  A gap past the last trial is
+    capped just past it (numpy's cap is INT64_MAX), so no position
+    overflows.  Once a position passes the last trial the rest of the batch
+    is drawn and dropped, leaving the generator where whole batches leave
+    it.  O(n p) draws in O(CHUNK) memory.
+    """
+    if n == 0 or p == 0.0:
+        return
+    size = int(n * p + 6.0 * math.sqrt(n * p) + 1)
+    cap = float(n + 1)  # from any position >= -1 this gap passes the last trial
+    if p < 1 / 3:
+        scale = -math.log1p(-p)
+
+        def gaps(m: int) -> np.ndarray:
+            z = rng.standard_exponential(m)
+            np.divide(z, scale, out=z)
+            np.ceil(z, out=z)
+            return np.minimum(z, cap, out=z).astype(np.int64)
+    else:
+        def gaps(m: int) -> np.ndarray:
+            return rng.geometric(p, m)
+    last = -1
+    while last < n - 1:
+        for start in range(0, size, CHUNK):
+            m = min(CHUNK, size - start)
+            if last >= n:  # every later position is past the end too
+                gaps(m)
+                continue
+            pos = np.cumsum(gaps(m))
+            pos += last
+            last = int(pos[-1])
+            yield pos[: np.searchsorted(pos, n)]
+
+
 def rare_bits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """Sorted int64 positions of the successes among ``n`` Bernoulli(p) trials.
 
-    The gaps between successive successes of i.i.d. trials are i.i.d.
-    Geometric(p), so cumulative gaps place the successes exactly in law; gaps
-    are drawn until a success reaches the last trial or passes it.  The cost
-    is O(n p) draws.
+    The chunks of ``success_chunks`` joined: O(n p) draws, and the
+    positions are the only array that grows with n p.
     """
-    if n == 0 or p == 0.0:
-        return np.zeros(0, np.int64)
-    # one batch covers the count up to ~6 standard deviations
-    size = int(n * p + 6.0 * math.sqrt(n * p) + 1)
-    pos = np.cumsum(rng.geometric(p, size)) - 1
-    while pos[-1] < n - 1:
-        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, size))])
-    return pos[: np.searchsorted(pos, n)]
+    return np.concatenate([np.zeros(0, np.int64), *success_chunks(rng, n, p)])
 
 
 def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
@@ -120,14 +163,24 @@ def draw_keys(
     other.  Returns Alice's key and Bob's key, each packed MSB-first into
     ceil(k_rem / 8) uint8 bytes with the padding bits 0, and the count of
     bits where they differ.
+
+    Alice's bytes are the little-endian random words ``rng.bytes`` would
+    draw, viewed as bytes in place (``rng.bytes(0)`` draws one word too).
+    Bob's flips come from ``success_chunks`` and each chunk is XOR-ed into
+    his bytes and dropped, so memory beyond the two keys is O(CHUNK).
     """
-    alice = np.frombuffer(rng.bytes(-(-k_rem // 8)), np.uint8).copy()
+    n_bytes = -(-k_rem // 8)
+    words = rng.integers(0, 1 << 32, max(1, -(-n_bytes // 4)), dtype=np.uint32)
+    alice = words.astype("<u4", copy=False).view(np.uint8)[:n_bytes]
     if k_rem % 8:
         alice[-1] &= 0xFF << (8 - k_rem % 8) & 0xFF
-    flips = rare_bits(rng, k_rem, e)
     bob = alice.copy()
-    np.bitwise_xor.at(bob, flips >> 3, (0x80 >> (flips & 7)).astype(np.uint8))
-    return alice, bob, flips.size
+    n_flips = 0
+    for flips in success_chunks(rng, k_rem, e):
+        masks = np.right_shift(np.uint8(0x80), (flips & 7).astype(np.uint8))
+        np.bitwise_xor.at(bob, np.right_shift(flips, 3, out=flips), masks)
+        n_flips += flips.size
+    return alice, bob, n_flips
 
 
 @dataclass(frozen=True)

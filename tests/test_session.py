@@ -3,6 +3,7 @@ identity and law of both sessions, and golden digests."""
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -185,14 +186,90 @@ def test_drawn_keys_differ_where_counted(e):
     assert empty[0].size == empty[1].size == empty[2] == 0
 
 
+def reference_rare_bits(rng, n, p):
+    """The success positions drawn in whole batches of ``rng.geometric`` gaps,
+    another batch while the last position is below n - 1."""
+    if n == 0 or p == 0.0:
+        return np.zeros(0, np.int64)
+    size = int(n * p + 6.0 * math.sqrt(n * p) + 1)
+    pos = np.cumsum(rng.geometric(p, size)) - 1
+    while pos[-1] < n - 1:
+        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, size))])
+    return pos[: np.searchsorted(pos, n)]
+
+
 def reference_draw_keys(rng, k_rem, e):
-    """The keys drawn unpacked: fair bits for Alice, one byte per eight,
-    and Bob's copy with the ``rare_bits`` flips applied bit by bit."""
+    """The keys drawn unpacked: fair bits for Alice from ``rng.bytes``, one
+    byte per eight, and Bob's copy with the reference flips applied bit by bit."""
     alice = np.unpackbits(np.frombuffer(rng.bytes(-(-k_rem // 8)), np.uint8), count=k_rem)
-    flips = session.rare_bits(rng, k_rem, e)
+    flips = reference_rare_bits(rng, k_rem, e)
     bob = alice.copy()
     bob[flips] ^= 1
     return alice, bob, flips.size
+
+
+def assert_draws_match_reference(seed, n, p):
+    """``rare_bits`` and ``draw_keys`` give the reference's values and leave
+    the generator where the reference leaves it; returns the positions and
+    the key's flip count."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pos, ref_pos = session.rare_bits(rng, n, p), reference_rare_bits(ref_rng, n, p)
+    assert pos.dtype == ref_pos.dtype and np.array_equal(pos, ref_pos), (n, p)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, p)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    alice, bob, n_differ = session.draw_keys(rng, n, p)
+    ref_alice, ref_bob, ref_differ = reference_draw_keys(ref_rng, n, p)
+    assert np.array_equal(np.unpackbits(alice, count=n), ref_alice), (n, p)
+    assert np.array_equal(np.unpackbits(bob, count=n), ref_bob), (n, p)
+    assert n_differ == ref_differ, (n, p)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, p)
+    return pos, n_differ
+
+
+# 1/3 and the next double up are numpy's two geometric branches; 1.0 fills
+# every position and drops the tail of its batch
+KEY_ERROR_RATES = [1e-4, 0.03, 0.3, 0.3333333333333333, 0.33333333333333337, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("e", KEY_ERROR_RATES)
+@pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+def test_chunked_draws_match_whole_batches(monkeypatch, chunk, e):
+    # chunk boundaries at every offset of a batch; the default chunk runs up
+    # to ~1e6 draws, the small ones stop at ~1e3 to stay quick
+    if chunk is not None:
+        monkeypatch.setattr(session, "CHUNK", chunk)
+    c = session.CHUNK
+    for k_rem in (0, 1, 7, c - 1, c, c + 1, 3 * c + 5,
+                  1_000_005 if chunk is None else 1_005):
+        assert_draws_match_reference(18, k_rem, e)
+
+
+def test_later_batches_match_whole_batches():
+    # n p = 0.02: one-gap batches, and a success before the last trial
+    # (~2% of seeds) makes the sampler draw another
+    nonempty = sum(assert_draws_match_reference(seed, 1000, 2e-5)[0].size > 0
+                   for seed in range(300))
+    assert nonempty > 0
+
+
+def test_gaps_past_int64_stay_past_the_end():
+    # numpy gives a gap of 2**63 or more as INT64_MAX; a gap cast as it
+    # comes would wrap negative and never reach the last trial
+    assert assert_draws_match_reference(19, 10, 1e-300)[0].size == 0
+    assert assert_draws_match_reference(19, 1000, 1e-300)[1] == 0
+
+
+def test_drawing_keys_holds_only_a_chunk_beyond_the_keys():
+    # every flip position drawn at once would take ~18 MiB of int64 arrays here
+    rng = np.random.default_rng(20)
+    tracemalloc.start()
+    try:
+        alice, bob, n_differ = session.draw_keys(rng, 20_000_000, 0.03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_differ > 0
+    assert peak - alice.nbytes - bob.nbytes < 4 * 2**20
 
 
 @pytest.mark.parametrize("k_rem", [*range(18), 99_999, 1_000_005])
