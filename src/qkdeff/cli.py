@@ -245,12 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="flat key=value or JSON config file")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if not name.startswith("squeeze-"):  # the filters write a container or bits
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        sp.add_argument("--seed", type=int, help="RNG seed (overrides rng_seed)")
+        if name.startswith("simulate-"):
+            sp.add_argument("--seed", type=int, help="RNG seed (overrides rng_seed)")
         sp.set_defaults(handler=fn, config_keys=keys)
     return parser
 

@@ -49,7 +49,7 @@ def load_flat_config(path: str | Path) -> dict[str, str]:
     """Read a flat config file into a string-to-string mapping."""
     text = Path(path).read_text()
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -21,14 +21,9 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateChannelError, ParameterError
+from .errors import DegenerateChannelError, ParameterError, check_range
 
 INFINITE = math.inf  # sentinel for the asymptotic qubit count
-
-
-def _check_prob(name: str, x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"{name} must lie in [0, 1], got {x}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +49,9 @@ class ChannelParams:
 
     def __post_init__(self):
         for name, low in (("alpha", 0.0), ("length_km", 0.0), ("f", 1.0)):
-            v = getattr(self, name)
-            if not low <= v < math.inf:
-                raise ParameterError(f"{name} must be finite and >= {low:g}, got {v}")
+            check_range(name, getattr(self, name), low)
         for name in ("eta_det", "p_dark", "e_opt", "e0"):
-            _check_prob(name, getattr(self, name))
+            check_range(name, getattr(self, name), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -80,12 +73,10 @@ class ProtocolParams:
     n_qubits: float = INFINITE
 
     def __post_init__(self):
-        if not 0.0 < self.s <= 1.0:
-            raise ParameterError(f"s must lie in (0, 1], got {self.s}")
-        _check_prob("sigma", self.sigma)
-        _check_prob("xi", self.xi)
-        if not 0.0 <= self.delta < 1.0:
-            raise ParameterError(f"delta must lie in [0, 1), got {self.delta}")
+        check_range("s", self.s, 0.0, 1.0, "(]")
+        check_range("sigma", self.sigma, 0.0, 1.0)
+        check_range("xi", self.xi, 0.0, 1.0)
+        check_range("delta", self.delta, 0.0, 1.0, "[)")
         if self.n_qubits != INFINITE and not self.n_qubits >= 1:
             raise ParameterError("n_qubits must be >= 1 or math.inf")
         if self.asymptotic and self.delta != 0.0:
@@ -155,8 +146,8 @@ class EfficiencyReport:
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a Bernoulli(x) bit, with 0*log(0) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"entropy argument must lie in [0, 1], got {x}")
+    if not 0.0 <= x <= 1.0:  # inline: a curve point calls this once per length
+        check_range("entropy argument", x, 0.0, 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -310,7 +301,7 @@ def determine_optimality(ch: ChannelParams, xi_max: float) -> EfficiencyReport:
     equals :func:`optimality_bb84`.  Like that ceiling, it bounds the
     asymptotic efficiency only, not a finite-N one.
     """
-    _check_prob("xi_max", xi_max)
+    check_range("xi_max", xi_max, 0.0, 1.0)
     pp = ProtocolParams(s=1.0, sigma=1.0, xi=xi_max)
     return total_efficiency(ch, pp)
 
@@ -340,8 +331,8 @@ def efficiency_curve(
     points = []
     for length in lengths:
         length = float(length)
-        if not 0.0 <= length < math.inf:  # the length_km check of ChannelParams
-            raise ParameterError(f"length_km must be finite and >= 0, got {length}")
+        if not 0.0 <= length < math.inf:  # inline for speed; ChannelParams' rule
+            check_range("length_km", length, 0.0)
         terms = _channel_terms(ch, length)
         points.append(CurvePoint(length, _report(terms, ch.f, std_pp),
                                  _report(terms, ch.f, opt_pp)))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two domain checks that raise them."""
+
+import math
+from numbers import Integral, Real
 
 
 class ParameterError(ValueError):
@@ -19,3 +22,29 @@ class MalformedStreamError(ValueError):
 
 class SimulationIntegrityError(RuntimeError):
     """Internal cross-check failed during a simulation (decode mismatch)."""
+
+
+def check_count(name: str, value, minimum: int = 0, maximum: float = math.inf) -> None:
+    """``value`` must be a Python or numpy integer in [minimum, maximum]."""
+    if not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if not minimum <= value <= maximum:
+        bound = f"be >= {minimum}" if maximum == math.inf else f"lie in [{minimum}, {maximum}]"
+        raise ParameterError(f"{name} must {bound}, got {value}")
+
+
+def check_range(name: str, value, low: float, high: float = math.inf,
+                ends: str = "[]") -> None:
+    """``value`` must be a real number in the interval ``ends[0] low, high ends[1]``.
+
+    ``ends`` is "[]", "[)", "(]" or "()".  An infinite ``high`` means finite,
+    whatever the bracket; NaN fails every interval.
+    """
+    if not isinstance(value, Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    above = low <= value if ends[0] == "[" else low < value
+    below = value <= high if ends[1] == "]" and high != math.inf else value < high
+    if not (above and below):
+        bound = (f"be finite and {'>=' if ends[0] == '[' else '>'} {low:g}"
+                 if high == math.inf else f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+        raise ParameterError(f"{name} must {bound}, got {value}")

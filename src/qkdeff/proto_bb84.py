@@ -31,11 +31,10 @@ import numpy as np
 
 from . import session, squeeze
 from .core import ChannelParams, qber, transmittance
-from .errors import ParameterError
+from .errors import check_count, check_range
 from .session import (
     SessionReport,
     announce,
-    check_count,
     empty_report,
     estimate,
     finish,
@@ -49,7 +48,8 @@ class SessionConfig:
     """One simulated session: channel, basis bias, codec degree, PE fractions.
 
     p_b is the probability of preparing/measuring in basis 0 (Z); the optimal
-    regime takes p_b -> 1.  epsilon_frac and lambda_frac are the fractions of
+    regime takes p_b -> 1.  degree_k is the codec degree, at most
+    squeeze.MAX_EXPLICIT_DEGREE.  epsilon_frac and lambda_frac are the fractions of
     the both-X and both-Z subsets sacrificed for parameter estimation.  In
     lossless mode every qubit is detected and no acknowledgment round is
     announced; lossy mode detects with probability eta~ and announces N
@@ -69,17 +69,13 @@ class SessionConfig:
     abort_on_either: bool = False
 
     def __post_init__(self):
-        check_count("n_qubits", self.n_qubits, 0)
-        if not 0.5 < self.p_b < 1.0:
-            raise ParameterError(f"p_b must lie in (0.5, 1), got {self.p_b}")
-        if not 0.0 < self.epsilon_frac < 1.0:
-            raise ParameterError("epsilon_frac must lie in (0, 1)")
-        if not 0.0 < self.lambda_frac < 1.0:
-            raise ParameterError("lambda_frac must lie in (0, 1)")
-        if not 0.0 < self.qber_threshold < 0.5:
-            raise ParameterError("qber_threshold must lie in (0, 0.5)")
-        check_count("degree_k", self.degree_k, 1)
-        check_count("rng_seed", self.rng_seed, 0)
+        check_count("n_qubits", self.n_qubits)
+        check_range("p_b", self.p_b, 0.5, 1.0, "()")
+        check_range("epsilon_frac", self.epsilon_frac, 0.0, 1.0, "()")
+        check_range("lambda_frac", self.lambda_frac, 0.0, 1.0, "()")
+        check_range("qber_threshold", self.qber_threshold, 0.0, 0.5, "()")
+        check_count("degree_k", self.degree_k, 1, squeeze.MAX_EXPLICIT_DEGREE)
+        check_count("rng_seed", self.rng_seed)
 
 
 @dataclass(frozen=True)

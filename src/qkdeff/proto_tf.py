@@ -30,17 +30,15 @@ are generated, announced, and sifted, but contribute only to the accounting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import squeeze
-from .errors import ParameterError
+from .errors import check_count, check_range
 from .session import (
     SessionReport,
     announce,
-    check_count,
     empty_report,
     estimate,
     finish,
@@ -54,7 +52,8 @@ class TfConfig:
     """Relay session parameters; click-model knobs live under the tf.* keys.
 
     p_x is the probability of the key-generation X basis (p_x -> 1 in the
-    optimal regime).
+    optimal regime); degree_k is the codec degree, at most
+    squeeze.MAX_EXPLICIT_DEGREE.
     pe_frac is the fraction of sifted X events sacrificed for the error-rate
     estimate; f_ec feeds the error-correction bit-count stub.
     """
@@ -70,19 +69,14 @@ class TfConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_count("n_pulses", self.n_pulses, 0)
-        if not 0.5 < self.p_x < 1.0:
-            raise ParameterError(f"p_x must lie in (0.5, 1), got {self.p_x}")
+        check_count("n_pulses", self.n_pulses)
+        check_range("p_x", self.p_x, 0.5, 1.0, "()")
         for name in ("p_click_match", "p_click_conflict", "p_dark_relay"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 < self.pe_frac < 1.0:
-            raise ParameterError("pe_frac must lie in (0, 1)")
-        if not 1.0 <= self.f_ec < math.inf:
-            raise ParameterError(f"f_ec must be finite and >= 1, got {self.f_ec}")
-        check_count("degree_k", self.degree_k, 1)
-        check_count("rng_seed", self.rng_seed, 0)
+            check_range(name, getattr(self, name), 0.0, 1.0)
+        check_range("pe_frac", self.pe_frac, 0.0, 1.0, "()")
+        check_range("f_ec", self.f_ec, 1.0)
+        check_count("degree_k", self.degree_k, 1, squeeze.MAX_EXPLICIT_DEGREE)
+        check_count("rng_seed", self.rng_seed)
 
 
 def run_tf_session(cfg: TfConfig) -> SessionReport:

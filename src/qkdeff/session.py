@@ -28,13 +28,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
 from . import squeeze
 from .core import SessionLedger, binary_entropy, build_ledger, efficiency
-from .errors import MalformedStreamError, ParameterError, SimulationIntegrityError
+from .errors import MalformedStreamError, SimulationIntegrityError
 
 NO_ESTIMATE = "no error-rate estimate: no key certified"
 XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
@@ -45,14 +44,6 @@ def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     """Per-stage generators (events, estimation), reproducibly split from one seed."""
     seqs = np.random.SeedSequence(seed).spawn(2)
     return tuple(np.random.Generator(np.random.PCG64(s)) for s in seqs)
-
-
-def check_count(name: str, value, minimum: int) -> None:
-    """A config count must be an integer >= ``minimum`` (numpy needs a true int)."""
-    if not isinstance(value, Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
 def success_chunks(rng: np.random.Generator, n: int, p: float) -> Iterator[np.ndarray]:

@@ -31,12 +31,11 @@ import struct
 from dataclasses import dataclass, field
 from decimal import Decimal
 from math import comb
-from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import MalformedStreamError, ParameterError
+from .errors import MalformedStreamError, ParameterError, check_count, check_range
 
 # Explicit codebooks hold 2^k-row rank tables (their entries, 2^k codewords of
 # ~2^(2k-1) bits).
@@ -52,16 +51,21 @@ BitsLike = Union[str, bytes, Sequence[int], np.ndarray]
 
 
 def as_bits(bits: BitsLike) -> np.ndarray:
-    """Coerce a bit sequence ('0101', [0,1,...], ndarray) to a uint8 0/1 array."""
+    """Coerce a bit sequence ('0101', bytes, [0,1,...], ndarray) to a uint8 0/1 array.
+
+    Bytes hold one bit each.  Values are checked before the cast, so 257,
+    -1 or 0.5 is refused, not wrapped or truncated to a bit.
+    """
     if isinstance(bits, str):
-        arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    else:
-        arr = np.asarray(bits, dtype=np.uint8)
+        bits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    arr = np.frombuffer(bits, np.uint8) if isinstance(bits, bytes) else np.asarray(bits)
     if arr.ndim != 1:
         raise ParameterError("bit sequence must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    # a uint8 array, every session payload, costs one max() scan
+    if not (arr.max(initial=0) <= 1 if arr.dtype == np.uint8
+            else arr.dtype.kind in "biuf" and ((arr == 0) | (arr == 1)).all()):
         raise ParameterError("bit sequence may contain only 0 and 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def bits_to_string(bits: BitsLike) -> str:
@@ -75,6 +79,7 @@ def pack_bits(bits: BitsLike) -> bytes:
 
 
 def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
+    check_count("n_bits", n_bits)
     if n_bits > 8 * len(data):
         raise MalformedStreamError(
             f"need {n_bits} bits but payload holds only {8 * len(data)}"
@@ -129,16 +134,9 @@ def build_codebook(k: int, p: float) -> Codebook:
     Blocks are sorted by descending probability (ties by ascending block
     value) and assigned truncated-unary codewords in that order.
     """
-    if k < 1:
-        raise ParameterError("degree k must be a positive integer")
-    if k > MAX_EXPLICIT_DEGREE:
-        raise ParameterError(
-            f"explicit codebooks are limited to k <= {MAX_EXPLICIT_DEGREE}; "
-            "use sigma_expected/sigma_curve for larger degrees"
-        )
-    if not 0.5 < p < 1.0:
-        raise ParameterError("bias p must lie in (0.5, 1): ordering is "
-                             "degenerate for an unbiased source")
+    # larger degrees: sigma_expected/sigma_curve; an unbiased source has no order
+    check_count("k", k, 1, MAX_EXPLICIT_DEGREE)
+    check_range("bias p", p, 0.5, 1.0, "()")
 
     size = 1 << k
     shifts = np.arange(k - 1, -1, -1)
@@ -177,8 +175,7 @@ def _one_positions(bits: BitsLike) -> OnePositions:
 
 def _checked_positions(ones: OnePositions) -> tuple[np.ndarray, int]:
     pos, n = np.asarray(ones.positions), ones.length
-    if not isinstance(n, Integral) or n < 0:
-        raise ParameterError(f"bit sequence length must be an integer >= 0, got {n!r}")
+    check_count("bit sequence length", n)
     n = int(n)
     if pos.ndim != 1 or (pos.size and pos.dtype.kind not in "iu"):
         raise ParameterError("one-positions must be a one-dimensional integer array")
@@ -289,6 +286,7 @@ def decode_positions(stream: BitsLike, cb: Codebook, true_length: int) -> OnePos
     pos = index[rows] * k + cols
     if pos.size and pos[-1] >= true_length:
         raise MalformedStreamError("nonzero padding bits beyond the true length")
+    check_count("true_length", true_length)  # after the parse: a bad stream is malformed
     return OnePositions(pos, true_length)
 
 
@@ -306,10 +304,8 @@ def expected_codeword_length(k: int, p: float) -> float:
     Blocks of equal popcount share a probability, so the probability-sorted
     rank ranges can be summed per weight group with an arithmetic series.
     """
-    if k < 1:
-        raise ParameterError("degree k must be a positive integer")
-    if not 0.5 < p < 1.0:
-        raise ParameterError("bias p must lie in (0.5, 1)")
+    check_count("k", k, 1)
+    check_range("bias p", p, 0.5, 1.0, "()")
     if k > MAX_CLOSED_FORM_DEGREE:
         raise ParameterError(
             f"expected codeword length at k={k}, p={p} exceeds the float range"
@@ -336,8 +332,7 @@ def sigma_expected(k: int, p: float) -> float:
 
 def sigma_asymptotic(k: int) -> float:
     """Compression percent in the fully biased limit: (1 - 1/k) * 100."""
-    if k < 1:
-        raise ParameterError("degree k must be a positive integer")
+    check_count("k", k, 1)
     return (1.0 - 1.0 / k) * 100.0
 
 
@@ -350,21 +345,20 @@ def sigma_curve(
     perturbs sigma by at most one block; ``n = None`` takes the n -> infinity
     limit m/n = 1/k.
     """
-    ks = [int(k) for k in k_values]
-    if not ks:
-        raise ParameterError("k_values must be nonempty")
-    if n is not None and n < 1:
-        raise ParameterError(f"input length n must be >= 1, got {n}")
+    if n is not None:
+        check_count("input length n", n, 1)
     out: list[tuple[int, float]] = []
-    for k in ks:
-        if k < 2:
-            raise ParameterError("compression requires degree k >= 2")
+    for k in k_values:
+        check_count("k", k, 2)  # compression needs two bits a block
+        k = int(k)
         if n is None:
             sig = sigma_expected(k, p)
         else:
             m = -(-n // k)
             sig = (1.0 - expected_codeword_length(k, p) * m / n) * 100.0
         out.append((k, sig))
+    if not out:
+        raise ParameterError("k_values must be nonempty")
     return out
 
 
@@ -376,9 +370,11 @@ def sigma_curve(
 
 
 def write_container(payload_bits: BitsLike, k: int, true_bit_length: int) -> bytes:
+    check_count("k", k, 1, MAX_EXPLICIT_DEGREE)
+    check_count("true_bit_length", true_bit_length, 0, 2**64 - 1)  # 8 header bytes
     arr = as_bits(payload_bits)
     header = _HEADER.pack(CONTAINER_MAGIC, k, true_bit_length, arr.size)
-    return header + pack_bits(arr)
+    return header + np.packbits(arr).tobytes()
 
 
 def read_container(data: bytes) -> tuple[int, int, np.ndarray]:

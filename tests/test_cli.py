@@ -45,9 +45,10 @@ class TestFlatConfig:
         assert loaded["alpha"] == "0.25"
         assert loaded["lossless"] == "True"
         assert loaded["tf.p_x"] == "0.99"
-        cfg.write_text('{"tf.p_x": [0.99, 0.9]}')
-        with pytest.raises(ConfigError):
-            cfgmod.load_flat_config(cfg)
+        for text in ('{"tf.p_x": [0.99, 0.9]}', '{"alpha": ', '[{"alpha": 0.25}]'):
+            cfg.write_text(text)
+            with pytest.raises(ConfigError):
+                cfgmod.load_flat_config(cfg)
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -70,6 +71,17 @@ class TestFlatConfig:
     def test_every_command_rejects_unknown_keys(self, command, capsys):
         assert run_cli(command, "--set", "nonsense=1") == 2
         assert "error: unknown config keys: nonsense" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--seed", "5"), ("sigma", "--seed", "5"), ("optimality", "--seed", "5"),
+        ("squeeze-encode", "--seed", "5"), ("squeeze-decode", "--seed", "5"),
+        ("squeeze-encode", "--format", "json"), ("squeeze-decode", "--format", "json"),
+    ])
+    def test_flag_a_command_does_not_read_is_refused(self, argv):
+        # --seed belongs to simulate-*, --format to the commands that emit records
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
     def test_protocol_mapping_asymptotic_spelling(self):
         assert cfgmod.protocol_from_mapping({"n_qubits": "inf"}).asymptotic
@@ -112,6 +124,10 @@ class TestFlatConfig:
             cfgmod.bb84_from_mapping({"p_b": "0.2"})
         with pytest.raises(ConfigError):
             cfgmod.tf_from_mapping({"tf.p_x": "0.2"})
+        with pytest.raises(ConfigError, match="not a boolean"):
+            cfgmod.bb84_from_mapping({"lossless": "maybe"})
+        for spelling in ("0", "false", "No", "off"):
+            assert cfgmod._bool({"lossless": spelling}, "lossless", True) is False
 
     def test_missing_keys_give_dataclass_defaults(self):
         assert cfgmod.channel_from_mapping({}) == ChannelParams()

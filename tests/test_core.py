@@ -34,7 +34,7 @@ from qkdeff.core import (
     total_efficiency,
     transmittance,
 )
-from qkdeff.errors import DegenerateChannelError, ParameterError
+from qkdeff.errors import DegenerateChannelError, ParameterError, check_count, check_range
 from qkdeff.proto_bb84 import SessionConfig, run_session
 
 # 40-digit oracle values
@@ -580,3 +580,58 @@ class TestProtocolParamsValidation:
         with pytest.raises(ParameterError):
             ProtocolParams(delta=1.0, n_qubits=100)
 
+
+class TestDomainChecks:
+    @pytest.mark.parametrize("value", [0, 3, np.int64(3), np.uint8(0), True, 10**30])
+    def test_count_accepts_integers_in_range(self, value):
+        check_count("n", value)
+
+    @pytest.mark.parametrize("value, message", [
+        (2.5, "n must be an integer, got 2.5"),
+        (4.0, "n must be an integer, got 4.0"),
+        (math.nan, "n must be an integer, got nan"),
+        ("3", "n must be an integer, got '3'"),
+        (-1, "n must be >= 0, got -1"),
+    ])
+    def test_count_refusals(self, value, message):
+        with pytest.raises(ParameterError) as exc:
+            check_count("n", value)
+        assert str(exc.value) == message
+
+    def test_count_closed_range(self):
+        check_count("k", 12, 1, 12)
+        for k in (0, 13):
+            with pytest.raises(ParameterError, match=rf"k must lie in \[1, 12\], got {k}"):
+                check_count("k", k, 1, 12)
+
+    @pytest.mark.parametrize("ends, inside, outside", [
+        ("[]", (0.0, 1.0), (-0.1, 1.1)),
+        ("[)", (0.0, 0.999), (1.0,)),
+        ("(]", (1.0, 1e-300), (0.0,)),
+        ("()", (0.5,), (0.0, 1.0)),
+    ])
+    def test_range_ends(self, ends, inside, outside):
+        for x in inside:
+            check_range("x", x, 0.0, 1.0, ends)
+        for x in (*outside, math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError) as exc:
+                check_range("x", x, 0.0, 1.0, ends)
+            assert str(exc.value) == f"x must lie in {ends[0]}0, 1{ends[1]}, got {x}"
+
+    def test_range_without_upper_end_means_finite(self):
+        check_range("f", 1.0, 1.0)
+        check_range("f", np.float32(1e30), 1.0)
+        for f in (0.5, math.inf, math.nan):
+            with pytest.raises(ParameterError) as exc:
+                check_range("f", f, 1.0)
+            assert str(exc.value) == f"f must be finite and >= 1, got {f}"
+
+    @pytest.mark.parametrize("value", ["0.5", None, 1j])
+    def test_range_refuses_non_reals(self, value):
+        with pytest.raises(ParameterError, match="must be a real number"):
+            check_range("x", value, 0.0, 1.0)
+
+    def test_optimality_capacity_domain(self):
+        for xi in (-0.1, 1.5, math.nan):
+            with pytest.raises(ParameterError):
+                determine_optimality(ChannelParams(), xi)

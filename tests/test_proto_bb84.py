@@ -595,6 +595,12 @@ class TestConfigValidation:
             SessionConfig(n_qubits=10, p_b=0.9, degree_k=0)
         with pytest.raises(ParameterError):
             SessionConfig(n_qubits=10, p_b=0.9, rng_seed=-1)
+        with pytest.raises(ParameterError):
+            SessionConfig(n_qubits=10, p_b=0.9, lambda_frac=1.0)
+
+    def test_degree_beyond_codebook_refused_at_construction(self):
+        with pytest.raises(ParameterError, match=r"degree_k must lie in \[1, 12\]"):
+            SessionConfig(n_qubits=10, degree_k=13)
 
     def test_counts_must_be_integers(self):
         for field in ("n_qubits", "degree_k", "rng_seed"):

@@ -206,9 +206,15 @@ class TestDeterminismAndValidation:
             TfConfig(n_pulses=10, p_x=0.4)
         with pytest.raises(ParameterError):
             TfConfig(n_pulses=10, p_click_match=1.5)
+        with pytest.raises(ParameterError):
+            TfConfig(n_pulses=10, pe_frac=0.0)
         for f_ec in (0.5, math.nan):
             with pytest.raises(ParameterError):
                 TfConfig(n_pulses=10, f_ec=f_ec)
+
+    def test_degree_beyond_codebook_refused_at_construction(self):
+        with pytest.raises(ParameterError, match=r"degree_k must lie in \[1, 12\]"):
+            TfConfig(n_pulses=10, degree_k=13)
 
     def test_infinite_f_ec(self):
         for f_ec in (math.inf, -math.inf):

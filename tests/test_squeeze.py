@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qkdeff import squeeze
 from qkdeff.errors import MalformedStreamError, ParameterError
@@ -218,6 +219,8 @@ class TestCodebookStructure:
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
             build_codebook(0, 0.9)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            build_codebook(2.5, 0.9)
         with pytest.raises(ParameterError):
             build_codebook(2, 0.5)
         with pytest.raises(ParameterError):
@@ -636,6 +639,11 @@ class TestSigmaAnalytics:
             sigma_curve([1, 2], 0.999)
         with pytest.raises(ParameterError):
             sigma_curve([], 0.999)
+        for k, p in ((0, 0.9), (2, 0.5), (2, 1.0), (2, math.nan)):
+            with pytest.raises(ParameterError):
+                expected_codeword_length(k, p)
+        with pytest.raises(ParameterError):
+            sigma_asymptotic(0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("p", [0.9, 0.999])
@@ -668,6 +676,10 @@ class TestBitPackingAndContainer:
         for n in (0, 1, 7, 8, 9, 300):
             bits = (rng.random(n) < 0.5).astype(np.uint8)
             assert np.array_equal(unpack_bits(pack_bits(bits), n), bits)
+        with pytest.raises(MalformedStreamError):
+            unpack_bits(b"\x00", 9)
+        with pytest.raises(ParameterError):
+            unpack_bits(b"\xff", -3)  # a negative slice end would drop bits
 
     def test_msb_first_layout(self):
         assert pack_bits("10000001") == b"\x81"
@@ -713,3 +725,80 @@ class TestBitPackingAndContainer:
         assert np.array_equal(as_bits("0110"), [0, 1, 1, 0])
         with pytest.raises(ParameterError):
             as_bits([0, 1, 2])
+        with pytest.raises(ParameterError):
+            as_bits([[0, 1]])
+
+
+class TestInputDomains:
+    """Each codec entry refuses what is not a bit or a count, before any cast."""
+
+    @pytest.mark.parametrize("bits", [
+        np.array([0, 257]),  # wraps to [0, 1] in uint8
+        [0, 257],  # overflows a uint8
+        [0, 0.5],  # truncates to [0, 0]
+        np.array([1.9, 0]),  # truncates to [1, 0]
+        [0, -1],
+    ])
+    def test_encode_refuses_non_bits(self, bits):
+        with pytest.raises(ParameterError, match="only 0 and 1"):
+            encode(bits, codebook(2))
+
+    def test_decode_refuses_non_bit_stream(self):
+        with pytest.raises(ParameterError, match="only 0 and 1"):
+            decode(np.array([1, 0, 256]), codebook(2), 3)  # parses as [1, 0, 0]
+
+    def test_write_container_refuses_non_bits(self):
+        with pytest.raises(ParameterError, match="only 0 and 1"):
+            write_container(np.array([0, 257]), 2, 4)  # wraps to [0, 1]
+
+    def test_bytes_read_as_bytearray(self):
+        assert as_bits(b"\x00\x01").tolist() == as_bits(bytearray([0, 1])).tolist() == [0, 1]
+        cb = codebook(2)
+        assert encode(b"\x00\x01", cb)[0].tolist() == encode([0, 1], cb)[0].tolist()
+        with pytest.raises(ParameterError):
+            as_bits(b"\x00\x02")
+
+    def test_decode_positions_refuses_fractional_length(self):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            squeeze.decode_positions("00", codebook(2), 3.5)
+
+    @pytest.mark.parametrize("k, true_bit_length", [
+        (300, 4),  # a byte holds it, the codec does not
+        (0, 4),
+        (2, -1),
+        (2, 2**64),  # past the 8 header bytes
+        (2, 4.0),
+    ])
+    def test_write_container_refuses_bad_header(self, k, true_bit_length):
+        with pytest.raises(ParameterError):
+            write_container([0, 0], k, true_bit_length)
+
+    VALUES = st.one_of(st.sampled_from([0, 1]), st.integers(-2, 300))
+    ARRAYS = st.one_of(
+        hnp.arrays(np.int64, st.integers(0, 40), elements=VALUES),
+        hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+            VALUES.map(float), st.floats(-2, 300), st.just(math.nan))),
+        hnp.arrays(np.bool_, st.integers(0, 40)),
+    )
+    LENGTHS = st.one_of(st.integers(-3, 60), st.floats(-3, 60))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 8]), bits=ARRAYS, length=LENGTHS)
+    def test_entries_accept_only_bits_and_counts(self, k, bits, length):
+        cb = codebook(k)
+        all_bits = bool(((bits == 0) | (bits == 1)).all())
+        count = isinstance(length, int) and length >= 0
+        for call, needs_count in (
+            (lambda: encode(bits, cb), False),
+            (lambda: decode(bits, cb, length), True),
+            (lambda: squeeze.decode_positions(bits, cb, length), True),
+            (lambda: write_container(bits, k, length), True),
+        ):
+            try:
+                call()
+            except (ParameterError, MalformedStreamError):
+                continue
+            assert all_bits and (count or not needs_count)
+        if all_bits:
+            out, stats = encode(bits, cb)
+            assert decode(out, cb, stats.n_input_bits).tolist() == bits.astype(int).tolist()
