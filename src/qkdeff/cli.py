@@ -165,13 +165,11 @@ def _emit_session(args, report) -> int:
 
 
 def cmd_simulate_bb84(args, cfg) -> int:
-    session = cfgmod.bb84_from_mapping(cfg, seed=args.seed)
-    return _emit_session(args, run_session(session))
+    return _emit_session(args, run_session(cfgmod.bb84_from_mapping(cfg)))
 
 
 def cmd_simulate_tf(args, cfg) -> int:
-    session = cfgmod.tf_from_mapping(cfg, seed=args.seed)
-    return _emit_session(args, run_tf_session(session))
+    return _emit_session(args, run_tf_session(cfgmod.tf_from_mapping(cfg)))
 
 
 def _read_stdin_bits(fmt: str) -> np.ndarray:
@@ -263,6 +261,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = cfgmod.load_flat_config(args.config) if args.config else {}
         cfg = cfgmod.apply_overrides(cfg, args.set or [])
+        if getattr(args, "seed", None) is not None:  # wins over the file and --set
+            cfg["rng_seed"] = str(args.seed)
         cfgmod.reject_unknown(cfg, args.config_keys)
         return args.handler(args, cfg)
     except (ConfigError, ParameterError, MalformedStreamError, OSError) as exc:

@@ -158,18 +158,10 @@ def protocol_from_mapping(cfg: Mapping[str, str]) -> ProtocolParams:
     return _build(ProtocolParams, cfg)
 
 
-def bb84_from_mapping(cfg: Mapping[str, str], seed: int | None = None) -> SessionConfig:
-    return _build(
-        SessionConfig, cfg,
-        n_qubits=_int(cfg, "n_qubits", _SESSION_SIZE),
-        channel=channel_from_mapping(cfg),
-        **({} if seed is None else {"rng_seed": seed}),
-    )
+def bb84_from_mapping(cfg: Mapping[str, str]) -> SessionConfig:
+    return _build(SessionConfig, cfg, n_qubits=_int(cfg, "n_qubits", _SESSION_SIZE),
+                  channel=channel_from_mapping(cfg))
 
 
-def tf_from_mapping(cfg: Mapping[str, str], seed: int | None = None) -> TfConfig:
-    return _build(
-        TfConfig, cfg, _tf_key,
-        n_pulses=_int(cfg, "n_pulses", _SESSION_SIZE),
-        **({} if seed is None else {"rng_seed": seed}),
-    )
+def tf_from_mapping(cfg: Mapping[str, str]) -> TfConfig:
+    return _build(TfConfig, cfg, _tf_key, n_pulses=_int(cfg, "n_pulses", _SESSION_SIZE))

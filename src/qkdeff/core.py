@@ -62,8 +62,8 @@ class ProtocolParams:
     sigma     classical-channel compression coefficient in [0, 1]
     xi        confidential capacity in [0, 1] (1 for BB84)
     delta     parameter-estimation sacrifice fraction in [0, 1)
-    n_qubits  transferred qubit count N; math.inf selects the asymptotic
-              formulas (which require delta = 0)
+    n_qubits  transferred qubit count N, a whole number >= 1; math.inf selects
+              the asymptotic formulas (which require delta = 0)
     """
 
     s: float = 0.5
@@ -77,8 +77,9 @@ class ProtocolParams:
         check_range("sigma", self.sigma, 0.0, 1.0)
         check_range("xi", self.xi, 0.0, 1.0)
         check_range("delta", self.delta, 0.0, 1.0, "[)")
-        if self.n_qubits != INFINITE and not self.n_qubits >= 1:
-            raise ParameterError("n_qubits must be >= 1 or math.inf")
+        n = self.n_qubits
+        if not (self.asymptotic or n >= 1 and n % 1 == 0):
+            raise ParameterError(f"n_qubits must be an integer >= 1 or math.inf, got {n}")
         if self.asymptotic and self.delta != 0.0:
             raise ParameterError("asymptotic mode requires delta = 0")
 

@@ -33,6 +33,7 @@ from . import session, squeeze
 from .core import ChannelParams, qber, transmittance
 from .errors import check_count, check_range
 from .session import (
+    N_MAX,
     SessionReport,
     announce,
     empty_report,
@@ -69,7 +70,7 @@ class SessionConfig:
     abort_on_either: bool = False
 
     def __post_init__(self):
-        check_count("n_qubits", self.n_qubits)
+        check_count("n_qubits", self.n_qubits, maximum=N_MAX)
         check_range("p_b", self.p_b, 0.5, 1.0, "()")
         check_range("epsilon_frac", self.epsilon_frac, 0.0, 1.0, "()")
         check_range("lambda_frac", self.lambda_frac, 0.0, 1.0, "()")

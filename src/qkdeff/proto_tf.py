@@ -37,6 +37,7 @@ import numpy as np
 from . import squeeze
 from .errors import check_count, check_range
 from .session import (
+    N_MAX,
     SessionReport,
     announce,
     empty_report,
@@ -69,7 +70,7 @@ class TfConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_count("n_pulses", self.n_pulses)
+        check_count("n_pulses", self.n_pulses, maximum=N_MAX)
         check_range("p_x", self.p_x, 0.5, 1.0, "()")
         for name in ("p_click_match", "p_click_conflict", "p_dark_relay"):
             check_range(name, getattr(self, name), 0.0, 1.0)

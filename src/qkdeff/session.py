@@ -38,6 +38,7 @@ from .errors import MalformedStreamError, SimulationIntegrityError
 NO_ESTIMATE = "no error-rate estimate: no key certified"
 XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
 CHUNK = 1 << 16  # gaps the success sampler draws and places at a time
+N_MAX = 10**14  # largest session count: CHUNK gaps of at most N + 1 sum within int64
 
 
 def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -326,19 +327,11 @@ class SessionReport:
 
 
 def empty_report() -> SessionReport:
-    """Report of a session that sent nothing."""
-    zero = build_ledger(0, (0, 0), 0, 0, 0, 0, 0, 0)
+    """Report of a session that sent nothing: ``finish`` of an empty result."""
     empty = np.zeros(0, np.uint8)
-    return SessionReport(
-        n_qubits=0, n_detected=0, f_card=0, v_card=0, w_card=0,
-        v_prime=0, w_prime=0, v_dprime=0, w_dprime=0,
-        qber_x=None, qber_z=None, aborted=False,
-        alice_key_packed=empty, bob_key_packed=empty, key_bit_length=0,
-        final_key_bits=0,
-        empirical_sift_rate=0.0, matched_disagreement_rate=0.0,
-        empirical_sigma=0.0, classical_bits_per_qubit=0.0,
-        empirical_efficiency=0.0, ledger=zero, ledger_raw=zero,
-    )
+    pe = PeResult(None, None, False, empty, empty, *[0] * 7)
+    return finish(pe, n_qubits=0, qubits_sent=0, n_detected=0, reception_ack=0,
+                  bases=(0, 0), raw_bases=0, f=1.0)
 
 
 def finish(
@@ -419,7 +412,7 @@ def finish(
         empirical_sift_rate=f_card / raw_bases if raw_bases else 0.0,
         matched_disagreement_rate=pe.n_disagree / n_compared if n_compared else 0.0,
         empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
-        classical_bits_per_qubit=announced / qubits_sent,
+        classical_bits_per_qubit=announced / qubits_sent if qubits_sent else 0.0,
         empirical_efficiency=efficiency(final_key, qubits_sent, announced),
         ledger=led,
         ledger_raw=led_raw,

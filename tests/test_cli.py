@@ -15,6 +15,7 @@ from qkdeff.core import ChannelParams, ProtocolParams
 from qkdeff.errors import ConfigError
 from qkdeff.proto_bb84 import SessionConfig, run_session
 from qkdeff.proto_tf import TfConfig, run_tf_session
+from qkdeff.session import N_MAX
 
 OPT_FIG2_L0 = 0.07383725278977086559877699974772215181614
 
@@ -230,6 +231,10 @@ class TestCurveCommand:
         assert run_cli("curve", "--set", "n_qubits=abc") == 2
         assert "key 'n_qubits': not a number" in capsys.readouterr().err
 
+    def test_fractional_qubit_count_exits_config_code(self, capsys):
+        assert run_cli("curve", "--set", "n_qubits=1.5", "--set", "l_max=1") == 2
+        assert "n_qubits must be an integer >= 1 or math.inf, got 1.5" in capsys.readouterr().err
+
     def test_config_file_driven(self, tmp_path):
         cfg = tmp_path / "curve.cfg"
         cfg.write_text("l_min = 0\nl_max = 2\nl_step = 1\nxi = 0.8\n")
@@ -353,6 +358,32 @@ class TestSimulateCommands:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command, count", [
+        ("simulate-bb84", "n_qubits"), ("simulate-tf", "n_pulses")])
+    def test_seed_flag_is_an_rng_seed_override(self, command, count, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rng_seed = 3\n")
+        base = [command, "--format", "json", "--set", f"{count}=5000"]
+        outs = []
+        for extra in (["--set", "rng_seed=7"], ["--seed", "7"],
+                      ["--seed", "7", "--set", "rng_seed=3"],
+                      ["--seed", "7", "--config", str(cfg)],
+                      ["--seed", "7", "--config", str(cfg), "--set", "rng_seed=3"]):
+            out = tmp_path / "rep.json"
+            assert run_cli(*base, *extra, "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert len(set(outs)) == 1
+        assert run_cli(*base, "--set", "rng_seed=3", "--out", str(out)) == 0
+        assert out.read_bytes() != outs[0]
+
+    @pytest.mark.parametrize("argv, key", [
+        (("simulate-bb84", "--set", "n_qubits=1e30"), "n_qubits"),
+        (("simulate-tf", "--set", "n_pulses=1e19"), "n_pulses"),
+    ])
+    def test_oversized_session_count_exits_config_code(self, argv, key, capsys):
+        assert run_cli(*argv) == 2
+        assert f"error: {key} must lie in [0, {N_MAX}]" in capsys.readouterr().err
+
     def test_abort_is_exit_zero_with_status(self, tmp_path, capsys):
         out = tmp_path / "abort.json"
         code = run_cli(
@@ -461,10 +492,11 @@ class TestSessionJson:
     def test_file_and_stdout_hold_json_dumps_of_the_record(self, name, tmp_path,
                                                           capsysbinary):
         command, settings, seed, holds = SESSION_JSON_CASES[name]
+        seeded = settings if seed is None else {**settings, "rng_seed": str(seed)}
         if command == "simulate-bb84":
-            report = run_session(cfgmod.bb84_from_mapping(settings, seed=seed))
+            report = run_session(cfgmod.bb84_from_mapping(seeded))
         else:
-            report = run_tf_session(cfgmod.tf_from_mapping(settings, seed=seed))
+            report = run_tf_session(cfgmod.tf_from_mapping(seeded))
         assert holds(report)
         expected = (json.dumps(report.as_dict(), indent=2) + "\n").encode()
 

@@ -574,9 +574,14 @@ class TestProtocolParamsValidation:
         assert not ProtocolParams(n_qubits=10**6).asymptotic
 
     def test_bad_counts(self):
-        for n in (0.5, math.nan):
+        for n in (0.5, math.nan, -math.inf):
             with pytest.raises(ParameterError):
                 ProtocolParams(n_qubits=n)
+        for n in (1.5, 1000.25):
+            with pytest.raises(ParameterError, match="n_qubits must be an integer"):
+                ProtocolParams(n_qubits=n)
+        for n in (1, 1000.0, 10**6, INFINITE):  # integral floats are what configs parse
+            assert ProtocolParams(n_qubits=n).n_qubits == n
         with pytest.raises(ParameterError):
             ProtocolParams(delta=1.0, n_qubits=100)
 

@@ -12,7 +12,7 @@ import pytest
 from qkdeff import session, squeeze
 from qkdeff.cli import main
 from qkdeff.core import ChannelParams, qber
-from qkdeff.errors import SimulationIntegrityError
+from qkdeff.errors import ParameterError, SimulationIntegrityError
 from qkdeff.proto_bb84 import SessionConfig, run_session
 from qkdeff.proto_tf import TfConfig, run_tf_session
 
@@ -37,6 +37,34 @@ def test_no_error_rate_sample_certifies_no_key(protocol):
     assert rep.ledger.ec_bits == 0.0 and rep.ledger.pa_bits == 0.0
     assert rep.empirical_efficiency == 0.0
     assert "no error-rate estimate: no key certified" in rep.warnings
+
+
+EMPTY = {
+    "bb84": lambda: run_session(SessionConfig(n_qubits=0)),
+    "tf": lambda: run_tf_session(TfConfig(n_pulses=0)),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(EMPTY))
+def test_empty_session_reports_no_estimate_and_zero_ledgers(protocol):
+    rep = EMPTY[protocol]()
+    assert rep.warnings == (session.NO_ESTIMATE,)
+    assert rep.qber_x is None and rep.qber_z is None and not rep.aborted
+    assert rep.ledger == rep.ledger_raw == (0, 0, 0, 0, 0, 0, True)
+    assert rep.key_bit_length == rep.alice_key.size == rep.bob_key.size == 0
+    assert all(v == 0 for k, v in rep.as_dict().items()
+               if k not in ("qber_x", "qber_z", "aborted", "warnings")
+               and not k.endswith("_hex"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: SessionConfig(n_qubits=n), lambda n: TfConfig(n_pulses=n)])
+def test_session_counts_stop_at_n_max(build):
+    # past N_MAX one sampler chunk of gaps capped at N + 1 may overflow int64
+    assert (2**63 - 1) // (session.CHUNK + 1) - 1 >= session.N_MAX
+    build(session.N_MAX)  # built, nothing drawn
+    with pytest.raises(ParameterError, match=f"must lie in \\[0, {session.N_MAX}\\]"):
+        build(session.N_MAX + 1)
 
 
 DRAWS, WIDTH = 20_000, 10

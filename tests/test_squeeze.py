@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qkdeff import squeeze
+from qkdeff.core import binary_entropy
 from qkdeff.errors import MalformedStreamError, ParameterError
 from qkdeff.squeeze import (
     CONTAINER_MAGIC,
@@ -612,6 +613,21 @@ class TestSigmaAnalytics:
             assert expected_codeword_length(k, 0.999) == pytest.approx(
                 average_length(cb), rel=1e-12
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 64),
+           p=st.floats(0.5, 1 - 1e-9, exclude_min=True, allow_nan=False))
+    @example(k=64, p=1 - 1e-9)
+    @example(k=2, p=1 - 1e-9)
+    @example(k=1, p=0.999)
+    def test_expected_obeys_the_compression_bounds(self, k, p):
+        sigma = sigma_expected(k, p)
+        # source coding: no prefix code beats k H(p) bits per block on average
+        assert sigma <= 100 * (1 - binary_entropy(p)) + 1e-9
+        if k >= 2:  # L_av > 1: of 2^k >= 4 prefix codewords at most one has one bit
+            assert sigma < 100 * (1 - 1 / k)
+        else:  # one bit per block cannot be compressed
+            assert abs(sigma) <= 1e-9
 
     @pytest.mark.parametrize("k,limit", [(2, 50.0), (4, 75.0)])
     def test_limit_as_p_to_one(self, k, limit):
