@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, is_dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -25,6 +26,7 @@ from .proto_bb84 import SessionConfig
 from .proto_tf import TfConfig
 
 _SESSION_SIZE = 100_000  # n_qubits / n_pulses of a simulation whose config omits it
+_INT_LIMIT = Decimal("1e4300")  # counts have at most the 4,300 digits int() reads
 
 
 def _tf_key(name: str) -> str:
@@ -111,16 +113,12 @@ def _int(cfg: Mapping[str, str], key: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
-    except ValueError:
+        value = Decimal(raw)  # exact: 1e6 and 1000.0 are counts, 2**53 + 0.5 is not
+        if value.copy_abs() < _INT_LIMIT and value == int(value):
+            return int(value)
+    except ArithmeticError:  # not a number, or NaN
         pass
-    try:
-        as_float = float(raw)  # allow 1e6-style counts
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
-    if not as_float.is_integer():
-        raise ConfigError(f"key {key!r}: not an integer: {raw!r}")
-    return int(as_float)
+    raise ConfigError(f"key {key!r}: not an integer: {raw!r}")
 
 
 def _bool(cfg: Mapping[str, str], key: str, default: bool) -> bool:

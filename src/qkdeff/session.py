@@ -363,6 +363,9 @@ def finish(
     either, and an aborted session reports no key.  A certified key is
     int(k_rem * (xi - H(e_est) - f H(e_est))) bits, at least 0.
     """
+    # a config count may be a numpy integer; the report holds plain ints
+    n_qubits, qubits_sent, reception_ack, raw_bases = map(
+        int, (n_qubits, qubits_sent, reception_ack, raw_bases))
     samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
                if r is not None]
     e_est = (sum(r * c for r, c in samples) / sum(c for _, c in samples)

@@ -28,6 +28,7 @@ the dense sequence.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from math import comb
@@ -341,12 +342,12 @@ def sigma_curve(
 ) -> list[tuple[int, float]]:
     """Expected compression percent per degree k (k >= 2 per point).
 
-    With a finite input length ``n >= 1`` the block count is ceil(n/k), which
-    perturbs sigma by at most one block; ``n = None`` takes the n -> infinity
-    limit m/n = 1/k.
+    With a finite input length ``n``, from 1 to the largest float, the block
+    count is ceil(n/k), which perturbs sigma by at most one block;
+    ``n = None`` takes the n -> infinity limit m/n = 1/k.
     """
     if n is not None:
-        check_count("input length n", n, 1)
+        check_count("input length n", n, 1, sys.float_info.max)  # m and n become floats
     out: list[tuple[int, float]] = []
     for k in k_values:
         check_count("k", k, 2)  # compression needs two bits a block

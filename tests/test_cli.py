@@ -5,8 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qkdeff import cli, squeeze
 from qkdeff import config as cfgmod
@@ -93,6 +96,39 @@ class TestFlatConfig:
         assert cfg.n_qubits == 10_000
         with pytest.raises(ConfigError):
             cfgmod.bb84_from_mapping({"n_qubits": "1.5"})
+
+    @pytest.mark.parametrize("raw, value", [
+        ("5", 5), ("1e6", 10**6), ("1000.0", 1000), ("1_000", 1000), ("-0.0", 0),
+        ("12345678901234567.0", 12345678901234567),  # a float reads ...568
+        ("1e30", 10**30),
+    ])
+    def test_counts_in_float_notation_are_exact(self, raw, value):
+        assert cfgmod._int({"n": raw}, "n", None) == value
+
+    @given(st.integers(-(2**53) + 1, 2**53 - 1))
+    def test_every_float_exact_count_parses_to_itself(self, v):
+        for raw in (str(v), f"{v}.0"):
+            assert cfgmod._int({"n": raw}, "n", None) == v
+
+    @pytest.mark.parametrize("raw", [
+        "1.5", "1e-999999999", "nan", "-inf", "sNaN", "seven", "", "1e999999999",
+        "9" * 5000,  # past the 4,300 digits int() reads from text
+    ])
+    def test_non_counts_refused_at_once(self, raw):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="^key 'n': not an integer: "):
+            cfgmod._int({"n": raw}, "n", None)
+        assert time.perf_counter() - start < 1.0
+
+    def test_seed_in_float_notation_is_that_seed(self, tmp_path):
+        base = ["simulate-bb84", "--format", "json", "--set", "n_qubits=5000"]
+        outs = []
+        for extra in (["--set", "rng_seed=12345678901234567.0"],
+                      ["--seed", "12345678901234567"]):
+            out = tmp_path / "rep.json"
+            assert run_cli(*base, *extra, "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_negative_seed_is_config_error(self):
         assert run_cli("simulate-bb84", "--seed", "-3",
@@ -278,9 +314,18 @@ class TestSigmaCommand:
         rows = read_rows(out)
         assert float(rows[0]["sigma_percent"]) == pytest.approx(49.85005, abs=1e-9)
 
-    def test_invalid_range(self):
+    def test_invalid_range(self, capsys):
+        # the refusals are sigma_curve's own
         assert run_cli("sigma", "--set", "k_min=1") == 2
+        assert capsys.readouterr().err == "error: k must be >= 2, got 1\n"
         assert run_cli("sigma", "--set", "k_min=5", "--set", "k_max=3") == 2
+        assert capsys.readouterr().err == "error: k_values must be nonempty\n"
+
+    @pytest.mark.parametrize("n_bits", ["1e400", "1" + "0" * 400], ids=["1e400", "digits"])
+    def test_n_bits_past_the_float_range_exits_config_code(self, n_bits, capsys):
+        assert run_cli("sigma", "--set", f"n_bits={n_bits}") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: input length n must lie in [1, ")
 
     @pytest.mark.parametrize("n_bits", ["abc", "0", "-5", "1.5"])
     def test_bad_n_bits_exits_config_code(self, n_bits, capsys):
@@ -382,7 +427,9 @@ class TestSimulateCommands:
     ])
     def test_oversized_session_count_exits_config_code(self, argv, key, capsys):
         assert run_cli(*argv) == 2
-        assert f"error: {key} must lie in [0, {N_MAX}]" in capsys.readouterr().err
+        exact = {"n_qubits": 10**30, "n_pulses": 10**19}[key]  # float(1e30) is ...8656
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must lie in [0, {N_MAX}], got {exact}\n"
 
     def test_abort_is_exit_zero_with_status(self, tmp_path, capsys):
         out = tmp_path / "abort.json"
@@ -552,13 +599,16 @@ class TestSqueezeFilters:
         assert dec.stdout == raw
 
     def test_whitespace_tolerated_in_text_mode(self):
-        enc = self._run(["squeeze-encode", "--set", "k=2"], b"00 01\n10\n")
+        enc = self._run(["squeeze-encode", "--set", "k=2"], b"00 01\n1\t\x0b\x0c0\r\n")
         assert enc.returncode == 0
         dec = self._run(["squeeze-decode"], enc.stdout)
         assert dec.stdout.strip() == b"000110"
 
     def test_bad_inputs_exit_config_code(self):
-        assert self._run(["squeeze-encode", "--set", "k=2"], b"012").returncode == 2
+        for bits in (b"012", b"01\xe9", b"0\x1c1"):  # \x1c is not ASCII whitespace
+            enc = self._run(["squeeze-encode", "--set", "k=2"], bits)
+            assert enc.returncode == 2
+            assert enc.stderr == b"error: bit sequence may contain only 0 and 1\n"
         assert self._run(["squeeze-decode"], b"garbage").returncode == 2
         assert self._run(
             ["squeeze-encode", "--set", "k=99"], b"0101"

@@ -578,6 +578,21 @@ class TestReportsArePlainPython:
         assert rep.v_prime == 0 and rep.qber_x is None
         self.check(rep)
 
+    # check_count accepts numpy integers, so a config may hold one; the
+    # report converts the counts and equals the one built from a Python int
+    @pytest.mark.parametrize("lossless", [False, True])
+    def test_bb84_numpy_count(self, lossless):
+        cfg = SessionConfig(n_qubits=np.int64(10_000), lossless=lossless)
+        rep = run_session(cfg)
+        self.check(rep)
+        assert rep.as_dict() == run_session(replace(cfg, n_qubits=10_000)).as_dict()
+
+    def test_tf_numpy_count(self):
+        cfg = TfConfig(n_pulses=np.int64(10_000), rng_seed=5)
+        rep = run_tf_session(cfg)
+        self.check(rep)
+        assert rep.as_dict() == run_tf_session(replace(cfg, n_pulses=10_000)).as_dict()
+
 
 class TestConfigValidation:
     def test_domains(self):

@@ -10,6 +10,7 @@ import pytest
 from qkdeff import squeeze
 from qkdeff.errors import ParameterError, SimulationIntegrityError
 from qkdeff.proto_tf import TfConfig, run_tf_session
+from test_proto_bb84 import codeword_length_var
 
 IDEAL = TfConfig(
     n_pulses=50_000, p_x=0.999, p_click_match=1.0,
@@ -163,6 +164,21 @@ class TestAnnouncements:
         combined = rep.ledger.alice_match + rep.ledger.bob_bases
         assert abs(combined - target) / target < 0.05
         assert combined <= 2 * cfg.n_pulses  # never worse than raw
+
+    @pytest.mark.parametrize("k, p_x", [(8, 0.999), (4, 0.99)])  # defaults, tf-relay-cli
+    def test_squeezed_sizes_follow_the_codec_law(self, k, p_x):
+        # pooled over seeds: each of the two announcements is n basis bits
+        # with P(0) = p_x, ceil(n/k) blocks of expected_codeword_length bits
+        seeds, n = range(100), 100_003  # n % k != 0: the last block is padded
+        base = TfConfig(n_pulses=n, p_x=p_x, degree_k=k)
+        reps = [run_tf_session(replace(base, rng_seed=seed)) for seed in seeds]
+        blocks = 2 * len(seeds) * -(-n // k)
+        mean = squeeze.expected_codeword_length(k, p_x)
+        tol = 6.0 * math.sqrt(blocks * codeword_length_var(k, p_x))
+        # a zero-padded last block costs at least 1 bit, at most an unpadded one
+        tol += 2 * len(seeds) * (mean - 1.0)
+        squeezed = sum(r.ledger.bob_bases + r.ledger.alice_match for r in reps)
+        assert abs(squeezed - blocks * mean) <= tol
 
     def test_announcement_symmetry(self):
         sizes_a, sizes_b = [], []

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -660,6 +661,13 @@ class TestSigmaAnalytics:
                 expected_codeword_length(k, p)
         with pytest.raises(ParameterError):
             sigma_asymptotic(0)
+
+    def test_curve_refuses_length_past_the_float_range(self):
+        # m / n is computed in floats: a longer input overflowed there
+        with pytest.raises(ParameterError, match="^input length n must lie in"):
+            sigma_curve([8], 0.999, 10**400)
+        assert sigma_curve([8], 0.999, int(sys.float_info.max))[0][1] == pytest.approx(
+            sigma_curve([8], 0.999)[0][1], rel=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("p", [0.9, 0.999])
