@@ -36,6 +36,7 @@ from .squeeze import (
     Codebook,
     CompressionStats,
     OnePositions,
+    PackedBits,
     build_codebook,
     decode,
     decode_positions,

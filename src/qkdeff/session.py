@@ -105,22 +105,27 @@ def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
     """Squeeze an ``n``-bit sequence, frame it, and read it back as the peer would.
 
     The sequence is given by the sorted positions of its 1s, and the peer
-    reads it back in the same form.  The decoded length and positions must
-    equal the sent ones, and the peer must be able to read it, so a codec
-    fault surfaces as SimulationIntegrityError rather than key damage or a
-    malformed-input error.  Returns the announced payload size
-    (container header framing is not counted; the protocol messages carry
-    counts anyway).
+    reads it back in the same form.  The encoder's output, one byte per
+    coded bit, is dropped once framed: the peer parses the container without
+    unpacking its payload and decodes the packed bytes, so the read-back
+    costs O(runs of 1s) beyond one pass over the ~n/(8k) payload bytes.  The
+    header's degree, the payload's length and padding, and the codeword
+    count are checked; the decoded length and positions must equal the sent
+    ones, and the peer must be able to read it, so a codec fault surfaces as
+    SimulationIntegrityError rather than key damage or a malformed-input
+    error.  Returns the announced payload size (container header framing is
+    not counted; the protocol messages carry counts anyway).
     """
     payload, stats = squeeze.encode(squeeze.OnePositions(ones, n), cb)
     blob = squeeze.write_container(payload, cb.degree_k, n)
+    del payload  # the peer reads the packed bytes alone
     try:
-        k_hdr, true_len, payload_bits = squeeze.read_container(blob)
+        k_hdr, true_len, packed = squeeze.read_packed_container(blob)
         if k_hdr != cb.degree_k:
             raise SimulationIntegrityError(
                 f"{what} announcement header carries k={k_hdr}, sent k={cb.degree_k}"
             )
-        decoded = squeeze.decode_positions(payload_bits, cb, true_len)
+        decoded = squeeze.decode_positions(packed, cb, true_len)
     except MalformedStreamError as exc:
         raise SimulationIntegrityError(f"{what} announcement unreadable: {exc}") from exc
     if not (decoded.length == n and np.array_equal(decoded.positions, ones)):

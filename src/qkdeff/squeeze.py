@@ -16,13 +16,18 @@ A decoder therefore only needs k, which is what the container header carries.
 For such a source the stream is mostly 0s, and the code is a run-length code
 over it (Golomb, IEEE Trans. Inf. Theory 12, 399, 1966): the codeword of rank
 r is r 1s and a 0.  Encode and decode therefore work on one-positions and
-runs of 1s alone, and both cost O(ones + n/k) for n input bits beyond one
-packing pass over their input.  A caller that already holds the sorted
-positions of the 1s (a session's rare basis choices) hands them to
-:func:`encode` as :class:`OnePositions` and skips that pass; a dense
-sequence is reduced to the same form first.  :func:`decode_positions`
-reads a stream back into that form, and :func:`decode` scatters it into
-the dense sequence.
+runs of 1s alone.  A caller that already holds the sorted positions of the
+1s (a session's rare basis choices) hands them to :func:`encode` as
+:class:`OnePositions`; a dense sequence is reduced to the same form first.
+:func:`encode` places each codeword of a block that holds a 1 at its output
+offset and writes only its 1s into a zeroed output.  :func:`decode_positions`
+finds the runs of 1s in the packed bytes of a stream, unpacking only the
+bytes where a run starts or ends, and reads the stream back into
+one-positions; it takes the stream dense or as :class:`PackedBits`, the form
+:func:`read_packed_container` gives without unpacking the payload.
+:func:`decode` scatters the positions into the dense sequence.  Beyond one
+pass over the packed stream, decoding costs O(runs of 1s); encoding costs
+O(ones) beyond zeroing its output, one byte per coded bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
-from math import comb
+from math import comb, isinf
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -165,13 +170,65 @@ class OnePositions(NamedTuple):
     length: int
 
 
+class PackedBits(NamedTuple):
+    """A bit sequence of ``length`` bits packed MSB-first into bytes, the padding bits 0.
+
+    ``data`` is bytes or a one-dimensional uint8 array of ceil(length / 8) bytes.
+    """
+
+    data: Union[bytes, np.ndarray]
+    length: int
+
+
+def _set_bits(packed: np.ndarray) -> np.ndarray:
+    """Sorted int64 positions of the set bits of MSB-first packed bytes.
+
+    Only the nonzero bytes are unpacked; ``flatnonzero`` reads bool views,
+    several times faster than uint8 ones.
+    """
+    nz = np.flatnonzero(packed.view(bool))
+    at = np.flatnonzero(np.unpackbits(packed[nz]).view(bool))
+    return nz[at >> 3] * 8 + (at & 7)
+
+
 def _one_positions(bits: BitsLike) -> OnePositions:
-    """The 1s of a dense bit sequence, found by unpacking only the bytes that hold one."""
+    """The 1s of a dense bit sequence."""
     arr = as_bits(bits)
-    packed = np.packbits(arr)
-    nz = np.flatnonzero(packed)
-    at = np.flatnonzero(np.unpackbits(packed[nz]))
-    return OnePositions(nz[at >> 3] * 8 + (at & 7), arr.size)
+    return OnePositions(_set_bits(np.packbits(arr)), arr.size)
+
+
+def _run_edges(packed: np.ndarray, size: int) -> np.ndarray:
+    """Start and end (exclusive) of each run of 1s of ``size`` packed bits, interleaved.
+
+    A run starts or ends at each bit that differs from the one before it
+    (the bit before the first is 0): the set bits of the bytes XOR
+    themselves shifted right by one, each taking the low bit of the byte
+    before.  The padding bits are 0, so a run that reaches the last bit
+    ends in the padding, or at ``size`` when there is none.
+    """
+    edge = packed >> 1
+    edge[1:] |= packed[:-1] << 7
+    edge ^= packed
+    edge = _set_bits(edge)
+    return np.append(edge, size) if edge.size % 2 else edge
+
+
+def _checked_packed(bits: PackedBits) -> tuple[np.ndarray, int]:
+    data, n = bits
+    check_count("bit sequence length", n)
+    n = int(n)
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = np.frombuffer(data, np.uint8)
+    data = np.asarray(data)
+    if data.ndim != 1 or data.dtype != np.uint8:
+        raise ParameterError("packed bits must be bytes or a one-dimensional uint8 array")
+    if data.size != -(-n // 8):
+        raise MalformedStreamError(
+            f"payload length mismatch: {n} bits pack into {-(-n // 8)} bytes, not {data.size}"
+        )
+    if n % 8 and data[-1] & (0xFF >> n % 8):
+        raise MalformedStreamError("nonzero padding bits beyond the payload length")
+    return data, n
 
 
 def _checked_positions(ones: OnePositions) -> tuple[np.ndarray, int]:
@@ -214,33 +271,49 @@ def encode(
     ranks = cb._rank_of_block[np.add.reduceat(1 << (k - 1 - pos % k), first)]
     last = (1 << k) - 1
 
-    # The output alternates runs of 0s and 1s: the codeword of rank r is r
-    # 1s, then a 0 unless r = last, and each rank-0 block between is one 0.
-    edges = np.concatenate(([-1], blocks, [m]))
-    runs = np.empty(2 * blocks.size + 1, dtype=np.int64)
-    runs[0::2] = edges[1:] - edges[:-1] - 1  # rank-0 blocks in between
-    runs[2::2] += ranks < last  # the terminating 0 of the codeword before
-    runs[1::2] = ranks
-    value = np.zeros(runs.size, dtype=np.uint8)
-    value[1::2] = 1
-    out = np.repeat(value, runs)
+    # The codeword of rank r is r 1s, then a 0 unless r = last, and each
+    # rank-0 block is one 0, so only the 1s are written into a zeroed output.
+    extra = ranks - (ranks == last)  # codeword length - 1
+    out = np.zeros(m + int(extra.sum()), dtype=np.uint8)
+    if ranks.size:
+        # A valued block's codeword starts at its block index plus the bits
+        # beyond the first of the codewords before it.  Its 1s follow one
+        # another, so their indices are a cumulative sum of steps of 1, with
+        # the jump from the last 1 of the codeword before at its first.
+        start = np.cumsum(extra)
+        start += blocks - extra
+        ends = np.cumsum(ranks)
+        step = np.ones(int(ends[-1]), dtype=np.int64)
+        step[0] = start[0]
+        step[ends[:-1]] = start[1:] - start[:-1] - ranks[:-1] + 1
+        out[np.cumsum(step, out=step)] = 1
 
     sigma = (1.0 - out.size / n) * 100.0
     return out, CompressionStats(n, m, out.size, sigma)
 
 
-def decode_positions(stream: BitsLike, cb: Codebook, true_length: int) -> OnePositions:
+def decode_positions(
+    stream: BitsLike | PackedBits, cb: Codebook, true_length: int
+) -> OnePositions:
     """Invert :func:`encode` into the :class:`OnePositions` of the ``true_length`` bits.
 
-    Only the codewords of rank > 0 are read, so the cost is O(runs of 1s)
-    beyond one pass over the stream.  Raises MalformedStreamError when the
-    stream is not a valid codeword concatenation for
-    ``ceil(true_length / k)`` blocks or sets a padding bit.
+    ``stream`` is either the dense stream or its :class:`PackedBits`, whose
+    length and padding are checked as :func:`read_container` checks them; a
+    dense stream is packed first.  The runs of 1s are found from the packed
+    bytes, unpacking only those that hold a run's first bit or the bit after
+    its last, and only the codewords of rank > 0 are read, so the cost is
+    O(runs of 1s) beyond one pass over the packed stream.  Raises
+    MalformedStreamError when the stream is not a valid codeword
+    concatenation for ``ceil(true_length / k)`` blocks or sets a padding bit.
     """
     if true_length < 0:
         raise ParameterError("true_length must be nonnegative")
     k = cb.degree_k
-    arr = as_bits(stream)
+    if isinstance(stream, PackedBits):
+        packed, size = _checked_packed(stream)
+    else:
+        arr = as_bits(stream)
+        packed, size = np.packbits(arr), arr.size
     m_expect = -(-true_length // k)
     last = (1 << k) - 1
 
@@ -248,19 +321,13 @@ def decode_positions(stream: BitsLike, cb: Codebook, true_length: int) -> OnePos
     # maximal codewords (all 1s, no terminating 0) and then the codeword of
     # rank r % last.  A run that reaches the end of the stream must split
     # into maximal codewords exactly.
-    b = arr.view(bool)
-    edge = np.flatnonzero(b[1:] != b[:-1])
-    edge += 1  # each index whose bit differs from the one before it
-    if arr.size and b[0]:  # a run of 1s starts the stream
-        edge = np.insert(edge, 0, 0)
-    if arr.size and b[-1]:  # a run of 1s ends it
-        edge = np.append(edge, arr.size)
+    edge = _run_edges(packed, size)
     start, ones = edge[0::2], edge[1::2] - edge[0::2]  # the runs of 1s
     n_full, rank = np.divmod(ones, last)
-    if ones.size and edge[-1] == arr.size and rank[-1]:
+    if ones.size and edge[-1] == size and rank[-1]:
         raise MalformedStreamError("stream ends inside a codeword")
 
-    n_codewords = arr.size - int(ones.sum()) + int(n_full.sum())
+    n_codewords = size - int(ones.sum()) + int(n_full.sum())
     if n_codewords != m_expect:
         raise MalformedStreamError(
             f"stream holds {n_codewords} codewords, expected {m_expect}"
@@ -291,7 +358,7 @@ def decode_positions(stream: BitsLike, cb: Codebook, true_length: int) -> OnePos
     return OnePositions(pos, true_length)
 
 
-def decode(stream: BitsLike, cb: Codebook, true_length: int) -> np.ndarray:
+def decode(stream: BitsLike | PackedBits, cb: Codebook, true_length: int) -> np.ndarray:
     """Invert :func:`encode`: the dense form of :func:`decode_positions`."""
     ones = decode_positions(stream, cb, true_length)
     out = np.zeros(true_length, dtype=np.uint8)
@@ -355,8 +422,11 @@ def sigma_curve(
         if n is None:
             sig = sigma_expected(k, p)
         else:
-            m = -(-n // k)
-            sig = (1.0 - expected_codeword_length(k, p) * m / n) * 100.0
+            length, m = expected_codeword_length(k, p), -(-n // k)
+            cost = length * m / n
+            if isinf(cost):  # length * m is past the float range: m / n first
+                cost = length * (m / n)
+            sig = (1.0 - cost) * 100.0
         out.append((k, sig))
     if not out:
         raise ParameterError("k_values must be nonempty")
@@ -375,22 +445,25 @@ def write_container(payload_bits: BitsLike, k: int, true_bit_length: int) -> byt
     check_count("true_bit_length", true_bit_length, 0, 2**64 - 1)  # 8 header bytes
     arr = as_bits(payload_bits)
     header = _HEADER.pack(CONTAINER_MAGIC, k, true_bit_length, arr.size)
-    return header + np.packbits(arr).tobytes()
+    return b"".join((header, np.packbits(arr)))  # one copy of the packed bytes
 
 
-def read_container(data: bytes) -> tuple[int, int, np.ndarray]:
-    """Split a container into (k, true_bit_length, payload bit array)."""
+def read_packed_container(data: bytes) -> tuple[int, int, PackedBits]:
+    """Split a container into (k, true_bit_length, packed payload), copying nothing."""
     if len(data) < _HEADER.size:
         raise MalformedStreamError("container shorter than its header")
     magic, k, true_len, payload_len = _HEADER.unpack_from(data)
     if magic != CONTAINER_MAGIC:
         raise MalformedStreamError(f"bad container magic {magic!r}")
-    payload = data[_HEADER.size:]
-    if len(payload) != (payload_len + 7) // 8:
-        raise MalformedStreamError("container payload length mismatch")
-    if payload_len % 8 and payload[-1] & (0xFF >> payload_len % 8):
-        raise MalformedStreamError("nonzero padding bits beyond the payload length")
-    return k, true_len, unpack_bits(payload, payload_len)
+    payload = PackedBits(np.frombuffer(data, np.uint8, offset=_HEADER.size), payload_len)
+    _checked_packed(payload)
+    return k, true_len, payload
+
+
+def read_container(data: bytes) -> tuple[int, int, np.ndarray]:
+    """Split a container into (k, true_bit_length, payload bit array)."""
+    k, true_len, payload = read_packed_container(data)
+    return k, true_len, np.unpackbits(payload.data, count=payload.length)
 
 
 def squeeze_bits(bits: BitsLike, k: int) -> tuple[bytes, CompressionStats]:
@@ -401,8 +474,11 @@ def squeeze_bits(bits: BitsLike, k: int) -> tuple[bytes, CompressionStats]:
 
 
 def unsqueeze_bits(data: bytes) -> np.ndarray:
-    """Convenience: decode a container back to the original bit sequence."""
-    k, true_len, payload = read_container(data)
+    """Convenience: decode a container back to the original bit sequence.
+
+    The packed payload is decoded as it is; no dense copy of it is made.
+    """
+    k, true_len, payload = read_packed_container(data)
     if not 1 <= k <= MAX_EXPLICIT_DEGREE:
         raise MalformedStreamError(f"container degree k={k} unsupported")
     cb = build_codebook(k, 0.999)  # mapping is p-independent

@@ -352,6 +352,17 @@ class TestSigmaCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "k=1023, p=0.999999" in err
 
+    def test_finite_n_past_the_product_range_prints_a_finite_row(self, tmp_path):
+        # L * m overflowed here and the row read -inf
+        out = tmp_path / "sigma.csv"
+        argv = ["--set", "k_min=1022", "--set", "k_max=1022", "--set", "p=0.51",
+                "--set", "n_bits=1e300", "--out", str(out)]
+        assert run_cli("sigma", *argv) == 0
+        (row,) = read_rows(out)
+        sig = squeeze.sigma_curve([1022], 0.51, 10**300)[0][1]
+        assert row["k"] == "1022" and float(row["sigma_percent"]) == pytest.approx(sig, rel=1e-9)
+        assert -float("inf") < float(row["sigma_percent"]) < 0
+
     def test_degree_limit_is_inclusive(self, tmp_path):
         top = squeeze.MAX_CLOSED_FORM_DEGREE
         out = tmp_path / "sigma.csv"

@@ -149,15 +149,32 @@ def test_unreadable_announcement_is_an_integrity_error(monkeypatch, tmp_path):
 
 def test_announce_rejects_header_degree_mismatch(monkeypatch):
     cb = squeeze.build_codebook(4, 0.99)
-    read = squeeze.read_container
+    read = squeeze.read_packed_container
 
     def read_with_other_k(blob):
         k, true_len, payload = read(blob)
         return k + 1, true_len, payload
 
-    monkeypatch.setattr(squeeze, "read_container", read_with_other_k)
+    monkeypatch.setattr(squeeze, "read_packed_container", read_with_other_k)
     with pytest.raises(SimulationIntegrityError, match="k=5, sent k=4"):
         session.announce(np.zeros(0, np.int64), 40, cb, "bob_bases")
+
+
+def test_announcement_read_back_holds_no_dense_payload():
+    # lossless N = 1e7 at k = 8: the encoder's one byte per coded bit is the
+    # only payload-sized array; a read-back that unpacks the payload and
+    # compares neighbouring bits holds two more, ~3.2 times the coded bits
+    n = 10_000_000
+    ones = session.rare_bits(np.random.default_rng(21), n, 0.001)
+    cb = squeeze.build_codebook(8, 0.999)
+    tracemalloc.start()
+    try:
+        coded_bits = session.announce(ones, n, cb, "basis")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coded_bits > 10**6
+    assert peak < 2.5 * coded_bits
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 1000, 9999, 10000])

@@ -513,19 +513,28 @@ def positions_outcome(fn, stream, cb, true_length):
     return ones.positions.tolist()
 
 
+def packed(stream) -> squeeze.PackedBits:
+    stream = np.asarray(stream, np.uint8)
+    return squeeze.PackedBits(np.packbits(stream), stream.size)
+
+
 class TestDecodePositionsMatchesReference:
-    """``decode_positions`` gives the 1s of the reference decoder's output, or its error."""
+    """``decode_positions`` gives the 1s of the reference decoder's output, or its error,
+    on the dense stream and on its packed form."""
 
     K = st.sampled_from([1, 2, 3, 4, 5, 8, 12])
+
+    @staticmethod
+    def check(stream, cb, true_length):
+        expect = positions_outcome(reference_decode, stream, cb, true_length)
+        for form in (stream, packed(stream)):
+            assert positions_outcome(squeeze.decode_positions, form, cb, true_length) == expect
 
     @settings(max_examples=300, deadline=None)
     @given(k=K, stream=st.lists(st.integers(0, 1), max_size=200),
            true_length=st.integers(0, 600))
     def test_arbitrary_streams(self, k, stream, true_length):
-        cb = codebook(k)
-        stream = np.asarray(stream, np.uint8)
-        assert positions_outcome(squeeze.decode_positions, stream, cb, true_length) == (
-            positions_outcome(reference_decode, stream, cb, true_length))
+        self.check(np.asarray(stream, np.uint8), codebook(k), true_length)
 
     @settings(max_examples=300, deadline=None)
     @given(k=K, bits=CODEC_INPUTS, data=st.data())
@@ -543,8 +552,7 @@ class TestDecodePositionsMatchesReference:
             extra = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=40))
             out = np.concatenate([out, np.asarray(extra, np.uint8)])
         true_length = max(0, len(bits) + data.draw(st.integers(-2 * k, 2 * k)))
-        assert positions_outcome(squeeze.decode_positions, out, cb, true_length) == (
-            positions_outcome(reference_decode, out, cb, true_length))
+        self.check(out, cb, true_length)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
     @pytest.mark.parametrize("stream", [
@@ -562,8 +570,93 @@ class TestDecodePositionsMatchesReference:
         # last block and with one bit of padding
         for true_length in {max(0, m * k - pad) for m in range(stream.size + 2)
                             for pad in (0, 1)}:
-            assert positions_outcome(squeeze.decode_positions, stream, cb, true_length) == (
-                positions_outcome(reference_decode, stream, cb, true_length))
+            self.check(stream, cb, true_length)
+
+    @pytest.mark.parametrize("data, length", [
+        (b"\x01", 7),  # the one padding bit set
+        (b"\x80\x01", 15),
+        (b"\xff\xff", 12),  # a run of 1s carried into the padding
+        (b"\x00\x40", 9),
+    ])
+    def test_packed_padding_refused_as_in_a_container(self, data, length):
+        blob = struct.pack(">4sBQQ", CONTAINER_MAGIC, 2, 4, length) + data
+        with pytest.raises(MalformedStreamError) as framed:
+            read_container(blob)
+        with pytest.raises(MalformedStreamError) as direct:
+            squeeze.decode_positions(squeeze.PackedBits(data, length), codebook(2), 4)
+        assert str(direct.value) == str(framed.value) == (
+            "nonzero padding bits beyond the payload length")
+
+    @pytest.mark.parametrize("data, length, error", [
+        (b"\x00", 9, MalformedStreamError),  # too few bytes
+        (b"\x00\x00", 8, MalformedStreamError),  # too many
+        (b"", -1, ParameterError),
+        (b"\x00", 4.0, ParameterError),
+        (np.zeros(1, np.int64), 4, ParameterError),  # not bytes
+        (np.zeros((1, 1), np.uint8), 4, ParameterError),
+    ])
+    def test_packed_form_refuses_bad_framing(self, data, length, error):
+        with pytest.raises(error):
+            squeeze.decode_positions(squeeze.PackedBits(data, length), codebook(2), 4)
+
+    def test_packed_bytes_and_array_agree(self):
+        out, _ = encode([0, 1, 1, 0, 0, 0, 1, 1, 1], codebook(3))
+        as_array = squeeze.decode_positions(packed(out), codebook(3), 9)
+        as_bytes = squeeze.decode_positions(
+            squeeze.PackedBits(np.packbits(out).tobytes(), out.size), codebook(3), 9)
+        assert as_array.positions.tolist() == as_bytes.positions.tolist() == [1, 2, 6, 7, 8]
+
+
+def naive_run_edges(bits) -> list[int]:
+    """Start and end (exclusive) of each run of 1s, interleaved, one bit at a time."""
+    edges, before = [], 0
+    for i, bit in enumerate(bits):
+        if bit != before:
+            edges.append(i)
+            before = bit
+    return edges + [len(bits)] if before else edges
+
+
+def alternating_runs(first: int, lengths: list[int]) -> list[int]:
+    return [bit for i, n in enumerate(lengths) for bit in [(first + i) % 2] * n]
+
+
+# bytes that are mostly all 0s or all 1s, cut to a length that leaves 0-7
+# padding bits, which are cleared
+BYTE_STREAMS = st.lists(
+    st.one_of(st.sampled_from([0x00, 0xFF]), st.integers(0, 255)), max_size=24
+).flatmap(lambda data: st.integers(max(0, 8 * len(data) - 7), 8 * len(data)).map(
+    lambda n: np.unpackbits(np.asarray(data, np.uint8), count=n).tolist()))
+RUN_STREAMS = st.one_of(
+    st.lists(st.integers(0, 1), max_size=100),
+    st.builds(alternating_runs, st.integers(0, 1), st.lists(st.integers(1, 20), max_size=20)),
+    BYTE_STREAMS,
+)
+
+
+class TestPackedRunFinder:
+    """The runs of 1s found per packed byte are those a bit-by-bit scan finds."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(bits=RUN_STREAMS)
+    @example(bits=[1] * 64)  # all-0xFF bytes, no padding: the last run ends at the end
+    @example(bits=[1] * 61)  # all-0xFF bytes, the last run ends in the padding
+    @example(bits=[1] + [0] * 14 + [1])  # runs on the first and the last bit
+    @example(bits=[0] * 7 + [1, 1] + [0] * 7)  # a run across a byte boundary
+    @example(bits=[])
+    def test_run_edges_equal_a_dense_scan(self, bits):
+        got = squeeze._run_edges(np.packbits(np.asarray(bits, np.uint8)), len(bits))
+        assert got.dtype == np.int64 and got.tolist() == naive_run_edges(bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.lists(st.one_of(st.sampled_from([0x00, 0xFF]), st.integers(0, 255)),
+                         max_size=40))
+    def test_set_bits_of_any_bytes(self, data):
+        # bool views of bytes other than 0 and 1 count as set
+        data = np.asarray(data, np.uint8)
+        got = squeeze._set_bits(data)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.flatnonzero(np.unpackbits(data)).tolist()
 
 
 class TestCodecProperties:
@@ -668,6 +761,21 @@ class TestSigmaAnalytics:
             sigma_curve([8], 0.999, 10**400)
         assert sigma_curve([8], 0.999, int(sys.float_info.max))[0][1] == pytest.approx(
             sigma_curve([8], 0.999)[0][1], rel=1e-12)
+
+    def test_curve_finite_n_past_the_product_range_stays_finite(self):
+        # L * m overflows before the division by n; L * (m / n) does not
+        length, m, n = expected_codeword_length(1022, 0.51), -(-10**300 // 1022), 10**300
+        assert math.isinf(length * m / n)
+        assert sigma_curve([1022], 0.51, n) == [(1022, (1.0 - length * (m / n)) * 100.0)]
+        assert math.isfinite(sigma_curve([1022], 0.51, n)[0][1])
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10**6 + 1, 10**15 + 3, 10**30, 10**300])
+    def test_curve_finite_n_keeps_every_finite_row(self, n):
+        # where L * m / n is finite, the row is that product, bit for bit
+        p = 0.999999
+        expect = [(k, (1.0 - expected_codeword_length(k, p) * -(-n // k) / n) * 100.0)
+                  for k in range(2, 25)]
+        assert sigma_curve(range(2, 25), p, n) == expect
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("p", [0.9, 0.999])
