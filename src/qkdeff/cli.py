@@ -170,12 +170,12 @@ def cmd_simulate_tf(args, cfg) -> int:
     return _emit_session(args, run_tf_session(cfgmod.tf_from_mapping(cfg)))
 
 
-def _read_stdin_bits(fmt: str) -> np.ndarray:
+def _read_stdin_bits(fmt: str) -> np.ndarray | squeeze.PackedBits:
     data = sys.stdin.buffer.read()
     if fmt == "packed":
-        return squeeze.unpack_bits(data, 8 * len(data))
-    # split() drops ASCII whitespace; a byte below '0' wraps past 1: as_bits takes only 0 and 1
-    return squeeze.as_bits(np.frombuffer(b"".join(data.split()), np.uint8) - ord("0"))
+        return squeeze.PackedBits(data, 8 * len(data))
+    # split() drops ASCII whitespace; a byte below '0' wraps past 1: encode takes only 0 and 1
+    return np.frombuffer(b"".join(data.split()), np.uint8) - ord("0")
 
 
 def _bits_format(cfg) -> str:

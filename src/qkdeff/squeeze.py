@@ -16,18 +16,19 @@ A decoder therefore only needs k, which is what the container header carries.
 For such a source the stream is mostly 0s, and the code is a run-length code
 over it (Golomb, IEEE Trans. Inf. Theory 12, 399, 1966): the codeword of rank
 r is r 1s and a 0.  Encode and decode therefore work on one-positions and
-runs of 1s alone.  A caller that already holds the sorted positions of the
-1s (a session's rare basis choices) hands them to :func:`encode` as
-:class:`OnePositions`; a dense sequence is reduced to the same form first.
-:func:`encode` places each codeword of a block that holds a 1 at its output
-offset and writes only its 1s into a zeroed output.  :func:`decode_positions`
-finds the runs of 1s in the packed bytes of a stream, unpacking only the
-bytes where a run starts or ends, and reads the stream back into
-one-positions; it takes the stream dense or as :class:`PackedBits`, the form
-:func:`read_packed_container` gives without unpacking the payload.
-:func:`decode` scatters the positions into the dense sequence.  Beyond one
-pass over the packed stream, decoding costs O(runs of 1s); encoding costs
-O(ones) beyond zeroing its output, one byte per coded bit.
+runs of 1s alone.  Each entry reads its input once, through one reader per
+form it computes on: ``_packed`` gives the packed bytes of a dense sequence
+or of :class:`PackedBits` (MSB-first, never unpacked), and ``_positions``
+the 1s of either, or of the :class:`OnePositions` a session already holds.
+:func:`encode` takes all three forms and writes only the 1s of the codewords
+of blocks that hold a 1, each at its output offset, into a zeroed output.
+:func:`decode_positions` takes the stream dense or packed (as
+:func:`read_packed_container` gives it), finds its runs of 1s, unpacking only
+the bytes where a run starts or ends, and reads it back into one-positions.
+:func:`decode` scatters the positions into the dense sequence, and
+:func:`write_container` frames a dense or packed payload.  Beyond one pass
+over the packed stream, decoding costs O(runs of 1s); encoding costs O(ones)
+beyond zeroing its output, one byte per coded bit.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ def as_bits(bits: BitsLike) -> np.ndarray:
     Bytes hold one bit each.  Values are checked before the cast, so 257,
     -1 or 0.5 is refused, not wrapped or truncated to a bit.
     """
-    if isinstance(bits, str):
-        bits = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    if isinstance(bits, str):  # a non-ASCII character reads as '?', no bit
+        bits = np.frombuffer(bits.encode("ascii", "replace"), np.uint8) - ord("0")
     arr = np.frombuffer(bits, np.uint8) if isinstance(bits, bytes) else np.asarray(bits)
     if arr.ndim != 1:
         raise ParameterError("bit sequence must be one-dimensional")
@@ -80,17 +81,7 @@ def bits_to_string(bits: BitsLike) -> str:
 
 def pack_bits(bits: BitsLike) -> bytes:
     """Pack bits MSB-first into bytes; the final partial byte is zero-padded."""
-    arr = as_bits(bits)
-    return np.packbits(arr, bitorder="big").tobytes()
-
-
-def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
-    check_count("n_bits", n_bits)
-    if n_bits > 8 * len(data):
-        raise MalformedStreamError(
-            f"need {n_bits} bits but payload holds only {8 * len(data)}"
-        )
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="big")[:n_bits]
+    return _packed(bits)[0].tobytes()
 
 
 def _probabilities_by_weight(k: int, p: float) -> list[float]:
@@ -191,12 +182,6 @@ def _set_bits(packed: np.ndarray) -> np.ndarray:
     return nz[at >> 3] * 8 + (at & 7)
 
 
-def _one_positions(bits: BitsLike) -> OnePositions:
-    """The 1s of a dense bit sequence."""
-    arr = as_bits(bits)
-    return OnePositions(_set_bits(np.packbits(arr)), arr.size)
-
-
 def _run_edges(packed: np.ndarray, size: int) -> np.ndarray:
     """Start and end (exclusive) of each run of 1s of ``size`` packed bits, interleaved.
 
@@ -213,7 +198,11 @@ def _run_edges(packed: np.ndarray, size: int) -> np.ndarray:
     return np.append(edge, size) if edge.size % 2 else edge
 
 
-def _checked_packed(bits: PackedBits) -> tuple[np.ndarray, int]:
+def _packed(bits: BitsLike | PackedBits) -> tuple[np.ndarray, int]:
+    """The checked MSB-first packed bytes of a dense or packed bit sequence, and its length."""
+    if not isinstance(bits, PackedBits):
+        arr = as_bits(bits)
+        return np.packbits(arr), arr.size
     data, n = bits
     check_count("bit sequence length", n)
     n = int(n)
@@ -231,8 +220,12 @@ def _checked_packed(bits: PackedBits) -> tuple[np.ndarray, int]:
     return data, n
 
 
-def _checked_positions(ones: OnePositions) -> tuple[np.ndarray, int]:
-    pos, n = np.asarray(ones.positions), ones.length
+def _positions(bits: BitsLike | PackedBits | OnePositions) -> tuple[np.ndarray, int]:
+    """The sorted int64 positions of the 1s of a bit sequence, and its length."""
+    if not isinstance(bits, OnePositions):
+        packed, n = _packed(bits)
+        return _set_bits(packed), n
+    pos, n = np.asarray(bits.positions), bits.length
     check_count("bit sequence length", n)
     n = int(n)
     if pos.ndim != 1 or (pos.size and pos.dtype.kind not in "iu"):
@@ -244,19 +237,17 @@ def _checked_positions(ones: OnePositions) -> tuple[np.ndarray, int]:
 
 
 def encode(
-    bits: BitsLike | OnePositions, cb: Codebook
+    bits: BitsLike | PackedBits | OnePositions, cb: Codebook
 ) -> tuple[np.ndarray, CompressionStats]:
     """Encode a bit sequence: concatenated codewords of its k-bit blocks.
 
-    ``bits`` is either the dense sequence or its :class:`OnePositions`; a
-    dense sequence is reduced to its 1s first, so both entries share one
-    code path and give the same output.  The achieved compression percent
-    is (1 - output_bits / n) * 100, i.e. the per-message baseline cost is
-    one bit per announced bit.
+    ``bits`` is the dense sequence, its :class:`PackedBits` or its
+    :class:`OnePositions`; each form is reduced to its 1s first, so all share
+    one code path and give the same output.  The achieved compression percent
+    is (1 - output_bits / n) * 100, i.e. the per-message baseline cost is one
+    bit per announced bit.
     """
-    if not isinstance(bits, OnePositions):
-        bits = _one_positions(bits)
-    pos, n = _checked_positions(bits)
+    pos, n = _positions(bits)
     k = cb.degree_k
     m = -(-n // k)
     if m == 0:
@@ -297,23 +288,19 @@ def decode_positions(
 ) -> OnePositions:
     """Invert :func:`encode` into the :class:`OnePositions` of the ``true_length`` bits.
 
-    ``stream`` is either the dense stream or its :class:`PackedBits`, whose
-    length and padding are checked as :func:`read_container` checks them; a
-    dense stream is packed first.  The runs of 1s are found from the packed
-    bytes, unpacking only those that hold a run's first bit or the bit after
-    its last, and only the codewords of rank > 0 are read, so the cost is
-    O(runs of 1s) beyond one pass over the packed stream.  Raises
-    MalformedStreamError when the stream is not a valid codeword
-    concatenation for ``ceil(true_length / k)`` blocks or sets a padding bit.
+    ``stream`` is the dense stream, packed first, or its :class:`PackedBits`,
+    whose byte count and padding are checked as in :func:`read_container`.
+    The runs of 1s are found from the packed bytes, unpacking only those that
+    hold a run's first bit or the bit after its last, and only the codewords
+    of rank > 0 are read, so the cost is O(runs of 1s) beyond one pass over
+    the packed stream.  Raises ParameterError when ``true_length`` is not an
+    integer >= 0, and MalformedStreamError when the stream is not a valid
+    codeword concatenation for ``ceil(true_length / k)`` blocks or sets a
+    padding bit.
     """
-    if true_length < 0:
-        raise ParameterError("true_length must be nonnegative")
+    check_count("true_length", true_length)
     k = cb.degree_k
-    if isinstance(stream, PackedBits):
-        packed, size = _checked_packed(stream)
-    else:
-        arr = as_bits(stream)
-        packed, size = np.packbits(arr), arr.size
+    packed, size = _packed(stream)
     m_expect = -(-true_length // k)
     last = (1 << k) - 1
 
@@ -354,7 +341,6 @@ def decode_positions(
     pos = index[rows] * k + cols
     if pos.size and pos[-1] >= true_length:
         raise MalformedStreamError("nonzero padding bits beyond the true length")
-    check_count("true_length", true_length)  # after the parse: a bad stream is malformed
     return OnePositions(pos, true_length)
 
 
@@ -440,12 +426,13 @@ def sigma_curve(
 # The map block -> codeword depends only on k, so the header suffices to decode.
 
 
-def write_container(payload_bits: BitsLike, k: int, true_bit_length: int) -> bytes:
+def write_container(payload_bits: BitsLike | PackedBits, k: int, true_bit_length: int) -> bytes:
     check_count("k", k, 1, MAX_EXPLICIT_DEGREE)
     check_count("true_bit_length", true_bit_length, 0, 2**64 - 1)  # 8 header bytes
-    arr = as_bits(payload_bits)
-    header = _HEADER.pack(CONTAINER_MAGIC, k, true_bit_length, arr.size)
-    return b"".join((header, np.packbits(arr)))  # one copy of the packed bytes
+    packed, n = _packed(payload_bits)
+    header = _HEADER.pack(CONTAINER_MAGIC, k, true_bit_length, n)
+    # one copy of the packed bytes; join reads only a contiguous buffer
+    return b"".join((header, np.ascontiguousarray(packed)))
 
 
 def read_packed_container(data: bytes) -> tuple[int, int, PackedBits]:
@@ -456,7 +443,7 @@ def read_packed_container(data: bytes) -> tuple[int, int, PackedBits]:
     if magic != CONTAINER_MAGIC:
         raise MalformedStreamError(f"bad container magic {magic!r}")
     payload = PackedBits(np.frombuffer(data, np.uint8, offset=_HEADER.size), payload_len)
-    _checked_packed(payload)
+    _packed(payload)
     return k, true_len, payload
 
 
@@ -466,7 +453,7 @@ def read_container(data: bytes) -> tuple[int, int, np.ndarray]:
     return k, true_len, np.unpackbits(payload.data, count=payload.length)
 
 
-def squeeze_bits(bits: BitsLike, k: int) -> tuple[bytes, CompressionStats]:
+def squeeze_bits(bits: BitsLike | PackedBits, k: int) -> tuple[bytes, CompressionStats]:
     """Convenience: encode ``bits`` at degree k and frame them in a container."""
     cb = build_codebook(k, 0.999)  # mapping is p-independent
     payload, stats = encode(bits, cb)

@@ -1,12 +1,15 @@
 """CLI and flat-config tests: formats, exit codes, reproducibility."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -624,6 +627,25 @@ class TestSqueezeFilters:
         assert self._run(
             ["squeeze-encode", "--set", "k=99"], b"0101"
         ).returncode == 2
+
+    def test_packed_input_is_not_unpacked(self, tmp_path, monkeypatch, capsys):
+        # 8 * 10^6 bits with P(1) = 0.001 arrive as 10^6 bytes: one byte per
+        # bit would take 8 bytes per input byte, and the encoder's output at
+        # k = 8 about one byte per input byte
+        bits = np.random.default_rng(25).random(8 * 10**6) < 0.001
+        data = np.packbits(bits).tobytes()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        out = tmp_path / "bits.sqz"
+        tracemalloc.start()
+        try:
+            code = main(["squeeze-encode", "--set", "k=8", "--set", "bits_format=packed",
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "bits_in=8000000 " in capsys.readouterr().err
+        assert out.read_bytes() == squeeze.squeeze_bits(bits.astype(np.uint8), 8)[0]
+        assert peak < 3 * len(data)
 
     def test_removed_bias_key_is_unknown(self):
         enc = self._run(["squeeze-encode", "--set", "p=0.9"], b"0101")

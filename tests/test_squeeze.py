@@ -30,7 +30,6 @@ from qkdeff.squeeze import (
     sigma_curve,
     sigma_expected,
     squeeze_bits,
-    unpack_bits,
     unsqueeze_bits,
     write_container,
 )
@@ -330,7 +329,7 @@ def reference_encode(bits, cb):
 def reference_decode(stream, cb, true_length):
     """Loop decoder, one codeword at a time: the oracle for the array-based ``decode``."""
     if true_length < 0:
-        raise ParameterError("true_length must be nonnegative")
+        raise ParameterError(f"true_length must be >= 0, got {true_length}")
     k = cb.degree_k
     arr = as_bits(stream)
     m_expect = -(-true_length // k)
@@ -516,6 +515,57 @@ def positions_outcome(fn, stream, cb, true_length):
 def packed(stream) -> squeeze.PackedBits:
     stream = np.asarray(stream, np.uint8)
     return squeeze.PackedBits(np.packbits(stream), stream.size)
+
+
+# bit sequences whose packed form ends in 1-7 padding bits
+UNALIGNED_BITS = st.one_of(CODEC_INPUTS, ENDS_SET).filter(lambda bits: len(bits) % 8)
+
+
+class TestInputForms:
+    """The dense, packed and one-positions forms of the same bits are one input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 4, 5, 8, 12]), bits=UNALIGNED_BITS)
+    @example(k=3, bits=[1])
+    @example(k=8, bits=[0] * 7 + [1] * 6)
+    def test_every_form_encodes_and_frames_alike(self, k, bits):
+        cb = codebook(k)
+        dense = np.asarray(bits, np.uint8)
+        forms = (dense, packed(dense), squeeze.OnePositions(np.flatnonzero(dense), dense.size))
+        (out, stats), *others = [encode(form, cb) for form in forms]
+        for other_out, other_stats in others:
+            assert other_out.tobytes() == out.tobytes() and other_stats == stats
+        assert write_container(packed(dense), k, len(bits)) == write_container(
+            dense, k, len(bits))
+        assert write_container(packed(out), k, len(bits)) == write_container(
+            out, k, len(bits))
+
+    @pytest.mark.parametrize("data, length", [
+        (b"\x00", 9),  # too few bytes
+        (b"\x00\x00", 8),  # too many
+        (b"\x01", 7),  # the one padding bit set
+        (b"\xff\xff", 12),
+    ])
+    def test_packed_input_refused_as_in_a_container(self, data, length):
+        blob = struct.pack(">4sBQQ", CONTAINER_MAGIC, 2, 4, length) + data
+        with pytest.raises(MalformedStreamError) as framed:
+            read_container(blob)
+        bits = squeeze.PackedBits(data, length)
+        for call in (lambda: encode(bits, codebook(2)), lambda: write_container(bits, 2, 4)):
+            with pytest.raises(MalformedStreamError) as direct:
+                call()
+            assert str(direct.value) == str(framed.value)
+
+    def test_strided_packed_view_frames_and_encodes(self):
+        bits = (np.random.default_rng(12).random(1001) < 0.3).astype(np.uint8)
+        wide = np.zeros((-(-bits.size // 8), 3), np.uint8)
+        wide[:, 1] = np.packbits(bits)
+        view = squeeze.PackedBits(wide[:, 1], bits.size)
+        assert not view.data.flags.c_contiguous
+        assert write_container(view, 4, 1001) == write_container(bits, 4, 1001)
+        out, stats = encode(view, codebook(4))
+        dense_out, dense_stats = encode(bits, codebook(4))
+        assert out.tobytes() == dense_out.tobytes() and stats == dense_stats
 
 
 class TestDecodePositionsMatchesReference:
@@ -807,11 +857,9 @@ class TestBitPackingAndContainer:
         rng = np.random.default_rng(9)
         for n in (0, 1, 7, 8, 9, 300):
             bits = (rng.random(n) < 0.5).astype(np.uint8)
-            assert np.array_equal(unpack_bits(pack_bits(bits), n), bits)
-        with pytest.raises(MalformedStreamError):
-            unpack_bits(b"\x00", 9)
-        with pytest.raises(ParameterError):
-            unpack_bits(b"\xff", -3)  # a negative slice end would drop bits
+            data = np.frombuffer(pack_bits(bits), np.uint8)
+            assert data.size == -(-n // 8)
+            assert np.array_equal(np.unpackbits(data, count=n), bits)
 
     def test_msb_first_layout(self):
         assert pack_bits("10000001") == b"\x81"
@@ -859,6 +907,8 @@ class TestBitPackingAndContainer:
             as_bits([0, 1, 2])
         with pytest.raises(ParameterError):
             as_bits([[0, 1]])
+        with pytest.raises(ParameterError, match="only 0 and 1"):
+            as_bits("10\u00e9")  # not ASCII
 
 
 class TestInputDomains:
@@ -894,6 +944,19 @@ class TestInputDomains:
         with pytest.raises(ParameterError, match="must be an integer"):
             squeeze.decode_positions("00", codebook(2), 3.5)
 
+    @pytest.mark.parametrize("length, message", [
+        (-1, "true_length must be >= 0, got -1"),
+        ("5", "true_length must be an integer, got '5'"),
+        (None, "true_length must be an integer, got None"),
+        (math.nan, "true_length must be an integer, got nan"),
+    ])
+    def test_decode_refuses_a_bad_length_before_the_stream(self, length, message):
+        # "1" is no codeword sequence, but the length is refused first
+        for fn in (decode, squeeze.decode_positions):
+            with pytest.raises(ParameterError) as exc:
+                fn("1", codebook(2), length)
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("k, true_bit_length", [
         (300, 4),  # a byte holds it, the codec does not
         (0, 4),
@@ -912,13 +975,20 @@ class TestInputDomains:
             VALUES.map(float), st.floats(-2, 300), st.just(math.nan))),
         hnp.arrays(np.bool_, st.integers(0, 40)),
     )
-    LENGTHS = st.one_of(st.integers(-3, 60), st.floats(-3, 60))
+    TEXTS = st.text(st.sampled_from("01012 \x00\u00e9\u20ac"), max_size=40)
+    LENGTHS = st.one_of(st.integers(-3, 60), st.floats(-3, 60), st.text(max_size=3),
+                        st.none())
 
     @settings(max_examples=300, deadline=None)
-    @given(k=st.sampled_from([1, 2, 3, 8]), bits=ARRAYS, length=LENGTHS)
+    @given(k=st.sampled_from([1, 2, 3, 8]), bits=st.one_of(ARRAYS, TEXTS), length=LENGTHS)
+    @example(k=2, bits="10\u00e9", length=3)
+    @example(k=2, bits="10", length="5")
+    @example(k=2, bits="10", length=None)
     def test_entries_accept_only_bits_and_counts(self, k, bits, length):
         cb = codebook(k)
-        all_bits = bool(((bits == 0) | (bits == 1)).all())
+        values = (np.array([ord(c) - ord("0") for c in bits], np.int64)  # digit values
+                  if isinstance(bits, str) else bits)
+        all_bits = bool(((values == 0) | (values == 1)).all())
         count = isinstance(length, int) and length >= 0
         for call, needs_count in (
             (lambda: encode(bits, cb), False),
@@ -933,4 +1003,4 @@ class TestInputDomains:
             assert all_bits and (count or not needs_count)
         if all_bits:
             out, stats = encode(bits, cb)
-            assert decode(out, cb, stats.n_input_bits).tolist() == bits.astype(int).tolist()
+            assert decode(out, cb, stats.n_input_bits).tolist() == values.astype(int).tolist()
