@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .errors import (
     MalformedStreamError,
     ParameterError,
     SimulationIntegrityError,
+    check_range,
 )
 from .proto_bb84 import run_session
 from .proto_tf import run_tf_session
@@ -47,9 +47,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_out(args, *pieces: str | bytes) -> None:
-    """Write the pieces in turn, as text or, when they are bytes, as bytes."""
-    binary = isinstance(pieces[0], bytes)
+def _write_out(args, *pieces: str | bytes | np.ndarray) -> None:
+    """Write the pieces in turn, as text or, when they are bytes-like, as bytes."""
+    binary = not isinstance(pieces[0], str)
     if args.out:
         with open(args.out, "wb" if binary else "w") as fh:
             fh.writelines(pieces)
@@ -92,11 +92,9 @@ def cmd_curve(args, cfg) -> int:
     l_min = cfgmod._float(cfg, "l_min", 0.0)
     l_max = cfgmod._float(cfg, "l_max", 100.0)
     l_step = cfgmod._float(cfg, "l_step", 1.0)
-    for key, value in (("l_min", l_min), ("l_max", l_max), ("l_step", l_step)):
-        if not math.isfinite(value):
-            raise ConfigError(f"key {key!r}: must be finite, got {value}")
-    if l_step <= 0 or l_max < l_min:
-        raise ConfigError("need l_step > 0 and l_max >= l_min")
+    check_range("l_min", l_min, 0.0)  # a link length
+    check_range("l_max", l_max, l_min)
+    check_range("l_step", l_step, 0.0, ends="()")
     count = round((l_max - l_min) / l_step, 9) + 1
     if not count <= MAX_CURVE_POINTS:  # an overflowed span gives inf here
         raise ConfigError(f"key 'l_step': {l_step} over [{l_min}, {l_max}] gives "
@@ -200,11 +198,14 @@ def cmd_squeeze_encode(args, cfg) -> int:
 
 def cmd_squeeze_decode(args, cfg) -> int:
     fmt = _bits_format(cfg)
-    bits = squeeze.unsqueeze_bits(sys.stdin.buffer.read())
+    ones = squeeze.unsqueeze_positions(sys.stdin.buffer.read())
     if fmt == "packed":
-        _write_out(args, squeeze.pack_bits(bits))
-    else:
-        _write_out(args, squeeze.bits_to_string(bits) + "\n")
+        _write_out(args, squeeze.pack_bits(ones))
+    else:  # the digits and a newline, written from one array
+        text = np.full(ones.length + 1, ord("0"), np.uint8)
+        text[ones.positions] = ord("1")
+        text[-1] = ord("\n")
+        _write_out(args, text)
     return EXIT_OK
 
 

@@ -36,7 +36,6 @@ from .session import (
     N_MAX,
     SessionReport,
     announce,
-    empty_report,
     estimate,
     finish,
     rare_bits,
@@ -97,9 +96,7 @@ class QubitRecords:
         return self.n
 
 
-def prepare_and_measure(
-    cfg: SessionConfig, rng: np.random.Generator | None = None
-) -> QubitRecords:
+def prepare_and_measure(cfg: SessionConfig, rng: np.random.Generator) -> QubitRecords:
     """Simulate qubit preparation, transfer, and measurement for one session.
 
     Returns the records of the detected qubits only.  Their count is N when
@@ -109,8 +106,6 @@ def prepare_and_measure(
     discarded unread, and the matched ones' bits and channel flips are drawn
     by parameter estimation, at count level.
     """
-    if rng is None:
-        rng = stage_rngs(cfg.rng_seed)[0]
     n = cfg.n_qubits
     if not cfg.lossless:
         n = int(rng.binomial(n, transmittance(cfg.channel)))
@@ -152,7 +147,7 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
 
 
 def parameter_estimation(
-    sifted: SiftResult, cfg: SessionConfig, rng: np.random.Generator | None = None
+    sifted: SiftResult, cfg: SessionConfig, rng: np.random.Generator
 ) -> session.PeResult:
     """Estimate per-basis error rates on sacrificed subsets and decide abort.
 
@@ -161,8 +156,6 @@ def parameter_estimation(
     the configured threshold; ``session.estimate`` draws the samples and the
     remaining key, with the channel QBER as the error rate.
     """
-    if rng is None:
-        rng = stage_rngs(cfg.rng_seed)[1]
     return estimate(
         rng, qber(cfg.channel), (sifted.v_card, sifted.w_card),
         (cfg.epsilon_frac, cfg.lambda_frac), cfg.qber_threshold, cfg.abort_on_either,
@@ -171,13 +164,10 @@ def parameter_estimation(
 
 def run_session(cfg: SessionConfig) -> SessionReport:
     """Full session pipeline: transfer, sift, estimate, account, report."""
-    if cfg.n_qubits == 0:
-        return empty_report()
-
     rng_prep, rng_pe = stage_rngs(cfg.rng_seed)
-    records = prepare_and_measure(cfg, rng=rng_prep)
+    records = prepare_and_measure(cfg, rng_prep)
     sifted = sift(records, cfg)
-    pe = parameter_estimation(sifted, cfg, rng=rng_pe)
+    pe = parameter_estimation(sifted, cfg, rng_pe)
     return finish(
         pe,
         n_qubits=cfg.n_qubits,

@@ -40,7 +40,6 @@ from .session import (
     N_MAX,
     SessionReport,
     announce,
-    empty_report,
     estimate,
     finish,
     rare_bits,
@@ -93,8 +92,6 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     parties (2N quantum-channel uses).
     """
     n = cfg.n_pulses
-    if n == 0:
-        return empty_report()
     rng_events, rng_pe = stage_rngs(cfg.rng_seed)
 
     # basis bit: 0 = X (dominant, key), 1 = Z (decoy)

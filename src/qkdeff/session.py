@@ -174,8 +174,7 @@ def draw_keys(
     bob = alice.copy()
     n_flips = 0
     for flips in success_chunks(rng, k_rem, e):
-        masks = np.right_shift(np.uint8(0x80), (flips & 7).astype(np.uint8))
-        np.bitwise_xor.at(bob, np.right_shift(flips, 3, out=flips), masks)
+        squeeze.xor_ones(bob, flips)
         n_flips += flips.size
     return alice, bob, n_flips
 
@@ -329,14 +328,6 @@ class SessionReport:
         for name in ("ledger", "ledger_raw"):
             d.update({f"{name}.{k}": v for k, v in getattr(self, name).as_dict().items()})
         return d
-
-
-def empty_report() -> SessionReport:
-    """Report of a session that sent nothing: ``finish`` of an empty result."""
-    empty = np.zeros(0, np.uint8)
-    pe = PeResult(None, None, False, empty, empty, *[0] * 7)
-    return finish(pe, n_qubits=0, qubits_sent=0, n_detected=0, reception_ack=0,
-                  bases=(0, 0), raw_bases=0, f=1.0)
 
 
 def finish(

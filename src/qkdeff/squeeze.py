@@ -26,7 +26,8 @@ of blocks that hold a 1, each at its output offset, into a zeroed output.
 :func:`read_packed_container` gives it), finds its runs of 1s, unpacking only
 the bytes where a run starts or ends, and reads it back into one-positions.
 :func:`decode` scatters the positions into the dense sequence, and
-:func:`write_container` frames a dense or packed payload.  Beyond one pass
+:func:`write_container` frames a payload in any of the three forms,
+packing positions by XOR-ing each 1 into zeroed bytes.  Beyond one pass
 over the packed stream, decoding costs O(runs of 1s); encoding costs O(ones)
 beyond zeroing its output, one byte per coded bit.
 """
@@ -75,11 +76,7 @@ def as_bits(bits: BitsLike) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def bits_to_string(bits: BitsLike) -> str:
-    return (as_bits(bits) + ord("0")).tobytes().decode("ascii")
-
-
-def pack_bits(bits: BitsLike) -> bytes:
+def pack_bits(bits: BitsLike | PackedBits | OnePositions) -> bytes:
     """Pack bits MSB-first into bytes; the final partial byte is zero-padded."""
     return _packed(bits)[0].tobytes()
 
@@ -198,8 +195,19 @@ def _run_edges(packed: np.ndarray, size: int) -> np.ndarray:
     return np.append(edge, size) if edge.size % 2 else edge
 
 
-def _packed(bits: BitsLike | PackedBits) -> tuple[np.ndarray, int]:
-    """The checked MSB-first packed bytes of a dense or packed bit sequence, and its length."""
+def xor_ones(packed: np.ndarray, positions: np.ndarray) -> None:
+    """XOR a 1 into MSB-first packed bytes, in place, at each of the int64 ``positions``."""
+    masks = np.right_shift(np.uint8(0x80), (positions & 7).astype(np.uint8))
+    np.bitwise_xor.at(packed, positions >> 3, masks)
+
+
+def _packed(bits: BitsLike | PackedBits | OnePositions) -> tuple[np.ndarray, int]:
+    """The checked MSB-first packed bytes of a bit sequence in any form, and its length."""
+    if isinstance(bits, OnePositions):
+        pos, n = _positions(bits)
+        packed = np.zeros(-(-n // 8), np.uint8)
+        xor_ones(packed, pos)
+        return packed, n
     if not isinstance(bits, PackedBits):
         arr = as_bits(bits)
         return np.packbits(arr), arr.size
@@ -250,8 +258,6 @@ def encode(
     pos, n = _positions(bits)
     k = cb.degree_k
     m = -(-n // k)
-    if m == 0:
-        return np.zeros(0, dtype=np.uint8), CompressionStats(0, 0, 0, 0.0)
 
     # Only blocks that hold a 1 are valued; every other one is codeword 0.
     block = pos // k
@@ -279,7 +285,7 @@ def encode(
         step[ends[:-1]] = start[1:] - start[:-1] - ranks[:-1] + 1
         out[np.cumsum(step, out=step)] = 1
 
-    sigma = (1.0 - out.size / n) * 100.0
+    sigma = (1.0 - out.size / n) * 100.0 if n else 0.0
     return out, CompressionStats(n, m, out.size, sigma)
 
 
@@ -346,8 +352,12 @@ def decode_positions(
 
 def decode(stream: BitsLike | PackedBits, cb: Codebook, true_length: int) -> np.ndarray:
     """Invert :func:`encode`: the dense form of :func:`decode_positions`."""
-    ones = decode_positions(stream, cb, true_length)
-    out = np.zeros(true_length, dtype=np.uint8)
+    return _dense(decode_positions(stream, cb, true_length))
+
+
+def _dense(ones: OnePositions) -> np.ndarray:
+    """The uint8 0/1 array of a bit sequence given by its one-positions."""
+    out = np.zeros(ones.length, dtype=np.uint8)
     out[ones.positions] = 1
     return out
 
@@ -426,7 +436,9 @@ def sigma_curve(
 # The map block -> codeword depends only on k, so the header suffices to decode.
 
 
-def write_container(payload_bits: BitsLike | PackedBits, k: int, true_bit_length: int) -> bytes:
+def write_container(
+    payload_bits: BitsLike | PackedBits | OnePositions, k: int, true_bit_length: int
+) -> bytes:
     check_count("k", k, 1, MAX_EXPLICIT_DEGREE)
     check_count("true_bit_length", true_bit_length, 0, 2**64 - 1)  # 8 header bytes
     packed, n = _packed(payload_bits)
@@ -460,8 +472,8 @@ def squeeze_bits(bits: BitsLike | PackedBits, k: int) -> tuple[bytes, Compressio
     return write_container(payload, k, stats.n_input_bits), stats
 
 
-def unsqueeze_bits(data: bytes) -> np.ndarray:
-    """Convenience: decode a container back to the original bit sequence.
+def unsqueeze_positions(data: bytes) -> OnePositions:
+    """Convenience: decode a container back to the one-positions of the original bits.
 
     The packed payload is decoded as it is; no dense copy of it is made.
     """
@@ -469,4 +481,9 @@ def unsqueeze_bits(data: bytes) -> np.ndarray:
     if not 1 <= k <= MAX_EXPLICIT_DEGREE:
         raise MalformedStreamError(f"container degree k={k} unsupported")
     cb = build_codebook(k, 0.999)  # mapping is p-independent
-    return decode(payload, cb, true_len)
+    return decode_positions(payload, cb, true_len)
+
+
+def unsqueeze_bits(data: bytes) -> np.ndarray:
+    """Convenience: decode a container back to the original bit sequence."""
+    return _dense(unsqueeze_positions(data))

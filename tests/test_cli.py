@@ -237,10 +237,10 @@ class TestCurveCommand:
     @pytest.mark.parametrize("value", ["inf", "-inf"])
     def test_infinite_grid_key_exits_config_code(self, key, value, capsys):
         assert run_cli("curve", "--set", f"{key}={value}") == 2
-        assert f"key {key!r}: must be finite" in capsys.readouterr().err
+        assert f"error: {key} must be finite and " in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid, count", [
-        (["l_min=-1e308", "l_max=1e308"], "inf"),  # the span overflows
+        (["l_max=1e308", "l_step=1e-10"], "inf"),  # the point count overflows
         (["l_step=1e-9"], "1e+11"),
     ])
     def test_oversized_grid_exits_config_code(self, grid, count, capsys, monkeypatch):
@@ -500,19 +500,28 @@ class TestSimulateCommands:
         assert run_cli("simulate-tf", "--set", "tf.amplitudes=0.1,0.2") == 2
         assert "unknown config keys: tf.amplitudes" in capsys.readouterr().err
 
-    def test_zero_qubit_session(self, tmp_path):
-        out = tmp_path / "empty.json"
-        code = run_cli(
-            "simulate-bb84", "--format", "json",
-            "--set", "n_qubits=0", "--out", str(out),
-        )
-        assert code == 0
-        row = json.loads(out.read_text())
-        assert row["final_key_bits"] == 0
-        assert all(row[f"ledger.{k}"] == 0 for k in (
-            "reception_ack", "bob_bases", "alice_match",
-            "pe_sacrifice", "ec_bits", "pa_bits",
+    def test_zero_qubit_session(self, tmp_path, capsys):
+        # N = 0 runs the stages, so it reports what a session that detects
+        # nothing reports, but for the N acknowledgments
+        rows = []
+        for n, length in ((0, 0), (10, 400)):
+            out = tmp_path / f"{n}.json"
+            code = run_cli(
+                "simulate-bb84", "--format", "json", "--seed", "1", "--out", str(out),
+                "--set", f"n_qubits={n}", "--set", f"length_km={length}",
+            )
+            assert code == 0
+            rows.append(json.loads(out.read_text()))
+        empty, silent = rows
+        assert silent["n_detected"] == 0
+        assert empty["final_key_bits"] == 0 and empty["warnings"] == silent["warnings"]
+        assert "x-basis parameter-estimation sample is empty" in empty["warnings"]
+        assert all(empty[f"ledger.{k}"] == 0 for k in (
+            "reception_ack", "bob_bases", "alice_match", "ec_bits", "pa_bits",
         ))
+        assert empty["ledger.pe_sacrifice"] == silent["ledger.pe_sacrifice"] == 1
+        status = capsys.readouterr().err.splitlines()[0]
+        assert status.startswith("status=ok key_bits=0 classical_bits=1 ")
 
     def test_csv_warnings_stay_in_one_column(self, tmp_path):
         # both PE samples are empty, so the report carries several warnings
@@ -646,6 +655,29 @@ class TestSqueezeFilters:
         assert code == 0 and "bits_in=8000000 " in capsys.readouterr().err
         assert out.read_bytes() == squeeze.squeeze_bits(bits.astype(np.uint8), 8)[0]
         assert peak < 3 * len(data)
+
+    @pytest.mark.parametrize("fmt", ["packed", "text"])
+    def test_decode_writes_from_the_positions(self, fmt, tmp_path, monkeypatch):
+        # 10^7 bits with P(1) = 0.001: the output is 1.25 MB packed and
+        # 10 MB of text, and no byte-per-bit array is built beside it
+        n = 10**7
+        bits = np.random.default_rng(64).random(n) < 0.001
+        container = squeeze.squeeze_bits(squeeze.PackedBits(np.packbits(bits), n), 8)[0]
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(container)))
+        out = tmp_path / "bits"
+        tracemalloc.start()
+        try:
+            code = main(["squeeze-decode", "--set", f"bits_format={fmt}", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        if fmt == "packed":
+            assert out.read_bytes() == np.packbits(bits).tobytes()
+            assert peak < 4 * 2**20
+        else:
+            assert out.read_bytes() == (bits + ord("0")).astype(np.uint8).tobytes() + b"\n"
+            assert peak < 1.5 * n
 
     def test_removed_bias_key_is_unknown(self):
         enc = self._run(["squeeze-encode", "--set", "p=0.9"], b"0101")

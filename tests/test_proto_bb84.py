@@ -66,7 +66,7 @@ class TestPrepareAndMeasure:
     def test_fully_biased_noiseless_limit(self):
         cfg = SessionConfig(n_qubits=20_000, p_b=1 - 1e-12, channel=NOISELESS,
                             lossless=True, rng_seed=1)
-        rec = prepare_and_measure(cfg)
+        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
         assert np.array_equal(rec.b, rec.b_prime)
         assert rec.b.dtype == rec.b_prime.dtype == np.int64
 
@@ -74,7 +74,7 @@ class TestPrepareAndMeasure:
         n, p_b = 100_000, 0.99
         cfg = SessionConfig(n_qubits=n, p_b=p_b, channel=NOISELESS,
                             lossless=True, rng_seed=2)
-        b, b_prime = dense_bases(prepare_and_measure(cfg))
+        b, b_prime = dense_bases(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]))
         match = float(np.mean(b == b_prime))
         expect = p_b**2 + (1 - p_b) ** 2
         assert abs(match - expect) < three_sigma(expect, n)
@@ -94,14 +94,14 @@ class TestPrepareAndMeasure:
 
     def test_lossy_detection_rate(self):
         cfg = SessionConfig(n_qubits=200_000, p_b=0.9, channel=FIG2, rng_seed=4)
-        rec = prepare_and_measure(cfg)
+        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
         det = len(rec) / cfg.n_qubits  # records exist for detected qubits only
         assert abs(det - 0.3) < three_sigma(0.3, 200_000)
 
     def test_record_view(self):
         cfg = SessionConfig(n_qubits=10, p_b=0.9, channel=NOISELESS,
                             lossless=True, rng_seed=5)
-        rec = prepare_and_measure(cfg)
+        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
         assert len(rec) == 10
 
 
@@ -110,7 +110,7 @@ class TestSift:
         n, k = 50_000, 8
         cfg = SessionConfig(n_qubits=n, p_b=1 - 1e-12, degree_k=k,
                             channel=NOISELESS, lossless=True, rng_seed=6)
-        rec = prepare_and_measure(cfg)
+        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
         res = sift(rec, cfg)
         assert n_sifted(res) == n
         # all-dominant d-sequence compresses to exactly one bit per block
@@ -120,19 +120,19 @@ class TestSift:
         n, p_b = 200_000, 0.95
         cfg = SessionConfig(n_qubits=n, p_b=p_b, channel=NOISELESS,
                             lossless=True, rng_seed=7)
-        res = sift(prepare_and_measure(cfg), cfg)
+        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
         expect = p_b**2 + (1 - p_b) ** 2
         assert abs(n_sifted(res) / n - expect) < three_sigma(expect, n)
 
     def test_adversarial_never_matching_bases(self):
         cfg = SessionConfig(n_qubits=4096, p_b=0.9, channel=NOISELESS,
                             lossless=True, rng_seed=8)
-        rec = prepare_and_measure(cfg)
+        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
         every_other = np.setdiff1d(np.arange(len(rec)), rec.b)  # Bob never matches
         rec = QubitRecords(n=len(rec), b=rec.b, b_prime=every_other)
         res = sift(rec, cfg)
         assert res.v_card == res.w_card == 0
-        pe = parameter_estimation(res, cfg)
+        pe = parameter_estimation(res, cfg, stage_rngs(cfg.rng_seed)[1])
         assert pe.k_rem == pe.alice_remaining_packed.size == pe.bob_remaining_packed.size == 0
 
     @pytest.mark.parametrize("lossless, length_km", [(True, 0.0), (False, 50.0)])
@@ -140,7 +140,7 @@ class TestSift:
         ch = ChannelParams(length_km=length_km, e_opt=0.05)
         cfg = SessionConfig(n_qubits=200_000 if lossless else 2_000_000, p_b=0.8,
                             channel=ch, lossless=lossless, rng_seed=18)
-        rec = prepare_and_measure(cfg)
+        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
         res = sift(rec, cfg)
         b, b_prime = dense_bases(rec)
         assert res.v_card == np.count_nonzero((b == 1) & (b_prime == 1)) > 0
@@ -161,7 +161,7 @@ class TestSift:
 
     def test_lossy_mode_announces_detected_only(self):
         cfg = SessionConfig(n_qubits=100_000, p_b=0.999, channel=FIG2, rng_seed=9)
-        rec = prepare_and_measure(cfg)
+        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
         res = sift(rec, cfg)
         assert len(rec) < cfg.n_qubits
         assert 0 < n_sifted(res) <= len(rec)
@@ -169,7 +169,7 @@ class TestSift:
     def test_decode_mismatch_is_fatal(self, monkeypatch):
         cfg = SessionConfig(n_qubits=1024, p_b=0.9, channel=NOISELESS,
                             lossless=True, rng_seed=10)
-        rec = prepare_and_measure(cfg)
+        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
         real_decode = squeeze.decode_positions
         for flipped in CORRUPTIONS:
             def corrupt(stream, cb, true_length, flipped=flipped):
@@ -182,7 +182,7 @@ class TestSift:
     def test_compression_benefit(self):
         cfg = SessionConfig(n_qubits=100_000, p_b=0.99, degree_k=4,
                             channel=NOISELESS, lossless=True, rng_seed=11)
-        res = sift(prepare_and_measure(cfg), cfg)
+        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
         compressed = res.bob_bits_compressed + res.alice_bits_compressed
         assert compressed < 0.55 * 2 * cfg.n_qubits
 
@@ -206,8 +206,8 @@ class TestParameterEstimation:
     def test_noiseless_rates_are_zero(self):
         cfg = SessionConfig(n_qubits=50_000, p_b=0.7, channel=NOISELESS,
                             lossless=True, rng_seed=12)
-        res = sift(prepare_and_measure(cfg), cfg)
-        pe = parameter_estimation(res, cfg)
+        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
+        pe = parameter_estimation(res, cfg, stage_rngs(cfg.rng_seed)[1])
         assert pe.qber_x == 0.0 and pe.qber_z == 0.0
         assert not pe.aborted
 
@@ -216,8 +216,8 @@ class TestParameterEstimation:
         cfg = SessionConfig(n_qubits=400_000, p_b=0.7, epsilon_frac=0.2,
                             lambda_frac=0.2, channel=ch, lossless=True,
                             rng_seed=13)
-        res = sift(prepare_and_measure(cfg), cfg)
-        pe = parameter_estimation(res, cfg)
+        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
+        pe = parameter_estimation(res, cfg, stage_rngs(cfg.rng_seed)[1])
         assert abs(pe.qber_x - 0.03) < three_sigma(0.03, pe.v_prime)
         assert abs(pe.qber_z - 0.03) < three_sigma(0.03, pe.w_prime)
 
@@ -242,8 +242,8 @@ class TestParameterEstimation:
     def test_empty_sample_reported(self):
         cfg = SessionConfig(n_qubits=20_000, p_b=0.999, channel=NOISELESS,
                             lossless=True, rng_seed=15)
-        res = sift(prepare_and_measure(cfg), cfg)
-        pe = parameter_estimation(res, cfg)
+        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
+        pe = parameter_estimation(res, cfg, stage_rngs(cfg.rng_seed)[1])
         assert pe.qber_x is None  # both-X subset ~ (1-p_b)^2 N rounds to zero
         assert any("x-basis" in w for w in pe.warnings)
         assert pe.qber_z is not None
@@ -420,10 +420,16 @@ class TestRunSession:
         assert not np.array_equal(a.alice_key, b.alice_key)
 
     def test_empty_session(self):
+        # N = 0 runs every stage: its report is that of a session that
+        # detects nothing, but for the N acknowledgments
         rep = run_session(SessionConfig(n_qubits=0, p_b=0.9, channel=FIG2))
-        assert rep.f_card == 0
-        assert rep.ledger.total() == 0.0
-        assert rep.final_key_bits == 0
+        ch = replace(FIG2, length_km=400.0)
+        none = run_session(SessionConfig(n_qubits=10, p_b=0.9, channel=ch, rng_seed=1))
+        assert none.n_detected == 0
+        assert rep.f_card == rep.final_key_bits == 0
+        assert rep.warnings == none.warnings
+        assert rep.ledger == none.ledger._replace(reception_ack=0)
+        assert rep.ledger.pe_sacrifice == 1  # Bob's proceed/terminate bit
 
     def test_lossy_session_with_no_detection(self):
         ch = replace(FIG2, length_km=400.0)

@@ -39,22 +39,44 @@ def test_no_error_rate_sample_certifies_no_key(protocol):
     assert "no error-rate estimate: no key certified" in rep.warnings
 
 
+# N = 0 against a session that sends N > 0 and detects nothing: BB84 at
+# 400 km, where ten qubits never arrive, and a relay whose detectors never fire
 EMPTY = {
-    "bb84": lambda: run_session(SessionConfig(n_qubits=0)),
-    "tf": lambda: run_tf_session(TfConfig(n_pulses=0)),
+    "bb84": (lambda: run_session(SessionConfig(n_qubits=0)),
+             lambda: run_session(SessionConfig(
+                 n_qubits=10, channel=ChannelParams(length_km=400.0), rng_seed=1))),
+    "tf": (lambda: run_tf_session(TfConfig(n_pulses=0)),
+           lambda: run_tf_session(TfConfig(
+               n_pulses=10, p_click_match=0.0, p_dark_relay=0.0, rng_seed=1))),
 }
 
 
 @pytest.mark.parametrize("protocol", sorted(EMPTY))
 def test_empty_session_reports_no_estimate_and_zero_ledgers(protocol):
-    rep = EMPTY[protocol]()
-    assert rep.warnings == (session.NO_ESTIMATE,)
+    rep = EMPTY[protocol][0]()
+    assert rep.warnings[-1] == session.NO_ESTIMATE
     assert rep.qber_x is None and rep.qber_z is None and not rep.aborted
-    assert rep.ledger == rep.ledger_raw == (0, 0, 0, 0, 0, 0, True)
+    # nothing was sent: only BB84's proceed/terminate bit is announced
+    decision = int(protocol == "bb84")
+    assert rep.ledger == rep.ledger_raw == (0, 0, 0, decision, 0, 0, True)
     assert rep.key_bit_length == rep.alice_key.size == rep.bob_key.size == 0
     assert all(v == 0 for k, v in rep.as_dict().items()
                if k not in ("qber_x", "qber_z", "aborted", "warnings")
-               and not k.endswith("_hex"))
+               and not k.endswith(("_hex", "pe_sacrifice")))
+
+
+@pytest.mark.parametrize("protocol", sorted(EMPTY))
+def test_empty_session_matches_a_session_that_detects_nothing(protocol):
+    empty, silent = (run() for run in EMPTY[protocol])
+    assert silent.n_qubits > 0 and silent.n_detected == 0
+    assert empty.warnings == silent.warnings
+    assert (empty.final_key_bits, empty.key_bit_length) == (
+        silent.final_key_bits, silent.key_bit_length) == (0, 0)
+    for ledger in ("ledger", "ledger_raw"):
+        a, b = getattr(empty, ledger), getattr(silent, ledger)
+        assert (a.pe_sacrifice, a.ec_bits, a.pa_bits) == (b.pe_sacrifice, b.ec_bits, b.pa_bits)
+    # the acknowledgments and basis announcements count the N each one sent
+    assert empty.ledger.reception_ack == 0 < silent.ledger.reception_ack
 
 
 @pytest.mark.parametrize("build", [

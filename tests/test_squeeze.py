@@ -19,7 +19,6 @@ from qkdeff.errors import MalformedStreamError, ParameterError
 from qkdeff.squeeze import (
     CONTAINER_MAGIC,
     as_bits,
-    bits_to_string,
     build_codebook,
     decode,
     encode,
@@ -242,9 +241,13 @@ class TestEncodeDecode:
         assert stats.output_bits == 3
 
     def test_empty_input(self):
+        # no bypass: the general path gives the empty stream in every form
         cb = build_codebook(2, 0.999)
-        out, stats = encode("", cb)
-        assert out.size == 0 and stats.m_blocks == 0 and stats.n_input_bits == 0
+        for bits in ("", squeeze.PackedBits(b"", 0),
+                     squeeze.OnePositions(np.zeros(0, np.int64), 0)):
+            out, stats = encode(bits, cb)
+            assert out.dtype == np.uint8 and out.size == 0
+            assert stats == squeeze.CompressionStats(0, 0, 0, 0.0)
 
     def test_decode_inverse_of_example(self):
         cb = build_codebook(2, 0.999)
@@ -535,10 +538,14 @@ class TestInputForms:
         (out, stats), *others = [encode(form, cb) for form in forms]
         for other_out, other_stats in others:
             assert other_out.tobytes() == out.tobytes() and other_stats == stats
-        assert write_container(packed(dense), k, len(bits)) == write_container(
-            dense, k, len(bits))
-        assert write_container(packed(out), k, len(bits)) == write_container(
-            out, k, len(bits))
+        for form in forms[1:]:
+            assert write_container(form, k, len(bits)) == write_container(
+                dense, k, len(bits))
+            assert pack_bits(form) == pack_bits(dense)
+        coded = squeeze.OnePositions(np.flatnonzero(out), out.size)
+        for form in (packed(out), coded):
+            assert write_container(form, k, len(bits)) == write_container(
+                out, k, len(bits))
 
     @pytest.mark.parametrize("data, length", [
         (b"\x00", 9),  # too few bytes
@@ -874,6 +881,8 @@ class TestBitPackingAndContainer:
         assert (k, true_len) == (8, 1000)
         assert payload.size == stats.output_bits
         assert np.array_equal(unsqueeze_bits(blob), bits)
+        ones = squeeze.unsqueeze_positions(blob)
+        assert ones.length == 1000 and np.array_equal(ones.positions, np.flatnonzero(bits))
 
     def test_container_rejects_damage(self):
         blob, _ = squeeze_bits("0000", 2)
@@ -895,11 +904,6 @@ class TestBitPackingAndContainer:
             read_container(damaged)
         with pytest.raises(MalformedStreamError, match="nonzero padding bits"):
             unsqueeze_bits(damaged)
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
-    def test_bits_to_string(self, n):
-        bits = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
-        assert bits_to_string(bits) == "".join("01"[b] for b in bits)
 
     def test_as_bits_validation(self):
         assert np.array_equal(as_bits("0110"), [0, 1, 1, 0])
