@@ -120,7 +120,7 @@ def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
     blob = squeeze.write_container(payload, cb.degree_k, n)
     del payload  # the peer reads the packed bytes alone
     try:
-        k_hdr, true_len, packed = squeeze.read_packed_container(blob)
+        k_hdr, true_len, packed = squeeze.read_container(blob)
         if k_hdr != cb.degree_k:
             raise SimulationIntegrityError(
                 f"{what} announcement header carries k={k_hdr}, sent k={cb.degree_k}"
@@ -322,8 +322,8 @@ class SessionReport:
         d = {f.name: getattr(self, f.name) for f in fields(self)
              if f.name not in ("alice_key_packed", "bob_key_packed", "key_bit_length",
                                "ledger", "ledger_raw", "warnings")}
-        d.update(alice_key_hex=self.alice_key_packed.tobytes().hex(),
-                 bob_key_hex=self.bob_key_packed.tobytes().hex(),
+        d.update(alice_key_hex=self.alice_key_packed.data.hex(),
+                 bob_key_hex=self.bob_key_packed.data.hex(),
                  key_bit_length=self.key_bit_length, warnings=list(self.warnings))
         for name in ("ledger", "ledger_raw"):
             d.update({f"{name}.{k}": v for k, v in getattr(self, name).as_dict().items()})

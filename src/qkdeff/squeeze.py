@@ -22,9 +22,10 @@ or of :class:`PackedBits` (MSB-first, never unpacked), and ``_positions``
 the 1s of either, or of the :class:`OnePositions` a session already holds.
 :func:`encode` takes all three forms and writes only the 1s of the codewords
 of blocks that hold a 1, each at its output offset, into a zeroed output.
-:func:`decode_positions` takes the stream dense or packed (as
-:func:`read_packed_container` gives it), finds its runs of 1s, unpacking only
-the bytes where a run starts or ends, and reads it back into one-positions.
+:func:`decode_positions` takes the stream dense or packed (as the one
+container reader, :func:`read_container`, gives it: never unpacked, its degree
+in [1, 12] as the writer's), finds its runs of 1s, unpacking only the bytes
+where a run starts or ends, and reads it back into one-positions.
 :func:`decode` scatters the positions into the dense sequence, and
 :func:`write_container` frames a payload in any of the three forms,
 packing positions by XOR-ing each 1 into zeroed bytes.  Beyond one pass
@@ -76,9 +77,9 @@ def as_bits(bits: BitsLike) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def pack_bits(bits: BitsLike | PackedBits | OnePositions) -> bytes:
-    """Pack bits MSB-first into bytes; the final partial byte is zero-padded."""
-    return _packed(bits)[0].tobytes()
+def pack_bits(bits: BitsLike | PackedBits | OnePositions) -> memoryview:
+    """Pack bits MSB-first, zero-padding the last byte: the packed array's buffer, uncopied."""
+    return np.ascontiguousarray(_packed(bits)[0]).data
 
 
 def _probabilities_by_weight(k: int, p: float) -> list[float]:
@@ -447,25 +448,23 @@ def write_container(
     return b"".join((header, np.ascontiguousarray(packed)))
 
 
-def read_packed_container(data: bytes) -> tuple[int, int, PackedBits]:
+def read_container(data: bytes) -> tuple[int, int, PackedBits]:
     """Split a container into (k, true_bit_length, packed payload), copying nothing."""
     if len(data) < _HEADER.size:
         raise MalformedStreamError("container shorter than its header")
     magic, k, true_len, payload_len = _HEADER.unpack_from(data)
     if magic != CONTAINER_MAGIC:
         raise MalformedStreamError(f"bad container magic {magic!r}")
+    if not 1 <= k <= MAX_EXPLICIT_DEGREE:  # the range write_container takes
+        raise MalformedStreamError(f"container degree k={k} unsupported")
     payload = PackedBits(np.frombuffer(data, np.uint8, offset=_HEADER.size), payload_len)
     _packed(payload)
     return k, true_len, payload
 
 
-def read_container(data: bytes) -> tuple[int, int, np.ndarray]:
-    """Split a container into (k, true_bit_length, payload bit array)."""
-    k, true_len, payload = read_packed_container(data)
-    return k, true_len, np.unpackbits(payload.data, count=payload.length)
-
-
-def squeeze_bits(bits: BitsLike | PackedBits, k: int) -> tuple[bytes, CompressionStats]:
+def squeeze_bits(
+    bits: BitsLike | PackedBits | OnePositions, k: int
+) -> tuple[bytes, CompressionStats]:
     """Convenience: encode ``bits`` at degree k and frame them in a container."""
     cb = build_codebook(k, 0.999)  # mapping is p-independent
     payload, stats = encode(bits, cb)
@@ -477,9 +476,7 @@ def unsqueeze_positions(data: bytes) -> OnePositions:
 
     The packed payload is decoded as it is; no dense copy of it is made.
     """
-    k, true_len, payload = read_packed_container(data)
-    if not 1 <= k <= MAX_EXPLICIT_DEGREE:
-        raise MalformedStreamError(f"container degree k={k} unsupported")
+    k, true_len, payload = read_container(data)
     cb = build_codebook(k, 0.999)  # mapping is p-independent
     return decode_positions(payload, cb, true_len)
 

@@ -679,6 +679,24 @@ class TestSqueezeFilters:
             assert out.read_bytes() == (bits + ord("0")).astype(np.uint8).tobytes() + b"\n"
             assert peak < 1.5 * n
 
+    def test_packed_decode_holds_its_output_once(self, tmp_path, monkeypatch):
+        # 10^7 bits with P(1) = 0.001 decode to 1.25 MB packed; a copy of the
+        # packed bytes beside the array they come from would take 2x
+        n = 10**7
+        bits = np.random.default_rng(66).random(n) < 0.001
+        expected = np.packbits(bits).tobytes()
+        container = squeeze.squeeze_bits(squeeze.PackedBits(expected, n), 8)[0]
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(container)))
+        out = tmp_path / "bits"
+        tracemalloc.start()
+        try:
+            code = main(["squeeze-decode", "--set", "bits_format=packed", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.read_bytes() == expected
+        assert peak < 1.6 * len(expected)
+
     def test_removed_bias_key_is_unknown(self):
         enc = self._run(["squeeze-encode", "--set", "p=0.9"], b"0101")
         assert enc.returncode == 2

@@ -171,15 +171,31 @@ def test_unreadable_announcement_is_an_integrity_error(monkeypatch, tmp_path):
 
 def test_announce_rejects_header_degree_mismatch(monkeypatch):
     cb = squeeze.build_codebook(4, 0.99)
-    read = squeeze.read_packed_container
+    read = squeeze.read_container
 
     def read_with_other_k(blob):
         k, true_len, payload = read(blob)
         return k + 1, true_len, payload
 
-    monkeypatch.setattr(squeeze, "read_packed_container", read_with_other_k)
+    monkeypatch.setattr(squeeze, "read_container", read_with_other_k)
     with pytest.raises(SimulationIntegrityError, match="k=5, sent k=4"):
         session.announce(np.zeros(0, np.int64), 40, cb, "bob_bases")
+
+
+def test_announcement_with_degree_out_of_range_is_unreadable(monkeypatch, tmp_path):
+    # a writer that frames k = 13, past the explicit codebooks: the reader refuses it
+    write = squeeze.write_container
+
+    def write_k13(payload, k, true_bit_length):
+        blob = write(payload, k, true_bit_length)
+        return blob[:4] + bytes([13]) + blob[5:]
+
+    monkeypatch.setattr(squeeze, "write_container", write_k13)
+    with pytest.raises(SimulationIntegrityError,
+                       match="announcement unreadable: container degree k=13 unsupported"):
+        run_session(SessionConfig(n_qubits=10_000))
+    out = str(tmp_path / "report.csv")
+    assert main(["simulate-bb84", "--set", "n_qubits=10000", "--out", out]) == 3
 
 
 def test_announcement_read_back_holds_no_dense_payload():

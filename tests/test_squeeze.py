@@ -879,7 +879,7 @@ class TestBitPackingAndContainer:
         assert blob.startswith(CONTAINER_MAGIC)
         k, true_len, payload = read_container(blob)
         assert (k, true_len) == (8, 1000)
-        assert payload.size == stats.output_bits
+        assert payload.length == stats.output_bits
         assert np.array_equal(unsqueeze_bits(blob), bits)
         ones = squeeze.unsqueeze_positions(blob)
         assert ones.length == 1000 and np.array_equal(ones.positions, np.flatnonzero(bits))
@@ -892,6 +892,14 @@ class TestBitPackingAndContainer:
             read_container(blob[:10])
         with pytest.raises(MalformedStreamError):
             read_container(blob + b"\x00")
+
+    @pytest.mark.parametrize("k", [0, 13, 255])
+    def test_container_refuses_degree_outside_writer_range(self, k):
+        # the reader takes the degrees write_container takes, [1, 12]
+        blob = struct.pack(">4sBQQ", CONTAINER_MAGIC, k, 4, 2) + b"\x00"
+        for read in (read_container, squeeze.unsqueeze_positions, unsqueeze_bits):
+            with pytest.raises(MalformedStreamError, match=f"container degree k={k} unsupported"):
+                read(blob)
 
     def test_container_rejects_nonzero_padding(self):
         # '0001000' at k=3 squeezes to a 6-bit payload in one byte: its last
