@@ -28,9 +28,11 @@ in [1, 12] as the writer's), finds its runs of 1s, unpacking only the bytes
 where a run starts or ends, and reads it back into one-positions.
 :func:`decode` scatters the positions into the dense sequence, and
 :func:`write_container` frames a payload in any of the three forms,
-packing positions by XOR-ing each 1 into zeroed bytes.  Beyond one pass
-over the packed stream, decoding costs O(runs of 1s); encoding costs O(ones)
-beyond zeroing its output, one byte per coded bit.
+packing positions by XOR-ing each 1 into zeroed bytes.  A run of 1s is one
+codeword unless it holds maximal codewords (all-1s blocks), and only those
+cost more than the run.  Beyond one pass over the packed stream, decoding
+costs O(runs of 1s + maximal codewords); encoding costs O(ones) beyond
+zeroing its output, one byte per coded bit.
 """
 
 from __future__ import annotations
@@ -177,7 +179,11 @@ def _set_bits(packed: np.ndarray) -> np.ndarray:
     """
     nz = np.flatnonzero(packed.view(bool))
     at = np.flatnonzero(np.unpackbits(packed[nz]).view(bool))
-    return nz[at >> 3] * 8 + (at & 7)
+    pos = nz[at >> 3]
+    pos <<= 3
+    at &= 7
+    pos += at
+    return pos
 
 
 def _run_edges(packed: np.ndarray, size: int) -> np.ndarray:
@@ -263,27 +269,32 @@ def encode(
     # Only blocks that hold a 1 are valued; every other one is codeword 0.
     block = pos // k
     new_block = np.ones(pos.size, dtype=bool)
-    new_block[1:] = block[1:] != block[:-1]
+    np.not_equal(block[1:], block[:-1], out=new_block[1:])
     first = np.flatnonzero(new_block)
     blocks = block[first]  # the blocks that hold a 1, ascending
-    ranks = cb._rank_of_block[np.add.reduceat(1 << (k - 1 - pos % k), first)]
+    weight = block * k  # of each 1 in its block, MSB first: 2^(k - 1 - pos % k)
+    weight += k - 1
+    weight -= pos
+    np.left_shift(1, weight, out=weight)
+    ranks = cb._rank_of_block[np.add.reduceat(weight, first)]
     last = (1 << k) - 1
 
     # The codeword of rank r is r 1s, then a 0 unless r = last, and each
     # rank-0 block is one 0, so only the 1s are written into a zeroed output.
-    extra = ranks - (ranks == last)  # codeword length - 1
-    out = np.zeros(m + int(extra.sum()), dtype=np.uint8)
+    maximal = ranks == last
+    out = np.zeros(m + int(ranks.sum()) - np.count_nonzero(maximal), dtype=np.uint8)
     if ranks.size:
-        # A valued block's codeword starts at its block index plus the bits
-        # beyond the first of the codewords before it.  Its 1s follow one
-        # another, so their indices are a cumulative sum of steps of 1, with
-        # the jump from the last 1 of the codeword before at its first.
-        start = np.cumsum(extra)
-        start += blocks - extra
+        # The i-th 1 written sits at i plus the index of its block, less the
+        # maximal codewords (no terminating 0) of earlier blocks.  So the
+        # indices are a cumulative sum of steps of 1, with a jump at the
+        # first 1 of each codeword.
         ends = np.cumsum(ranks)
         step = np.ones(int(ends[-1]), dtype=np.int64)
-        step[0] = start[0]
-        step[ends[:-1]] = start[1:] - start[:-1] - ranks[:-1] + 1
+        step[0] = blocks[0]
+        jump = np.diff(blocks)
+        jump -= maximal[:-1]
+        jump += 1
+        step[ends[:-1]] = jump
         out[np.cumsum(step, out=step)] = 1
 
     sigma = (1.0 - out.size / n) * 100.0 if n else 0.0
@@ -299,11 +310,12 @@ def decode_positions(
     whose byte count and padding are checked as in :func:`read_container`.
     The runs of 1s are found from the packed bytes, unpacking only those that
     hold a run's first bit or the bit after its last, and only the codewords
-    of rank > 0 are read, so the cost is O(runs of 1s) beyond one pass over
-    the packed stream.  Raises ParameterError when ``true_length`` is not an
-    integer >= 0, and MalformedStreamError when the stream is not a valid
-    codeword concatenation for ``ceil(true_length / k)`` blocks or sets a
-    padding bit.
+    of rank > 0 are read: a run is one codeword unless it holds maximal
+    ones, so the cost is O(runs of 1s + maximal codewords) beyond one pass
+    over the packed stream.  Raises ParameterError when ``true_length`` is
+    not an integer >= 0, and MalformedStreamError when the stream is not a
+    valid codeword concatenation for ``ceil(true_length / k)`` blocks or
+    sets a padding bit.
     """
     check_count("true_length", true_length)
     k = cb.degree_k
@@ -321,7 +333,8 @@ def decode_positions(
     if ones.size and edge[-1] == size and rank[-1]:
         raise MalformedStreamError("stream ends inside a codeword")
 
-    n_codewords = size - int(ones.sum()) + int(n_full.sum())
+    full = int(n_full.sum())
+    n_codewords = size - int(ones.sum()) + full
     if n_codewords != m_expect:
         raise MalformedStreamError(
             f"stream holds {n_codewords} codewords, expected {m_expect}"
@@ -333,19 +346,27 @@ def decode_positions(
     # maximal codewords of earlier runs: its start less the 1s of earlier
     # runs that are not maximal codewords.
     not_maximal = ones - n_full
-    first = start + not_maximal - np.cumsum(not_maximal)
-    ended = rank > 0
-    per_run = n_full + ended
-    end = np.cumsum(per_run)
-    index = np.repeat(first - end + per_run, per_run)
-    index += np.arange(index.size)
-    ranks = np.full(index.size, last)
-    ranks[end[ended] - 1] = rank[ended]
-    # the 1s of those blocks, row by row; take and flatnonzero on a bool
-    # view outrun fancy indexing and a 2-D nonzero
-    hit = np.take(cb._bits_of_rank.view(bool), ranks, axis=0)
-    rows, cols = np.divmod(np.flatnonzero(hit), k)
-    pos = index[rows] * k + cols
+    index = np.cumsum(not_maximal)
+    np.subtract(start, index, out=index)
+    index += not_maximal
+    ranks = rank  # with no maximal codeword, each run is one codeword
+    if full:  # else each run expands into its codewords, maximal ones first
+        ended = rank > 0
+        per_run = n_full + ended
+        end = np.cumsum(per_run)
+        index = np.repeat(index - end + per_run, per_run)
+        index += np.arange(index.size)
+        ranks = np.full(index.size, last)
+        ranks[end[ended] - 1] = rank[ended]
+    # The 1s of those blocks, row by row; take and flatnonzero on a bool
+    # view outrun fancy indexing and a 2-D nonzero.  A 1 at flat index f of
+    # row i is bit f - i * k of block index[i].
+    flat = np.flatnonzero(np.take(cb._bits_of_rank.view(bool), ranks, axis=0))
+    rows = flat // k
+    pos = index[rows]
+    pos -= rows
+    pos *= k
+    pos += flat
     if pos.size and pos[-1] >= true_length:
         raise MalformedStreamError("nonzero padding bits beyond the true length")
     return OnePositions(pos, true_length)

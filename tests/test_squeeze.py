@@ -520,6 +520,22 @@ def packed(stream) -> squeeze.PackedBits:
     return squeeze.PackedBits(np.packbits(stream), stream.size)
 
 
+def relay_regime_bits() -> np.ndarray:
+    """The relay's announcement regime at k = 4: P(1) = 0.01, no block all 1s."""
+    return (np.random.default_rng(28).random(200_003) < 0.01).astype(np.uint8)
+
+
+def planted_maximal_bits() -> np.ndarray:
+    """A sparse k = 4 sequence with all-1s blocks (maximal codewords) planted in it."""
+    bits = (np.random.default_rng(29).random(40_000) < 0.01).astype(np.uint8)
+    blocks = bits.reshape(-1, 4)
+    blocks[[100, 2000, 2001, 5000]] = 1  # among ordinary runs, two in a row
+    blocks[7000:7002] = 1
+    blocks[7002] = 0  # a run of maximal codewords alone, rank 0 after them
+    blocks[-1] = 1  # a maximal codeword at the stream's end
+    return bits
+
+
 # bit sequences whose packed form ends in 1-7 padding bits
 UNALIGNED_BITS = st.one_of(CODEC_INPUTS, ENDS_SET).filter(lambda bits: len(bits) % 8)
 
@@ -655,6 +671,28 @@ class TestDecodePositionsMatchesReference:
     def test_packed_form_refuses_bad_framing(self, data, length, error):
         with pytest.raises(error):
             squeeze.decode_positions(squeeze.PackedBits(data, length), codebook(2), 4)
+
+    @pytest.mark.parametrize("bits, maximal", [
+        (relay_regime_bits(), False),
+        (planted_maximal_bits(), True),
+    ], ids=["relay-regime", "planted-maximal"])
+    def test_long_streams_match_the_oracles(self, bits, maximal):
+        # both sides of the decoder's shortcut: with no maximal codeword each
+        # run of 1s is one codeword; with them, runs expand into codewords
+        k, last = 4, 15
+        cb = codebook(k)
+        out, stats = encode(bits, cb)
+        ref_out, ref_stats = reference_encode(bits, cb)
+        assert out.tobytes() == ref_out.tobytes() and stats == ref_stats
+        runs = np.diff(squeeze._run_edges(np.packbits(out), out.size))[0::2]
+        assert (runs >= last).any() == maximal
+        if maximal:
+            assert out[-last:].all()  # the stream ends in a maximal codeword
+            assert (runs[:-1] % last == 0).any()  # a run of maximal codewords alone
+        assert np.array_equal(decode(out, cb, bits.size), reference_decode(out, cb, bits.size))
+        self.check(out, cb, bits.size)
+        ones = squeeze.decode_positions(packed(out), cb, bits.size)
+        assert ones.positions.tolist() == np.flatnonzero(bits).tolist()
 
     def test_packed_bytes_and_array_agree(self):
         out, _ = encode([0, 1, 1, 0, 0, 0, 1, 1, 1], codebook(3))
