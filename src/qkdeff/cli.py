@@ -218,8 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     ch_keys = cfgmod.CHANNEL_KEYS
     handlers = {  # name: (handler, help, the config keys it accepts)
+        # the grid sets every length, and the columns fix s and sigma
         "curve": (cmd_curve, "standard vs optimal efficiency over link length",
-                  ch_keys + cfgmod.PROTOCOL_KEYS + cfgmod.CURVE_KEYS),
+                  tuple(k for k in ch_keys if k != "length_km")
+                  + ("xi", "delta", "n_qubits") + cfgmod.CURVE_KEYS),
         "sigma": (cmd_sigma, "expected compression percent per degree k",
                   cfgmod.SIGMA_KEYS),
         "optimality": (cmd_optimality, "efficiency ceiling for one channel",
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         "squeeze-encode": (cmd_squeeze_encode, "compress stdin bits to a container",
                            cfgmod.SQUEEZE_KEYS),
         "squeeze-decode": (cmd_squeeze_decode, "expand a container back to bits",
-                           cfgmod.SQUEEZE_KEYS),
+                           ("bits_format",)),  # the container holds the degree
     }
     for name, (fn, help_text, keys) in handlers.items():
         sp = sub.add_parser(name, help=help_text)
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config key (repeatable)",
         )
         if name.startswith("simulate-"):
-            sp.add_argument("--seed", type=int, help="RNG seed (overrides rng_seed)")
+            sp.add_argument("--seed", help="RNG seed (overrides rng_seed)")
         sp.set_defaults(handler=fn, config_keys=keys)
     return parser
 
@@ -256,7 +258,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = cfgmod.load_flat_config(args.config) if args.config else {}
         cfg = cfgmod.apply_overrides(cfg, args.set or [])
         if getattr(args, "seed", None) is not None:  # wins over the file and --set
-            cfg["rng_seed"] = str(args.seed)
+            cfg["rng_seed"] = args.seed
         cfgmod.reject_unknown(cfg, args.config_keys)
         return args.handler(args, cfg)
     except (ConfigError, ParameterError, MalformedStreamError, OSError) as exc:

@@ -7,8 +7,8 @@ exact for Z/X prepare-and-measure protocols.  Records are drawn for detected
 qubits only: in lossy mode the detected count is drawn first,
 Binomial(N, eta~), and since records are i.i.d. and nothing reads an
 undetected one, this gives the same law as drawing all N and discarding.
-Announcements run through the real squeeze codec (encode, then read back
-as one-positions with integrity checks), so the ledger carries
+Announcements run through the squeeze codec's round trip (framed, then
+read back as one-positions with integrity checks), so the ledger carries
 actually-achieved compressed sizes.
 
 Naming of the sifted subsets: V collects records where both parties used the X
@@ -125,18 +125,15 @@ class SiftResult:
 def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     """Run the announcement round: bases out, match bits back, records counted by basis.
 
-    Bob's measured bases and Alice's match/discard sequence are squeezed with
-    the degree-k codec and exchanged in the container format; both directions
-    are decoded and verified, so a codec fault surfaces as
-    SimulationIntegrityError rather than key damage.  The discarded records
+    Bob's measured bases and Alice's match/discard sequence are squeezed at
+    degree k, exchanged and verified (``session.announce``).  The discarded records
     are the symmetric difference of the two X-position sets, so
     |V| = (|b| + |b'| - discarded) / 2 and W is every other record.
     """
-    cb = squeeze.build_codebook(cfg.degree_k, cfg.p_b)
     n, b, b_prime = len(records), records.b, records.b_prime
     mismatched = np.setxor1d(b, b_prime, assume_unique=True)
-    bob_bits = announce(b_prime, n, cb, "basis")
-    alice_bits = announce(mismatched, n, cb, "match")  # 1 = discard
+    bob_bits = announce(b_prime, n, cfg.degree_k, "basis")
+    alice_bits = announce(mismatched, n, cfg.degree_k, "match")  # 1 = discard
     v_card = (b.size + b_prime.size - mismatched.size) // 2
     return SiftResult(
         v_card=v_card,

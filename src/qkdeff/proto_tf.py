@@ -99,9 +99,8 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     h_b = rare_bits(rng_events, n, 1.0 - cfg.p_x)
 
     # both parties announce their basis sequences in the container format
-    cb = squeeze.build_codebook(cfg.degree_k, cfg.p_x)
-    bits_a_announced = announce(h_a, n, cb, "alice basis")
-    bits_b_announced = announce(h_b, n, cb, "bob basis")
+    bits_a_announced = announce(h_a, n, cfg.degree_k, "alice basis")
+    bits_b_announced = announce(h_b, n, cfg.degree_k, "bob basis")
 
     # single clicks: the same probability s for every pair (module docstring)
     dark = 1.0 - cfg.p_dark_relay

@@ -5,7 +5,7 @@ where a report reads them, and counts its sifted subsets per basis; from
 there on both run the same stages: squeezed announcements read back and
 verified, estimation, certification and the report.  Rare events (the
 minority basis choices) stay sorted int64 positions from the sampler on,
-and announcements are encoded from them.  ``estimate`` is the one
+and the announcements are made from them.  ``estimate`` is the one
 estimation stage, and it reads only counts and the remaining key: matched
 records err i.i.d. with a known probability e and samples are picked
 independently of their errors, so each sample's error count is drawn as
@@ -101,31 +101,20 @@ def rare_bits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     return np.concatenate([np.zeros(0, np.int64), *success_chunks(rng, n, p)])
 
 
-def announce(ones: np.ndarray, n: int, cb: squeeze.Codebook, what: str) -> int:
-    """Squeeze an ``n``-bit sequence, frame it, and read it back as the peer would.
+def announce(ones: np.ndarray, n: int, k: int, what: str) -> int:
+    """Squeeze an ``n``-bit sequence at degree ``k`` and read it back as the peer would.
 
-    The sequence is given by the sorted positions of its 1s, and the peer
-    reads it back in the same form.  The encoder's output, one byte per
-    coded bit, is dropped once framed: the peer parses the container without
-    unpacking its payload and decodes the packed bytes, so the read-back
-    costs O(runs of 1s) beyond one pass over the ~n/(8k) payload bytes.  The
-    header's degree, the payload's length and padding, and the codeword
-    count are checked; the decoded length and positions must equal the sent
-    ones, and the peer must be able to read it, so a codec fault surfaces as
-    SimulationIntegrityError rather than key damage or a malformed-input
-    error.  Returns the announced payload size (container header framing is
-    not counted; the protocol messages carry counts anyway).
+    The sequence is given by the sorted positions of its 1s, and it takes the
+    codec's round trip (``squeeze.squeeze_bits``, ``squeeze.unsqueeze_positions``).
+    The peer must be able to read it back, to the sent length and positions,
+    so a codec fault surfaces as SimulationIntegrityError rather than key
+    damage or a malformed-input error.  Returns the announced payload size
+    (container header framing is not counted; the protocol messages carry
+    counts anyway).
     """
-    payload, stats = squeeze.encode(squeeze.OnePositions(ones, n), cb)
-    blob = squeeze.write_container(payload, cb.degree_k, n)
-    del payload  # the peer reads the packed bytes alone
+    blob, stats = squeeze.squeeze_bits(squeeze.OnePositions(ones, n), k)
     try:
-        k_hdr, true_len, packed = squeeze.read_container(blob)
-        if k_hdr != cb.degree_k:
-            raise SimulationIntegrityError(
-                f"{what} announcement header carries k={k_hdr}, sent k={cb.degree_k}"
-            )
-        decoded = squeeze.decode_positions(packed, cb, true_len)
+        decoded = squeeze.unsqueeze_positions(blob)
     except MalformedStreamError as exc:
         raise SimulationIntegrityError(f"{what} announcement unreadable: {exc}") from exc
     if not (decoded.length == n and np.array_equal(decoded.positions, ones)):

@@ -11,7 +11,8 @@ per-input-bit cost tends to 1/k and the achievable compression percent tends to
 The block -> codeword assignment depends only on k, not on the numeric value of
 p: block probability p^(k-g) * (1-p)^g is strictly decreasing in the popcount g
 whenever p > 0.5, and ties (equal popcount) are broken by ascending block value.
-A decoder therefore only needs k, which is what the container header carries.
+A decoder therefore only needs k, which is what the container header carries,
+and a codebook's two rank tables are built once per degree.
 
 For such a source the stream is mostly 0s, and the code is a run-length code
 over it (Golomb, IEEE Trans. Inf. Theory 12, 399, 1966): the codeword of rank
@@ -37,6 +38,7 @@ zeroing its output, one byte per coded bit.
 
 from __future__ import annotations
 
+import functools
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -125,6 +127,22 @@ class Codebook:
         )
 
 
+@functools.cache
+def _rank_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank of each block and the bits of each rank at degree k, read-only."""
+    size = 1 << k
+    shifts = np.arange(k - 1, -1, -1)
+    bits = ((np.arange(size)[:, None] >> shifts) & 1).astype(np.uint8)
+    # probability is strictly decreasing in weight for p > 0.5, so a stable
+    # sort by weight realizes "descending probability, ties ascending"
+    order = np.argsort(bits.sum(axis=1), kind="stable")
+    rank_of_block = np.empty(size, dtype=np.int64)
+    rank_of_block[order] = np.arange(size)
+    bits_of_rank = bits[order]
+    rank_of_block.flags.writeable = bits_of_rank.flags.writeable = False
+    return rank_of_block, bits_of_rank
+
+
 def build_codebook(k: int, p: float) -> Codebook:
     """Construct the degree-k codebook for a binary source with P(0) = p.
 
@@ -134,16 +152,7 @@ def build_codebook(k: int, p: float) -> Codebook:
     # larger degrees: sigma_expected/sigma_curve; an unbiased source has no order
     check_count("k", k, 1, MAX_EXPLICIT_DEGREE)
     check_range("bias p", p, 0.5, 1.0, "()")
-
-    size = 1 << k
-    shifts = np.arange(k - 1, -1, -1)
-    bits = ((np.arange(size)[:, None] >> shifts) & 1).astype(np.uint8)
-    # probability is strictly decreasing in weight for p > 0.5, so a stable
-    # sort by weight realizes "descending probability, ties ascending"
-    order = np.argsort(bits.sum(axis=1), kind="stable")
-    rank_of_block = np.empty(size, dtype=np.int64)
-    rank_of_block[order] = np.arange(size)
-    return Codebook(k, p, rank_of_block, bits[order])
+    return Codebook(k, p, *_rank_tables(int(k)))
 
 
 @dataclass(frozen=True)
@@ -486,14 +495,15 @@ def read_container(data: bytes) -> tuple[int, int, PackedBits]:
 def squeeze_bits(
     bits: BitsLike | PackedBits | OnePositions, k: int
 ) -> tuple[bytes, CompressionStats]:
-    """Convenience: encode ``bits`` at degree k and frame them in a container."""
+    """Encode ``bits`` at degree k and frame them: the codec's round trip, first half."""
     cb = build_codebook(k, 0.999)  # mapping is p-independent
     payload, stats = encode(bits, cb)
     return write_container(payload, k, stats.n_input_bits), stats
 
 
 def unsqueeze_positions(data: bytes) -> OnePositions:
-    """Convenience: decode a container back to the one-positions of the original bits.
+    """Decode a container back to the one-positions of the original bits: the round
+    trip's second half, which the sessions' announcements and ``squeeze-decode`` run.
 
     The packed payload is decoded as it is; no dense copy of it is made.
     """

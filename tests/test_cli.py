@@ -36,6 +36,26 @@ def read_rows(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+# command: (base settings, stdin, a valid non-default value of each key it takes)
+KEY_CASES = {
+    # a finite N, so that delta may be nonzero
+    "curve": ({"l_max": "20", "l_step": "5", "n_qubits": "1e6"}, None, {
+        "alpha": "0.3", "eta_det": "0.5", "p_dark": "1e-5", "e_opt": "0.05",
+        "e0": "0.4", "f": "1.2", "xi": "0.9", "delta": "0.1", "n_qubits": "1e4",
+        "l_min": "1", "l_max": "25", "l_step": "4",
+    }),
+    # at 20 km, so that alpha counts
+    "optimality": ({"length_km": "20"}, None, {
+        "alpha": "0.3", "length_km": "30", "eta_det": "0.5", "p_dark": "1e-5",
+        "e_opt": "0.05", "e0": "0.4", "f": "1.2", "xi": "0.9",
+    }),
+    "sigma": ({}, None, {"k_min": "3", "k_max": "10", "p": "0.99", "n_bits": "1000"}),
+    "squeeze-encode": ({}, b"0000100000", {"k": "2", "bits_format": "packed"}),
+    "squeeze-decode": ({}, squeeze.squeeze_bits("0000100000", 2)[0],
+                       {"bits_format": "packed"}),
+}
+
+
 class TestFlatConfig:
     def test_key_value_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -90,6 +110,35 @@ class TestFlatConfig:
             run_cli(*argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("curve", "length_km", "3"),  # the grid sets every length
+        ("curve", "s", "0.9"),  # the columns fix s and sigma
+        ("curve", "sigma", "0.7"),
+        ("squeeze-decode", "k", "7"),  # the container header carries the degree
+    ])
+    def test_key_a_command_does_not_read_is_refused(self, command, key, value, capsys):
+        assert run_cli(command, "--set", f"{key}={value}") == 2
+        assert f"error: unknown config keys: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(KEY_CASES))
+    def test_every_accepted_key_changes_the_output(self, command, tmp_path, monkeypatch):
+        base, stdin, values = KEY_CASES[command]
+        assert sorted(values) == sorted(cli.build_parser().parse_args([command]).config_keys)
+
+        def output(sets: dict) -> bytes:
+            if stdin is not None:
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+            out = tmp_path / "out"
+            argv = [command, "--out", str(out)]
+            for key, value in sets.items():
+                argv += ["--set", f"{key}={value}"]
+            assert main(argv) == 0
+            return out.read_bytes()
+
+        plain = output(base)
+        for key, value in values.items():
+            assert output({**base, key: value}) != plain, key
+
     def test_protocol_mapping_asymptotic_spelling(self):
         assert cfgmod.protocol_from_mapping({"n_qubits": "inf"}).asymptotic
         assert not cfgmod.protocol_from_mapping({"n_qubits": "1000", "delta": "0.1"}).asymptotic
@@ -132,6 +181,19 @@ class TestFlatConfig:
             assert run_cli(*base, *extra, "--out", str(out)) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_seed_flag_reads_what_rng_seed_reads(self, tmp_path, capsys):
+        # --seed is the rng_seed key, with its one integer grammar
+        base = ["simulate-bb84", "--format", "json", "--set", "n_qubits=5000"]
+        for raw in ("1e6", "7.0"):
+            outs = []
+            for extra in (["--set", f"rng_seed={raw}"], ["--seed", raw]):
+                out = tmp_path / "rep.json"
+                assert run_cli(*base, *extra, "--out", str(out)) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
+        assert run_cli(*base, "--seed", "x") == 2
+        assert "error: key 'rng_seed': not an integer: 'x'" in capsys.readouterr().err
 
     def test_negative_seed_is_config_error(self):
         assert run_cli("simulate-bb84", "--seed", "-3",

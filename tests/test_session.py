@@ -169,8 +169,9 @@ def test_unreadable_announcement_is_an_integrity_error(monkeypatch, tmp_path):
     assert main(["simulate-bb84", "--set", "n_qubits=10000", "--out", out]) == 3
 
 
-def test_announce_rejects_header_degree_mismatch(monkeypatch):
-    cb = squeeze.build_codebook(4, 0.99)
+def test_announce_rejects_header_degree_mismatch(monkeypatch, tmp_path):
+    # a header degree off by one is in range, so the peer decodes with the
+    # wrong codebook: the codeword count no longer matches the length
     read = squeeze.read_container
 
     def read_with_other_k(blob):
@@ -178,8 +179,10 @@ def test_announce_rejects_header_degree_mismatch(monkeypatch):
         return k + 1, true_len, payload
 
     monkeypatch.setattr(squeeze, "read_container", read_with_other_k)
-    with pytest.raises(SimulationIntegrityError, match="k=5, sent k=4"):
-        session.announce(np.zeros(0, np.int64), 40, cb, "bob_bases")
+    with pytest.raises(SimulationIntegrityError, match="announcement unreadable"):
+        session.announce(np.zeros(0, np.int64), 40, 4, "bob_bases")
+    out = str(tmp_path / "report.csv")
+    assert main(["simulate-bb84", "--set", "n_qubits=10000", "--out", out]) == 3
 
 
 def test_announcement_with_degree_out_of_range_is_unreadable(monkeypatch, tmp_path):
@@ -204,10 +207,9 @@ def test_announcement_read_back_holds_no_dense_payload():
     # compares neighbouring bits holds two more, ~3.2 times the coded bits
     n = 10_000_000
     ones = session.rare_bits(np.random.default_rng(21), n, 0.001)
-    cb = squeeze.build_codebook(8, 0.999)
     tracemalloc.start()
     try:
-        coded_bits = session.announce(ones, n, cb, "basis")
+        coded_bits = session.announce(ones, n, 8, "basis")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -210,6 +210,15 @@ class TestCodebookStructure:
             assert cb._bits_of_rank[r].tolist() == ((e.block >> shifts) & 1).tolist()
             assert cb._rank_of_block[e.block] == r
 
+    def test_rank_tables_are_built_once_per_degree_and_read_only(self):
+        cb = build_codebook(4, 0.6)
+        other = build_codebook(np.int64(4), 0.9999)
+        assert other._rank_of_block is cb._rank_of_block
+        assert other._bits_of_rank is cb._bits_of_rank
+        for table in (cb._rank_of_block, cb._bits_of_rank, cb._bits_of_rank.view(bool)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
     def test_mapping_is_bias_independent(self):
         for k in (2, 5, 8):
             words_a = {e.block: e.codeword for e in build_codebook(k, 0.6).entries}
