@@ -11,8 +11,8 @@ per-input-bit cost tends to 1/k and the achievable compression percent tends to
 The block -> codeword assignment depends only on k, not on the numeric value of
 p: block probability p^(k-g) * (1-p)^g is strictly decreasing in the popcount g
 whenever p > 0.5, and ties (equal popcount) are broken by ascending block value.
-A decoder therefore only needs k, which is what the container header carries,
-and a codebook's two rank tables are built once per degree.
+A decoder therefore only needs k, which is what the container header carries;
+a codebook is its degree and bias, and the codec looks its rank tables up by k.
 
 For such a source the stream is mostly 0s, and the code is a run-length code
 over it (Golomb, IEEE Trans. Inf. Theory 12, 399, 1966): the codeword of rank
@@ -33,7 +33,7 @@ packing positions by XOR-ing each 1 into zeroed bytes.  A run of 1s is one
 codeword unless it holds maximal codewords (all-1s blocks), and only those
 cost more than the run.  Beyond one pass over the packed stream, decoding
 costs O(runs of 1s + maximal codewords); encoding costs O(ones) beyond
-zeroing its output, one byte per coded bit.
+zeroing its output, one byte per coded bit, which it bounds before allocating.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from math import comb, isinf
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -56,6 +56,10 @@ MAX_EXPLICIT_DEGREE = 12
 # The closed form (sigma_expected / sigma_curve) sums rank ranges as floats;
 # from k = 1023 on, 2 * start reaches 2^1024, past the float range, for every p.
 MAX_CLOSED_FORM_DEGREE = 1022
+# A block of k 1s costs 2^k - 1 coded bits, held one byte each: encode refuses
+# more than this many coded bits per input bit, once past the floor.
+MAX_CODED_BITS_PER_BIT = 64
+CODED_BITS_FLOOR = 1 << 20
 
 CONTAINER_MAGIC = b"SQZ1"
 _HEADER = struct.Struct(">4sBQQ")  # magic, k, true_bit_length, payload_bit_length
@@ -108,19 +112,20 @@ class Codebook:
 
     degree_k: int
     bias_p: float
-    # rank r is the position in the probability-sorted order; codeword length
-    # is r+1 except the last rank, which shares length 2^k - 1
-    _rank_of_block: np.ndarray = field(repr=False, compare=False)
-    # (2^k, k) uint8: row r holds the bits of the block at rank r, MSB first
-    _bits_of_rank: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        # larger degrees: sigma_expected/sigma_curve; an unbiased source has no order
+        check_count("k", self.degree_k, 1, MAX_EXPLICIT_DEGREE)
+        check_range("bias p", self.bias_p, 0.5, 1.0, "()")
 
     @property
     def entries(self) -> tuple[CodebookEntry, ...]:
         """(block, probability, codeword) in rank order, derived from the tables."""
-        k, last = self.degree_k, (1 << self.degree_k) - 1
+        k = int(self.degree_k)
+        last = (1 << k) - 1
         prob = _probabilities_by_weight(k, self.bias_p)
-        blocks = self._rank_of_block.argsort()
-        weights = self._bits_of_rank.sum(axis=1)
+        rank_of_block, bits_of_rank = _rank_tables(k)
+        blocks, weights = rank_of_block.argsort(), bits_of_rank.sum(axis=1)
         return tuple(
             CodebookEntry(blk, prob[g], "1" * r + "0" if r < last else "1" * last)
             for r, (blk, g) in enumerate(zip(blocks.tolist(), weights.tolist()))
@@ -129,7 +134,7 @@ class Codebook:
 
 @functools.cache
 def _rank_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rank of each block and the bits of each rank at degree k, read-only."""
+    """The rank of each block and the (2^k, k) bits of each rank at degree k, read-only."""
     size = 1 << k
     shifts = np.arange(k - 1, -1, -1)
     bits = ((np.arange(size)[:, None] >> shifts) & 1).astype(np.uint8)
@@ -149,10 +154,7 @@ def build_codebook(k: int, p: float) -> Codebook:
     Blocks are sorted by descending probability (ties by ascending block
     value) and assigned truncated-unary codewords in that order.
     """
-    # larger degrees: sigma_expected/sigma_curve; an unbiased source has no order
-    check_count("k", k, 1, MAX_EXPLICIT_DEGREE)
-    check_range("bias p", p, 0.5, 1.0, "()")
-    return Codebook(k, p, *_rank_tables(int(k)))
+    return Codebook(k, p)
 
 
 @dataclass(frozen=True)
@@ -269,10 +271,12 @@ def encode(
     :class:`OnePositions`; each form is reduced to its 1s first, so all share
     one code path and give the same output.  The achieved compression percent
     is (1 - output_bits / n) * 100, i.e. the per-message baseline cost is one
-    bit per announced bit.
+    bit per announced bit.  Raises ParameterError, before the output is
+    allocated, when it would hold more than ``MAX_CODED_BITS_PER_BIT`` bits
+    per input bit and more than ``CODED_BITS_FLOOR`` bits.
     """
     pos, n = _positions(bits)
-    k = cb.degree_k
+    k = int(cb.degree_k)  # the table cache keys a numpy integer apart from its int
     m = -(-n // k)
 
     # Only blocks that hold a 1 are valued; every other one is codeword 0.
@@ -285,13 +289,18 @@ def encode(
     weight += k - 1
     weight -= pos
     np.left_shift(1, weight, out=weight)
-    ranks = cb._rank_of_block[np.add.reduceat(weight, first)]
+    ranks = _rank_tables(k)[0][np.add.reduceat(weight, first)]
     last = (1 << k) - 1
 
     # The codeword of rank r is r 1s, then a 0 unless r = last, and each
     # rank-0 block is one 0, so only the 1s are written into a zeroed output.
     maximal = ranks == last
-    out = np.zeros(m + int(ranks.sum()) - np.count_nonzero(maximal), dtype=np.uint8)
+    size = m + int(ranks.sum()) - np.count_nonzero(maximal)
+    bound = max(MAX_CODED_BITS_PER_BIT * n, CODED_BITS_FLOOR)
+    if size > bound:
+        raise ParameterError(f"{n} bits at k={k} encode to {size} coded bits, "
+                             f"past the bound of {bound}")
+    out = np.zeros(size, dtype=np.uint8)
     if ranks.size:
         # The i-th 1 written sits at i plus the index of its block, less the
         # maximal codewords (no terminating 0) of earlier blocks.  So the
@@ -327,7 +336,7 @@ def decode_positions(
     sets a padding bit.
     """
     check_count("true_length", true_length)
-    k = cb.degree_k
+    k = int(cb.degree_k)
     packed, size = _packed(stream)
     m_expect = -(-true_length // k)
     last = (1 << k) - 1
@@ -370,7 +379,7 @@ def decode_positions(
     # The 1s of those blocks, row by row; take and flatnonzero on a bool
     # view outrun fancy indexing and a 2-D nonzero.  A 1 at flat index f of
     # row i is bit f - i * k of block index[i].
-    flat = np.flatnonzero(np.take(cb._bits_of_rank.view(bool), ranks, axis=0))
+    flat = np.flatnonzero(np.take(_rank_tables(k)[1].view(bool), ranks, axis=0))
     rows = flat // k
     pos = index[rows]
     pos -= rows

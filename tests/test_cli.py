@@ -36,7 +36,13 @@ def read_rows(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
-# command: (base settings, stdin, a valid non-default value of each key it takes)
+# BB84 with X and Z estimates on either side of its threshold: qber_x 0.108 and
+# qber_z 0.0994 against 0.104, so the abort rule decides on them
+ABORT_BASE = {"n_qubits": "1e4", "p_b": "0.6", "epsilon_frac": "0.3", "lambda_frac": "0.3",
+              "e_opt": "0.1", "qber_threshold": "0.104"}
+
+# command: (base settings, stdin, a valid non-default value of each key it takes,
+# or that value and the settings it needs beside the base to act)
 KEY_CASES = {
     # a finite N, so that delta may be nonzero
     "curve": ({"l_max": "20", "l_step": "5", "n_qubits": "1e6"}, None, {
@@ -50,6 +56,24 @@ KEY_CASES = {
         "e_opt": "0.05", "e0": "0.4", "f": "1.2", "xi": "0.9",
     }),
     "sigma": ({}, None, {"k_min": "3", "k_max": "10", "p": "0.99", "n_bits": "1000"}),
+    "simulate-bb84": ({"n_qubits": "1e4"}, None, {
+        "alpha": ("0.3", {"length_km": "20"}),  # only over a length
+        "length_km": "20", "eta_det": "0.5", "p_dark": "1e-5", "e_opt": "0.05",
+        "e0": ("0.4", {"p_dark": "0.01"}),  # only weighs dark counts
+        "f": "1.2", "n_qubits": "2e4", "p_b": "0.99", "degree_k": "4",
+        # the both-X set is empty at p_b = 0.999 and N = 1e4
+        "epsilon_frac": ("0.3", {"p_b": "0.6"}),
+        "lambda_frac": "0.1",
+        "qber_threshold": ("0.05", ABORT_BASE), "abort_on_either": ("true", ABORT_BASE),
+        "rng_seed": "1", "lossless": "true",
+    }),
+    "simulate-tf": ({"n_pulses": "1e4"}, None, {
+        "n_pulses": "2e4", "tf.p_x": "0.99", "tf.degree_k": "4", "tf.p_click_match": "0.8",
+        "tf.p_click_conflict": "0.01", "tf.p_dark_relay": "0.01", "tf.pe_frac": "0.1",
+        # error correction costs nothing while no key bit flips
+        "tf.f_ec": ("1.2", {"tf.p_click_conflict": "0.05"}),
+        "rng_seed": "1",
+    }),
     "squeeze-encode": ({}, b"0000100000", {"k": "2", "bits_format": "packed"}),
     "squeeze-decode": ({}, squeeze.squeeze_bits("0000100000", 2)[0],
                        {"bits_format": "packed"}),
@@ -137,7 +161,14 @@ class TestFlatConfig:
 
         plain = output(base)
         for key, value in values.items():
-            assert output({**base, key: value}) != plain, key
+            value, extra = value if isinstance(value, tuple) else (value, {})
+            settings = {**base, **extra}
+            assert output({**settings, key: value}) != (output(settings) if extra else plain), key
+
+    def test_abort_base_has_estimates_either_side_of_its_threshold(self):
+        report = run_session(cfgmod.bb84_from_mapping(ABORT_BASE))
+        threshold = float(ABORT_BASE["qber_threshold"])
+        assert report.qber_z < threshold < report.qber_x and not report.aborted
 
     def test_protocol_mapping_asymptotic_spelling(self):
         assert cfgmod.protocol_from_mapping({"n_qubits": "inf"}).asymptotic
@@ -698,6 +729,14 @@ class TestSqueezeFilters:
         assert self._run(
             ["squeeze-encode", "--set", "k=99"], b"0101"
         ).returncode == 2
+
+    def test_output_past_the_bound_exits_config_code(self):
+        # 120,000 1s at k = 12 would encode to 341 coded bits each
+        enc = self._run(["squeeze-encode", "--set", "k=12", "--set", "bits_format=packed"],
+                        b"\xff" * 15000)
+        assert enc.returncode == 2 and enc.stdout == b""
+        assert enc.stderr == (b"error: 120000 bits at k=12 encode to 40950000 coded bits, "
+                              b"past the bound of 7680000\n")
 
     def test_packed_input_is_not_unpacked(self, tmp_path, monkeypatch, capsys):
         # 8 * 10^6 bits with P(1) = 0.001 arrive as 10^6 bytes: one byte per

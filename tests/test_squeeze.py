@@ -3,6 +3,8 @@
 import math
 import struct
 import sys
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -204,18 +206,23 @@ class TestCodebookStructure:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_rank_tables_match_entries(self, k):
-        cb = build_codebook(k, 0.999)
+        rank_of_block, bits_of_rank = squeeze._rank_tables(k)
         shifts = np.arange(k - 1, -1, -1)
-        for r, e in enumerate(cb.entries):
-            assert cb._bits_of_rank[r].tolist() == ((e.block >> shifts) & 1).tolist()
-            assert cb._rank_of_block[e.block] == r
+        for r, e in enumerate(build_codebook(k, 0.999).entries):
+            assert bits_of_rank[r].tolist() == ((e.block >> shifts) & 1).tolist()
+            assert rank_of_block[e.block] == r
 
     def test_rank_tables_are_built_once_per_degree_and_read_only(self):
-        cb = build_codebook(4, 0.6)
-        other = build_codebook(np.int64(4), 0.9999)
-        assert other._rank_of_block is cb._rank_of_block
-        assert other._bits_of_rank is cb._bits_of_rank
-        for table in (cb._rank_of_block, cb._bits_of_rank, cb._bits_of_rank.view(bool)):
+        tables = squeeze._rank_tables(4)
+        misses = squeeze._rank_tables.cache_info().misses
+        # across biases, and for a numpy-integer degree
+        for cb in (build_codebook(4, 0.6), build_codebook(np.int64(4), 0.9999)):
+            decode(encode("0110", cb)[0], cb, 4)
+            cb.entries
+        assert squeeze._rank_tables.cache_info().misses == misses
+        assert squeeze._rank_tables(4) is tables
+        rank_of_block, bits_of_rank = tables
+        for table in (rank_of_block, bits_of_rank, bits_of_rank.view(bool)):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
 
@@ -236,6 +243,73 @@ class TestCodebookStructure:
             build_codebook(2, 1.0)
         with pytest.raises(ParameterError):
             build_codebook(squeeze.MAX_EXPLICIT_DEGREE + 1, 0.9)
+
+
+class TestCodebookValue:
+    """A codebook is its degree and bias, checked when built."""
+
+    def test_replaced_degree_codes_as_built(self):
+        built, replaced = build_codebook(4, 0.999), replace(build_codebook(8, 0.999), degree_k=4)
+        assert replaced == built and hash(replaced) == hash(built)
+        out, stats = encode("1100010100001111", replaced)
+        ref_out, ref_stats = encode("1100010100001111", built)
+        assert stats == ref_stats and stats.output_bits == 34
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(decode(out, replaced, 16), as_bits("1100010100001111"))
+        assert replaced.entries == built.entries
+
+    @pytest.mark.parametrize("make, k, p", [
+        (lambda k, p: replace(build_codebook(8, 0.999), degree_k=k), 13, 0.999),
+        (lambda k, p: replace(build_codebook(8, 0.999), bias_p=p), 8, 1.0),
+        (squeeze.Codebook, 0, 0.9),
+        (squeeze.Codebook, 4, 0.5),
+        (squeeze.Codebook, 2.5, 0.9),
+    ])
+    def test_refused_exactly_as_build_codebook_refuses(self, make, k, p):
+        with pytest.raises(ParameterError) as built:
+            build_codebook(k, p)
+        with pytest.raises(ParameterError) as made:
+            make(k, p)
+        assert str(made.value) == str(built.value)
+
+    def test_equality_hashing_and_repr(self):
+        cb = build_codebook(4, 0.9)
+        assert cb == squeeze.Codebook(4, 0.9) and hash(cb) == hash(squeeze.Codebook(4, 0.9))
+        assert cb != build_codebook(4, 0.99) and cb != build_codebook(5, 0.9)
+        assert repr(cb) == "Codebook(degree_k=4, bias_p=0.9)"
+
+
+class TestOutputBound:
+    """``encode`` refuses an output past its bound before it allocates it."""
+
+    def test_all_ones_past_the_bound_refused_in_bounded_memory(self):
+        data = squeeze.PackedBits(b"\xff" * 15000, 120000)  # 341 coded bits per bit
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=(
+                "^120000 bits at k=12 encode to 40950000 coded bits, "
+                "past the bound of 7680000$"
+            )):
+                squeeze_bits(data, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_bound_is_per_input_bit_past_the_floor(self):
+        ones = np.ones(40_000, dtype=np.uint8)
+        assert encode(ones, build_codebook(8, 0.9))[1].output_bits == 5000 * 255  # 32x
+        with pytest.raises(ParameterError, match="4092000 coded bits, past the bound of 2560000"):
+            encode(ones, build_codebook(10, 0.9))  # 102x
+
+    def test_floor_is_inclusive(self):
+        # 256 maximal codewords, then one of rank r: 256 * 4095 + r + 1 coded bits
+        cb, bits_of_rank = build_codebook(12, 0.9), squeeze._rank_tables(12)[1]
+        ones = np.ones(256 * 12, dtype=np.uint8)
+        at_floor = np.concatenate([ones, bits_of_rank[255]])
+        assert encode(at_floor, cb)[1].output_bits == squeeze.CODED_BITS_FLOOR
+        with pytest.raises(ParameterError, match="1048577 coded bits, past the bound of 1048576$"):
+            encode(np.concatenate([ones, bits_of_rank[256]]), cb)
 
 
 class TestEncodeDecode:
