@@ -16,7 +16,8 @@ Success positions come from one sampler, ``success_chunks``: the values
 ``rng.geometric`` draws (numpy's inversion, vectorised below p = 1/3),
 placed ``CHUNK`` gaps at a time.  ``rare_bits`` joins the chunks, and
 ``draw_keys`` XORs each one into Bob's bytes and drops it, so it holds
-O(CHUNK) beyond the two keys.
+O(CHUNK) beyond the two keys, plus one span of at most 64 * 2^14 bools
+(1 MiB) through which ``squeeze.xor_ones`` packs a dense slice of flips.
 The certification rule lives here, once: a session with no error-rate
 sample in any basis, or with an estimate of 1/2 or more, certifies no key.
 The ledgers and the efficiency come from ``core.build_ledger`` and
@@ -153,7 +154,8 @@ def draw_keys(
     Alice's bytes are the little-endian random words ``rng.bytes`` would
     draw, viewed as bytes in place (``rng.bytes(0)`` draws one word too).
     Bob's flips come from ``success_chunks`` and each chunk is XOR-ed into
-    his bytes and dropped, so memory beyond the two keys is O(CHUNK).
+    his bytes (``squeeze.xor_ones``) and dropped, so memory beyond the two
+    keys is O(CHUNK) plus one span of at most 64 * 2^14 bools (1 MiB).
     """
     n_bytes = -(-k_rem // 8)
     words = rng.integers(0, 1 << 32, max(1, -(-n_bytes // 4)), dtype=np.uint32)

@@ -29,9 +29,9 @@ in [1, 12] as the writer's), finds its runs of 1s, unpacking only the bytes
 where a run starts or ends, and reads it back into one-positions.
 :func:`decode` scatters the positions into the dense sequence, and
 :func:`write_container` frames a payload in any of the three forms,
-packing positions by XOR-ing each 1 into zeroed bytes.  A run of 1s is one
-codeword unless it holds maximal codewords (all-1s blocks), and only those
-cost more than the run.  Beyond one pass over the packed stream, decoding
+packing positions into zeroed bytes with :func:`xor_ones`.  A run of 1s is
+one codeword unless it holds maximal codewords (all-1s blocks), and only
+those cost more than the run.  Beyond one pass over the packed stream, decoding
 costs O(runs of 1s + maximal codewords); encoding costs O(ones) beyond
 zeroing its output, one byte per coded bit, which it bounds before allocating.
 """
@@ -60,6 +60,12 @@ MAX_CLOSED_FORM_DEGREE = 1022
 # more than this many coded bits per input bit, once past the floor.
 MAX_CODED_BITS_PER_BIT = 64
 CODED_BITS_FLOOR = 1 << 20
+
+# xor_ones takes its positions this many at a time, and packs a slice through
+# a bool span when it covers at most _DENSE_SPAN bits per position: a span of
+# at most 1 MiB, which stays in cache (slices of 2^16 ran slower at e = 0.03)
+_XOR_SLICE = 1 << 14
+_DENSE_SPAN = 64
 
 CONTAINER_MAGIC = b"SQZ1"
 _HEADER = struct.Struct(">4sBQQ")  # magic, k, true_bit_length, payload_bit_length
@@ -214,9 +220,28 @@ def _run_edges(packed: np.ndarray, size: int) -> np.ndarray:
 
 
 def xor_ones(packed: np.ndarray, positions: np.ndarray) -> None:
-    """XOR a 1 into MSB-first packed bytes, in place, at each of the int64 ``positions``."""
-    masks = np.right_shift(np.uint8(0x80), (positions & 7).astype(np.uint8))
-    np.bitwise_xor.at(packed, positions >> 3, masks)
+    """XOR a 1 into MSB-first packed bytes, in place, at each of the int64 ``positions``.
+
+    The positions must be strictly increasing: a dense slice's bits are set,
+    not XOR-ed, so a repeated position would not cancel.  They are taken
+    ``_XOR_SLICE`` at a time.  A dense slice is set in a zeroed bool array
+    over its span, from the byte that holds its first position, packed and
+    XOR-ed in (two slices may share a byte); a sparser one XORs one mask per
+    position.  Beyond ``packed`` this holds at most one span of
+    ``_DENSE_SPAN * _XOR_SLICE`` bools.
+    """
+    for lo in range(0, positions.size, _XOR_SLICE):
+        pos = positions[lo:lo + _XOR_SLICE]
+        start = int(pos[0]) & ~7
+        span = int(pos[-1]) + 1 - start
+        if span <= _DENSE_SPAN * pos.size:
+            bits = np.zeros(span, bool)
+            bits[pos - start] = True
+            packed[start >> 3:(start + span + 7) >> 3] ^= np.packbits(bits)
+            del bits  # else it lives on while the next slice's span is zeroed
+        else:
+            masks = np.right_shift(np.uint8(0x80), (pos & 7).astype(np.uint8))
+            np.bitwise_xor.at(packed, pos >> 3, masks)
 
 
 def _packed(bits: BitsLike | PackedBits | OnePositions) -> tuple[np.ndarray, int]:

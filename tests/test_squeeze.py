@@ -837,6 +837,115 @@ class TestPackedRunFinder:
         assert got.tolist() == np.flatnonzero(np.unpackbits(data)).tolist()
 
 
+def reference_xor_ones(packed: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``packed`` with each position's bit flipped, bit by bit: unpack, flip, repack.
+
+    Only the bytes a position falls in are unpacked; the others cannot change.
+    """
+    out = packed.copy()
+    touched = np.unique(positions >> 3)
+    bits = np.unpackbits(out[touched]).reshape(-1, 8)
+    bits[np.searchsorted(touched, positions >> 3), positions & 7] ^= 1
+    out[touched] = np.packbits(bits, axis=1).ravel()
+    return out
+
+
+def spread_positions(gaps: np.ndarray) -> np.ndarray:
+    """Strictly increasing positions from bit 0 with these gaps, the last moved
+    to the last bit of its byte, so the array's first and last bits are set."""
+    pos = np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)])
+    pos[-1] |= 7 if pos.size > 1 else 0
+    return pos
+
+
+SLICE = 1 << 14
+# gaps of Bob's flips at each density; 63 and 65 sit just either side of the
+# 64 bits per position up to which a slice is packed through its span
+XOR_GAPS = {
+    "1e-4": lambda rng, n: rng.geometric(1e-4, n),
+    "just above 1/64": lambda rng, n: np.full(n, 63),
+    "just below 1/64": lambda rng, n: np.full(n, 65),
+    "0.03": lambda rng, n: rng.geometric(0.03, n),
+    "0.5": lambda rng, n: rng.geometric(0.5, n),
+    "1.0": lambda rng, n: np.ones(n, np.int64),
+}
+
+
+def random_bytes(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Random bytes, none of them 0, so an OR in place of the XOR shows."""
+    return rng.integers(1, 256, size, dtype=np.uint8)
+
+
+class TestXorOnes:
+    """``xor_ones`` flips exactly the bits a bit-by-bit reference flips."""
+
+    def check(self, packed: np.ndarray, positions: np.ndarray) -> None:
+        want = reference_xor_ones(packed, positions)
+        squeeze.xor_ones(packed, positions)
+        assert np.array_equal(packed, want)
+
+    # but 3 * SLICE + 5 positions at 1e-4, which would need a 61 MiB array
+    @pytest.mark.parametrize("density,count", [
+        (density, count) for density in XOR_GAPS
+        for count in (0, 1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5)
+        if (density, count) != ("1e-4", 3 * SLICE + 5)
+    ])
+    def test_equals_the_reference(self, density, count):
+        rng = np.random.default_rng(count)
+        pos = spread_positions(XOR_GAPS[density](rng, max(count - 1, 0)))[:count]
+        packed = random_bytes(rng, int(pos[-1]) // 8 + 1 if count else 3)
+        self.check(packed, pos)
+
+    @pytest.mark.parametrize("n_bytes", [1, 2, 1000])
+    def test_first_and_last_bit_alone(self, n_bytes):
+        rng = np.random.default_rng(n_bytes)
+        for pos in ([0], [8 * n_bytes - 1], [0, 8 * n_bytes - 1]):
+            self.check(random_bytes(rng, n_bytes), np.unique(np.asarray(pos, np.int64)))
+
+    @pytest.mark.parametrize("offset", [0, 3, 7])
+    def test_slices_of_either_kind_sharing_a_byte(self, offset):
+        # a slice of consecutive bits (dense) and one of gaps of 1000 (sparse),
+        # in both orders; from a nonzero offset the second starts in the byte
+        # where the first ends
+        run, sparse = np.arange(SLICE), 1000 * np.arange(SLICE)
+        rng = np.random.default_rng(offset)
+        for first, second in ((run, sparse), (sparse, run), (run, run)):
+            pos = np.concatenate([first, first[-1] + 1 + second]) + offset
+            self.check(random_bytes(rng, int(pos[-1]) // 8 + 2), pos)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           density=st.one_of(st.sampled_from([1e-4, 1 / 65, 1 / 64, 1 / 63, 1.0]),
+                             st.floats(1e-4, 1.0)),
+           n_bits=st.integers(0, 1 << 18))
+    def test_any_positions_equal_the_reference(self, seed, density, n_bits):
+        rng = np.random.default_rng(seed)
+        pos = np.flatnonzero(rng.random(n_bits) < density)
+        self.check(rng.integers(0, 256, -(-n_bits // 8), dtype=np.uint8), pos)
+
+    @staticmethod
+    def traced_peak(packed: np.ndarray, positions: np.ndarray) -> int:
+        tracemalloc.start()
+        try:
+            squeeze.xor_ones(packed, positions)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sparse_slices_allocate_no_span(self):
+        # 2^15 positions over 2^27 bits: a span per slice would be 64 MiB
+        pos = np.arange(1 << 15, dtype=np.int64) << 12
+        assert self.traced_peak(np.zeros(1 << 24, np.uint8), pos) < 2**20
+
+    def test_a_dense_slice_holds_one_span(self):
+        # gaps of 63 bits: each slice is dense, its span just under 64 * SLICE
+        # bools, beside its packed bytes and one int64 index per position;
+        # two spans at once would pass the bound
+        pos = 63 * np.arange(4 * SLICE, dtype=np.int64)
+        bound = 64 * SLICE + 64 * SLICE // 8 + 8 * SLICE + 2**14
+        assert self.traced_peak(np.zeros(63 * SLICE // 2, np.uint8), pos) < bound
+
+
 class TestCodecProperties:
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, squeeze.MAX_EXPLICIT_DEGREE),
