@@ -34,6 +34,7 @@ from .core import ChannelParams, qber, transmittance
 from .errors import check_count, check_range
 from .session import (
     N_MAX,
+    Law,
     SessionReport,
     announce,
     estimate,
@@ -78,6 +79,22 @@ class SessionConfig:
         check_count("rng_seed", self.rng_seed)
 
 
+def law(cfg: SessionConfig) -> Law:
+    """The law of a BB84 session: qubits detected at eta~ (1 when lossless)
+    and erring at the channel QBER, X at 1 - p_b on both sides, so Bob's
+    bases are 0 at p_b and Alice's match bits at p_b^2 + (1-p_b)^2; the
+    matches sampled at (epsilon_frac, lambda_frac) under the threshold, and
+    N acknowledgments when lossy."""
+    n, p = int(cfg.n_qubits), cfg.p_b
+    return Law(
+        n=n, eta=1.0 if cfg.lossless else transmittance(cfg.channel), s=1.0,
+        p_x=1.0 - p, e=qber(cfg.channel), p0=(p, p * p + (1.0 - p) ** 2),
+        k=cfg.degree_k, fracs=(cfg.epsilon_frac, cfg.lambda_frac),
+        threshold=cfg.qber_threshold, acks=0 if cfg.lossless else n, uses=n,
+        f=cfg.channel.f,
+    )
+
+
 @dataclass(frozen=True)
 class QubitRecords:
     """The detected qubits' records, as far as any stage reads them.
@@ -100,17 +117,18 @@ def prepare_and_measure(cfg: SessionConfig, rng: np.random.Generator) -> QubitRe
     """Simulate qubit preparation, transfer, and measurement for one session.
 
     Returns the records of the detected qubits only.  Their count is N when
-    lossless and Binomial(N, eta~) otherwise.  Bases are drawn independently
-    with bias p_b toward basis 0, as the positions of the basis-1 (X)
-    choices.  No key bit is drawn here: the mismatched records' outcomes are
-    discarded unread, and the matched ones' bits and channel flips are drawn
-    by parameter estimation, at count level.
+    lossless and Binomial(N, eta~) otherwise.  Bases are drawn independently,
+    X with probability 1 - p_b, as the positions of the X choices.  No key
+    bit is drawn here: the mismatched records' outcomes are discarded unread,
+    and the matched ones' bits and channel flips are drawn by parameter
+    estimation, at count level.
     """
-    n = cfg.n_qubits
-    if not cfg.lossless:
-        n = int(rng.binomial(n, transmittance(cfg.channel)))
-    b = rare_bits(rng, n, 1.0 - cfg.p_b)
-    b_prime = rare_bits(rng, n, 1.0 - cfg.p_b)
+    pl = law(cfg)
+    n = pl.n
+    if not cfg.lossless:  # a draw at eta~ = 1 would still move the stream
+        n = int(rng.binomial(n, pl.eta))
+    b = rare_bits(rng, n, pl.p_x)
+    b_prime = rare_bits(rng, n, pl.p_x)
     return QubitRecords(n=n, b=b, b_prime=b_prime)
 
 
@@ -130,10 +148,10 @@ def sift(records: QubitRecords, cfg: SessionConfig) -> SiftResult:
     are the symmetric difference of the two X-position sets, so
     |V| = (|b| + |b'| - discarded) / 2 and W is every other record.
     """
-    n, b, b_prime = len(records), records.b, records.b_prime
+    n, b, b_prime, k = len(records), records.b, records.b_prime, law(cfg).k
     mismatched = np.setxor1d(b, b_prime, assume_unique=True)
-    bob_bits = announce(b_prime, n, cfg.degree_k, "basis")
-    alice_bits = announce(mismatched, n, cfg.degree_k, "match")  # 1 = discard
+    bob_bits = announce(b_prime, n, k, "basis")
+    alice_bits = announce(mismatched, n, k, "match")  # 1 = discard
     v_card = (b.size + b_prime.size - mismatched.size) // 2
     return SiftResult(
         v_card=v_card,
@@ -153,10 +171,9 @@ def parameter_estimation(
     the configured threshold; ``session.estimate`` draws the samples and the
     remaining key, with the channel QBER as the error rate.
     """
-    return estimate(
-        rng, qber(cfg.channel), (sifted.v_card, sifted.w_card),
-        (cfg.epsilon_frac, cfg.lambda_frac), cfg.qber_threshold, cfg.abort_on_either,
-    )
+    pl = law(cfg)
+    return estimate(rng, pl.e, (sifted.v_card, sifted.w_card), pl.fracs, pl.threshold,
+                    cfg.abort_on_either)
 
 
 def run_session(cfg: SessionConfig) -> SessionReport:
@@ -167,11 +184,8 @@ def run_session(cfg: SessionConfig) -> SessionReport:
     pe = parameter_estimation(sifted, cfg, rng_pe)
     return finish(
         pe,
-        n_qubits=cfg.n_qubits,
-        qubits_sent=cfg.n_qubits,
+        law(cfg),
         n_detected=len(records),
-        reception_ack=0 if cfg.lossless else cfg.n_qubits,
         bases=(sifted.bob_bits_compressed, sifted.alice_bits_compressed),
         raw_bases=len(records),
-        f=cfg.channel.f,
     )

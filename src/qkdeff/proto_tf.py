@@ -38,6 +38,7 @@ from . import squeeze
 from .errors import check_count, check_range
 from .session import (
     N_MAX,
+    Law,
     SessionReport,
     announce,
     estimate,
@@ -79,6 +80,23 @@ class TfConfig:
         check_count("rng_seed", self.rng_seed)
 
 
+def law(cfg: TfConfig) -> Law:
+    """The law of a relay session: the click model of the module docstring
+    (e = 0 when no pair single-clicks) over pulse pairs whose bases, X at
+    p_x, are all announced; the X matches sampled at pe_frac, no abort, and
+    2 outcome bits and 2 channel uses per pair."""
+    n = int(cfg.n_pulses)
+    dark = 1.0 - cfg.p_dark_relay
+    a = 1.0 - (1.0 - cfg.p_click_match) * dark   # the selected port fires
+    b = 1.0 - (1.0 - cfg.p_click_conflict) * dark  # the other port fires
+    s = a * (1.0 - b) + b * (1.0 - a)
+    return Law(
+        n=n, eta=1.0, s=s, p_x=cfg.p_x, e=b * (1.0 - a) / s if s else 0.0,
+        p0=(cfg.p_x, cfg.p_x), k=cfg.degree_k, fracs=(cfg.pe_frac, None),
+        threshold=None, acks=2 * n, uses=2 * n, f=cfg.f_ec,
+    )
+
+
 def run_tf_session(cfg: TfConfig) -> SessionReport:
     """Simulate one relay session and account for every announcement.
 
@@ -88,43 +106,34 @@ def run_tf_session(cfg: TfConfig) -> SessionReport:
     flip rule (destructive-port click means Bob's bit is the complement).
     The ledger maps relay outcome announcements (2 bits per pulse pair) onto
     the reception_ack slot and the two compressed basis announcements onto the
-    bob_bases / alice_match slots; qubits_sent counts pulses from both
-    parties (2N quantum-channel uses).
+    bob_bases / alice_match slots; E counts pulses from both parties (2N
+    quantum-channel uses, the law's ``uses``).
     """
-    n = cfg.n_pulses
+    pl = law(cfg)
+    n = pl.n
     rng_events, rng_pe = stage_rngs(cfg.rng_seed)
 
     # basis bit: 0 = X (dominant, key), 1 = Z (decoy)
-    h_a = rare_bits(rng_events, n, 1.0 - cfg.p_x)  # positions of the 1s
-    h_b = rare_bits(rng_events, n, 1.0 - cfg.p_x)
+    h_a = rare_bits(rng_events, n, 1.0 - pl.p_x)  # positions of the 1s
+    h_b = rare_bits(rng_events, n, 1.0 - pl.p_x)
 
     # both parties announce their basis sequences in the container format
-    bits_a_announced = announce(h_a, n, cfg.degree_k, "alice basis")
-    bits_b_announced = announce(h_b, n, cfg.degree_k, "bob basis")
+    bits_a_announced = announce(h_a, n, pl.k, "alice basis")
+    bits_b_announced = announce(h_b, n, pl.k, "bob basis")
 
     # single clicks: the same probability s for every pair (module docstring)
-    dark = 1.0 - cfg.p_dark_relay
-    a = 1.0 - (1.0 - cfg.p_click_match) * dark   # the selected port fires
-    b = 1.0 - (1.0 - cfg.p_click_conflict) * dark  # the other port fires
-    s = a * (1.0 - b) + b * (1.0 - a)
     n_zz = np.intersect1d(h_a, h_b, assume_unique=True).size
     n_xx = n - (h_a.size + h_b.size - n_zz)  # n minus the union
     v_card, w_card, n_mismatched = (
-        int(rng_events.binomial(count, s)) for count in (n_xx, n_zz, n - n_xx - n_zz)
+        int(rng_events.binomial(count, pl.s)) for count in (n_xx, n_zz, n - n_xx - n_zz)
     )
 
     # error-rate estimate on a sacrificed X subset, then the X key; the Z
-    # decoys are neither sampled nor keyed (decoy analysis out of scope).
-    # Bob's bit is wrong when only the other port fired
-    e = b * (1.0 - a) / s if s else 0.0
+    # decoys are neither sampled nor keyed (decoy analysis out of scope)
     return finish(
-        estimate(rng_pe, e, (v_card, w_card), (cfg.pe_frac, None)),
-        n_qubits=n,
-        qubits_sent=2 * n,
+        estimate(rng_pe, pl.e, (v_card, w_card), pl.fracs, pl.threshold),
+        pl,
         n_detected=v_card + w_card + n_mismatched,
-        reception_ack=2 * n,  # one bit per detector per pulse pair
         bases=(bits_b_announced, bits_a_announced),
         raw_bases=n,
-        f=cfg.f_ec,
     )
-

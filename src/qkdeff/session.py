@@ -18,10 +18,14 @@ placed ``CHUNK`` gaps at a time.  ``rare_bits`` joins the chunks, and
 ``draw_keys`` XORs each one into Bob's bytes and drops it, so it holds
 O(CHUNK) beyond the two keys, plus one span of at most 64 * 2^14 bools
 (1 MiB) through which ``squeeze.xor_ones`` packs a dense slice of flips.
-The certification rule lives here, once: a session with no error-rate
-sample in any basis, or with an estimate of 1/2 or more, certifies no key.
-The ledgers and the efficiency come from ``core.build_ledger`` and
-``core.efficiency``, the functions the model uses, fed measured counts.
+Each protocol states its law once, as a ``Law`` of its config: the
+probabilities its draws take, its sample shares and its ledger slots.  Its
+session draws that law, and ``predict`` takes its expectation.  Both certify
+and account through one rule, here once: a session with no error-rate sample
+in any basis, or with an estimate of 1/2 or more, certifies no key.  The
+ledgers and the efficiency come from ``core.build_ledger`` and
+``core.efficiency``, the functions the model uses, fed measured or expected
+counts.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +45,36 @@ NO_ESTIMATE = "no error-rate estimate: no key certified"
 XI = 1.0  # confidential capacity of the key both sessions distil (BB84's ceiling)
 CHUNK = 1 << 16  # gaps the success sampler draws and places at a time
 N_MAX = 10**14  # largest session count: CHUNK gaps of at most N + 1 sum within int64
+
+
+@dataclass(frozen=True)
+class Law:
+    """The law of one session, which its protocol states from its config.
+
+    Each of ``n`` trials (qubits, or pulse pairs) gives a record with
+    probability ``eta``, and the bases of every record are announced.  Each
+    party picks the X basis of a record with probability ``p_x``, and a
+    record's event counts with probability ``s``, whatever its bases.
+    Matched records err with probability ``e``.  ``p0`` holds P(0) of the
+    two announcements in ledger order (bob_bases, alice_match), squeezed at
+    degree ``k``.  ``fracs`` holds the sampled share of the X and Z matches
+    (None: neither sampled nor keyed), and ``threshold`` the abort threshold,
+    if any.  The ledger charges ``acks`` acknowledgment bits and ``uses``
+    quantum-channel uses, and error correction leaks ``f`` H(e) per key bit.
+    """
+
+    n: int
+    eta: float
+    s: float
+    p_x: float
+    e: float
+    p0: tuple[float, float]
+    k: int
+    fracs: tuple[float | None, float | None]
+    threshold: float | None
+    acks: int
+    uses: int
+    f: float
 
 
 def stage_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -323,14 +358,11 @@ class SessionReport:
 
 def finish(
     pe: PeResult,
+    law: Law,
     *,
-    n_qubits: int,
-    qubits_sent: int,
     n_detected: int,
-    reception_ack: int,
     bases: tuple[int, int],
     raw_bases: int,
-    f: float,
 ) -> SessionReport:
     """Certification and the report of one session, ledgers and E from core.
 
@@ -346,13 +378,10 @@ def finish(
     pools every basis sample, sum(rate*count) / sum(count).  With no sample
     at all, or an estimate of 1/2 or more (where the rate xi - H(e) - f H(e)
     has no meaning), no key is certified and the report says so in
-    ``warnings``; an abort or an empty remaining key certifies nothing
-    either, and an aborted session reports no key.  A certified key is
-    int(k_rem * (xi - H(e_est) - f H(e_est))) bits, at least 0.
+    ``warnings``; an abort certifies nothing either, and an aborted session
+    reports no key.  The key is certified and accounted by the rule
+    ``predict`` applies to the expected counts.
     """
-    # a config count may be a numpy integer; the report holds plain ints
-    n_qubits, qubits_sent, reception_ack, raw_bases = map(
-        int, (n_qubits, qubits_sent, reception_ack, raw_bases))
     samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
                if r is not None]
     e_est = (sum(r * c for r, c in samples) / sum(c for _, c in samples)
@@ -362,28 +391,18 @@ def finish(
         warnings += (NO_ESTIMATE,)
     elif e_est >= 0.5:
         warnings += (f"error-rate estimate {e_est:.6g} >= 1/2: no key certified",)
-    k_rem = pe.k_rem
     v_dprime = pe.v_card - pe.v_prime
-    w_dprime = k_rem - v_dprime
-    n_compared = pe.v_prime + pe.w_prime + k_rem
-    alice_key, bob_key, key_bits = pe.alice_remaining_packed, pe.bob_remaining_packed, k_rem
+    n_compared = pe.v_prime + pe.w_prime + pe.k_rem
+    alice_key, bob_key, key_bits = pe.alice_remaining_packed, pe.bob_remaining_packed, pe.k_rem
     if pe.aborted:
         alice_key = bob_key = np.zeros(0, np.uint8)
         key_bits = 0
-    if pe.aborted or k_rem == 0 or e_est is None or e_est >= 0.5:
-        k_rem = final_key = 0  # nothing certified: no EC, no PA
-        h_est = seed = 0.0
-    else:
-        h_est = binary_entropy(e_est)
-        final_key = max(0, int(k_rem * (XI - h_est - f * h_est)))
-        seed = 1.0
-    led, led_raw = (build_ledger(reception_ack, b, pe.announced_bits, k_rem, h_est, f,
-                                 final_key, seed, clamp=True)
-                    for b in (bases, (raw_bases, raw_bases)))
+    final_key, led, led_raw = _account(law, bases, raw_bases, pe.announced_bits,
+                                       key_bits, e_est)
     announced = led.total()
     f_card = pe.v_card + pe.w_card
     return SessionReport(
-        n_qubits=n_qubits,
+        n_qubits=law.n,
         n_detected=n_detected,
         f_card=f_card,
         v_card=pe.v_card,
@@ -391,7 +410,7 @@ def finish(
         v_prime=pe.v_prime,
         w_prime=pe.w_prime,
         v_dprime=v_dprime,
-        w_dprime=w_dprime,
+        w_dprime=pe.k_rem - v_dprime,
         qber_x=pe.qber_x,
         qber_z=pe.qber_z,
         aborted=pe.aborted,
@@ -402,9 +421,75 @@ def finish(
         empirical_sift_rate=f_card / raw_bases if raw_bases else 0.0,
         matched_disagreement_rate=pe.n_disagree / n_compared if n_compared else 0.0,
         empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
-        classical_bits_per_qubit=announced / qubits_sent if qubits_sent else 0.0,
-        empirical_efficiency=efficiency(final_key, qubits_sent, announced),
+        classical_bits_per_qubit=announced / law.uses if law.uses else 0.0,
+        empirical_efficiency=efficiency(final_key, law.uses, announced),
         ledger=led,
         ledger_raw=led_raw,
         warnings=warnings,
     )
+
+
+def _account(
+    law: Law, bases: tuple[float, float], raw_bases: float, pe_bits: float,
+    k_rem: float, e: float | None,
+) -> tuple[int, SessionLedger, SessionLedger]:
+    """The certified key and both ledgers, of a session or of its expectation.
+
+    A remaining key of ``k_rem`` bits at error rate ``e`` certifies
+    int(k_rem * (xi - H(e) - f H(e))) bits, at least 0, unless it is empty
+    or ``e`` is missing (None) or 1/2 or more: then nothing is certified and
+    nothing reaches EC or PA.  The ledgers come from ``core.build_ledger``,
+    with the squeezed ``bases`` and with ``raw_bases`` bits each.
+    """
+    if k_rem == 0 or e is None or e >= 0.5:
+        k_rem = key = 0  # nothing certified: no EC, no PA
+        h = seed = 0.0
+    else:
+        h = binary_entropy(e)
+        key = max(0, int(k_rem * (XI - h - law.f * h)))
+        seed = 1.0
+    led, led_raw = (build_ledger(law.acks, b, pe_bits, k_rem, h, law.f, key, seed,
+                                 clamp=True)
+                    for b in (bases, (raw_bases, raw_bases)))
+    return key, led, led_raw
+
+
+class Prediction(NamedTuple):
+    """``predict``'s expected counts, named as in ``SessionReport``, its
+    ledgers and E (``empirical_efficiency``)."""
+
+    n_detected: float
+    v_card: float
+    w_card: float
+    v_prime: float
+    w_prime: float
+    v_dprime: float
+    w_dprime: float
+    final_key_bits: int
+    ledger: SessionLedger
+    ledger_raw: SessionLedger
+    efficiency: float
+
+
+def predict(law: Law) -> Prediction:
+    """The expected counts, both ledgers and E of a session of this law.
+
+    Each count the session draws is replaced by its mean: eta * n records,
+    whose events count with probability s, s p_x^2 of them as X matches and
+    s (1 - p_x)^2 as Z matches; each sampled basis gives up frac of its
+    matches, and the rest is keyed.  Each announcement costs its own
+    expected codeword length per k-bit block of the records
+    (``squeeze.expected_codeword_length`` at its P(0)), so the two have
+    their own sigma.  The key is certified at the error rate e and
+    accounted as ``finish`` does it.
+    """
+    records = law.n * law.eta
+    cards = [records * law.s * q * q for q in (law.p_x, 1.0 - law.p_x)]
+    primes = [0.0 if frac is None else frac * c for c, frac in zip(cards, law.fracs)]
+    keyed = [0.0 if frac is None else c - p for c, p, frac in zip(cards, primes, law.fracs)]
+    bases = tuple(records * squeeze.expected_codeword_length(law.k, p) / law.k
+                  for p in law.p0)
+    key, led, led_raw = _account(law, bases, records,
+                                 sum(primes) + (law.threshold is not None), sum(keyed), law.e)
+    return Prediction(records * law.s, *cards, *primes, *keyed, key, led, led_raw,
+                      efficiency(key, law.uses, led.total()))

@@ -257,9 +257,9 @@ def _packed(bits: BitsLike | PackedBits | OnePositions) -> tuple[np.ndarray, int
     data, n = bits
     check_count("bit sequence length", n)
     n = int(n)
-    if isinstance(data, (bytes, bytearray, memoryview)):
+    if isinstance(data, (bytes, bytearray)):
         data = np.frombuffer(data, np.uint8)
-    data = np.asarray(data)
+    data = np.asarray(data)  # a memoryview keeps its format and strides for the check
     if data.ndim != 1 or data.dtype != np.uint8:
         raise ParameterError("packed bits must be bytes or a one-dimensional uint8 array")
     if data.size != -(-n // 8):

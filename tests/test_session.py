@@ -14,6 +14,7 @@ from qkdeff.cli import main
 from qkdeff.core import ChannelParams, qber
 from qkdeff.errors import ParameterError, SimulationIntegrityError
 from qkdeff.proto_bb84 import SessionConfig, run_session
+from qkdeff.proto_bb84 import law as bb84_law
 from qkdeff.proto_tf import TfConfig, run_tf_session
 
 NO_SAMPLE = {
@@ -437,12 +438,12 @@ def pe_result(k_rem: int, **counts) -> session.PeResult:
                             k_rem=k_rem, **counts)
 
 
-def finish(pe: session.PeResult, raw_bases: int, **kw) -> session.SessionReport:
-    return session.finish(pe, **{
-        "n_qubits": raw_bases, "qubits_sent": raw_bases, "n_detected": raw_bases,
-        "reception_ack": 0, "bases": (raw_bases // 2,) * 2, "raw_bases": raw_bases,
-        "f": 1.0, **kw,
-    })
+def finish(pe: session.PeResult, raw_bases: int, **changes) -> session.SessionReport:
+    """``session.finish`` of a lossless unit-f session of ``raw_bases`` records,
+    whose announcements squeeze to half, with ``changes`` to its law."""
+    law = replace(bb84_law(SessionConfig(n_qubits=raw_bases, lossless=True)), **changes)
+    return session.finish(pe, law, n_detected=raw_bases, bases=(raw_bases // 2,) * 2,
+                          raw_bases=raw_bases)
 
 
 @pytest.mark.parametrize("z_count, refused", [(1, True), (2, False)])
@@ -487,7 +488,7 @@ def test_sift_rate_with_no_announced_basis_is_zero():
         0, qber_x=None, qber_z=None, aborted=False,
         v_card=0, w_card=0, v_prime=0, w_prime=0, n_disagree=0, announced_bits=1,
     )
-    rep = finish(pe, 0, n_qubits=40, qubits_sent=40, reception_ack=40, bases=(0, 0))
+    rep = finish(pe, 0, n=40, uses=40, acks=40)
     assert rep.f_card == 0
     assert type(rep.empirical_sift_rate) is float
     assert rep.empirical_sift_rate == 0.0

@@ -1182,6 +1182,36 @@ class TestInputDomains:
         with pytest.raises(ParameterError):
             as_bits(b"\x00\x02")
 
+    def test_strided_memoryview_payload_reads_as_its_bytes(self):
+        bits = (np.random.default_rng(13).random(1001) < 0.3).astype(np.uint8)
+        buf = np.zeros(2 * -(-bits.size // 8), np.uint8)
+        buf[::2] = np.packbits(bits)
+        cb = codebook(4)
+        for view, dense in ((memoryview(np.zeros(10, np.uint8))[::2], np.zeros(40, np.uint8)),
+                            (memoryview(buf)[::2], bits)):
+            packed = squeeze.PackedBits(view, dense.size)
+            assert bytes(pack_bits(packed)) == np.packbits(dense).tobytes()
+            out, stats = encode(packed, cb)
+            dense_out, dense_stats = encode(dense, cb)
+            assert out.tobytes() == dense_out.tobytes() and stats == dense_stats
+
+    def test_wide_memoryview_payload_is_refused(self):
+        # ten int32 words are 40 bytes, but not packed bytes
+        packed = squeeze.PackedBits(memoryview(np.zeros(10, np.int32)), 320)
+        for call in (lambda: encode(packed, codebook(2)), lambda: pack_bits(packed),
+                     lambda: write_container(packed, 2, 320)):
+            with pytest.raises(ParameterError, match="one-dimensional uint8"):
+                call()
+
+    @pytest.mark.parametrize("p_one", [0.0, 0.01, 0.5])
+    def test_pack_bits_output_reads_back_as_packed_bits(self, p_one):
+        bits = (np.random.default_rng(14).random(1003) < p_one).astype(np.uint8)
+        packed = squeeze.PackedBits(pack_bits(bits), bits.size)
+        assert bytes(pack_bits(packed)) == bytes(pack_bits(bits))
+        cb = codebook(3)
+        out, stats = encode(packed, cb)
+        assert decode(out, cb, stats.n_input_bits).tolist() == bits.tolist()
+
     def test_decode_positions_refuses_fractional_length(self):
         with pytest.raises(ParameterError, match="must be an integer"):
             squeeze.decode_positions("00", codebook(2), 3.5)
