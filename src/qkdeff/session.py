@@ -1,31 +1,32 @@
-"""Session stages shared by the BB84 and relay simulations.
+"""The session pipeline both simulations run: BB84 and the relay session.
 
-Each protocol draws its own events, with the exact samplers here and only
-where a report reads them, and counts its sifted subsets per basis; from
-there on both run the same stages: squeezed announcements read back and
-verified, estimation, certification and the report.  Rare events (the
-minority basis choices) stay sorted int64 positions from the sampler on,
-and the announcements are made from them.  ``estimate`` is the one
-estimation stage, and it reads only counts and the remaining key: matched
-records err i.i.d. with a known probability e and samples are picked
-independently of their errors, so each sample's error count is drawn as
-Binomial(size, e) (``sample_errors``), and the remaining key is fair bits
-for Alice and Bob's copy with i.i.d. Bernoulli(e) flips (``draw_keys``),
-kept packed eight bits to a byte from the draw to the report's hex.
-Success positions come from one sampler, ``success_chunks``: the values
-``rng.geometric`` draws (numpy's inversion, vectorised below p = 1/3),
-placed ``CHUNK`` gaps at a time.  ``rare_bits`` joins the chunks, and
-``draw_keys`` XORs each one into Bob's bytes and drops it, so it holds
-O(CHUNK) beyond the two keys, plus one span of at most 64 * 2^14 bools
-(1 MiB) through which ``squeeze.xor_ones`` packs a dense slice of flips.
 Each protocol states its law once, as a ``Law`` of its config: the
-probabilities its draws take, its sample shares and its ledger slots.  Its
-session draws that law, and ``predict`` takes its expectation.  Both certify
-and account through one rule, here once: a session with no error-rate sample
-in any basis, or with an estimate of 1/2 or more, certifies no key.  The
-ledgers and the efficiency come from ``core.build_ledger`` and
-``core.efficiency``, the functions the model uses, fed measured or expected
-counts.
+probabilities its draws take, what Alice announces, its sample shares, its
+abort rule and its ledger slots.  ``run(law, seed)`` runs every session.
+It draws the events, with the exact samplers here and only where a report
+reads them: the records and each party's rare-basis choices
+(``draw``), then the single clicks among the records counted per basis pair
+(``sift``, after the squeezed announcements are read back and verified);
+then it estimates (``estimate``) and reports (``finish``).  Rare events (the
+minority basis choices) stay sorted int64 positions from the sampler on,
+and the announcements are made from them.  ``estimate`` reads only counts
+and the remaining key: matched records err i.i.d. with a known probability
+e and samples are picked independently of their errors, so each sample's
+error count is drawn as Binomial(size, e) (``sample_errors``), and the
+remaining key is fair bits for Alice and Bob's copy with i.i.d.
+Bernoulli(e) flips (``draw_keys``), kept packed eight bits to a byte from
+the draw to the report's hex.  Success positions come from one sampler,
+``success_chunks``: the values ``rng.geometric`` draws (numpy's inversion,
+vectorised below p = 1/3), placed ``CHUNK`` gaps at a time.  ``rare_bits``
+joins the chunks, and ``draw_keys`` XORs each one into Bob's bytes and
+drops it, so it holds O(CHUNK) beyond the two keys, plus one span of at
+most 64 * 2^14 bools (1 MiB) through which ``squeeze.xor_ones`` packs a
+dense slice of flips.  ``predict`` takes the law's expectation.  Both
+protocols certify and account through one rule, here once: a session with
+no error-rate sample in any basis, or with an estimate of 1/2 or more,
+certifies no key.  The ledgers and the efficiency come from
+``core.build_ledger`` and ``core.efficiency``, the functions the model
+uses, fed measured or expected counts.
 """
 
 from __future__ import annotations
@@ -53,14 +54,18 @@ class Law:
 
     Each of ``n`` trials (qubits, or pulse pairs) gives a record with
     probability ``eta``, and the bases of every record are announced.  Each
-    party picks the X basis of a record with probability ``p_x``, and a
-    record's event counts with probability ``s``, whatever its bases.
-    Matched records err with probability ``e``.  ``p0`` holds P(0) of the
-    two announcements in ledger order (bob_bases, alice_match), squeezed at
-    degree ``k``.  ``fracs`` holds the sampled share of the X and Z matches
-    (None: neither sampled nor keyed), and ``threshold`` the abort threshold,
-    if any.  The ledger charges ``acks`` acknowledgment bits and ``uses``
-    quantum-channel uses, and error correction leaks ``f`` H(e) per key bit.
+    party picks the X basis of a record with probability ``p_x`` (never
+    1/2, so one basis is rare), and a record's event counts with
+    probability ``s``, whatever its bases.  Matched records err with
+    probability ``e``.  Bob announces his bases, and Alice her match bits
+    (1 = discard) with ``match_bits``, else her bases.  ``p0`` holds P(0)
+    of the two announcements in ledger order (bob_bases, alice_match),
+    squeezed at degree ``k``.  ``fracs`` holds the sampled share of the X
+    and Z matches (None: neither sampled nor keyed).  With a ``threshold``
+    the session aborts when both estimates exceed it, or either one with
+    ``abort_on_either``.  The ledger charges ``acks`` acknowledgment bits
+    and ``uses`` quantum-channel uses, and error correction leaks ``f``
+    H(e) per key bit.
     """
 
     n: int
@@ -68,10 +73,12 @@ class Law:
     s: float
     p_x: float
     e: float
+    match_bits: bool
     p0: tuple[float, float]
     k: int
     fracs: tuple[float | None, float | None]
     threshold: float | None
+    abort_on_either: bool
     acks: int
     uses: int
     f: float
@@ -156,6 +163,74 @@ def announce(ones: np.ndarray, n: int, k: int, what: str) -> int:
     if not (decoded.length == n and np.array_equal(decoded.positions, ones)):
         raise SimulationIntegrityError(f"{what} announcement decode mismatch")
     return stats.output_bits
+
+
+class Records(NamedTuple):
+    """A session's records as far as any stage reads them: their count ``n``
+    and the sorted int64 positions of Alice's and Bob's rare-basis choices
+    (every other record used the common basis).  Key bits are not kept per
+    record: ``estimate`` draws them at count level for the matched records."""
+
+    n: int
+    alice: np.ndarray
+    bob: np.ndarray
+
+
+def draw(law: Law, rng: np.random.Generator) -> Records:
+    """The records of one session and both parties' rare-basis choices.
+
+    Records are drawn for the detected trials only: Binomial(n, eta) of
+    them, a draw made only when eta < 1 (a certain draw would still move
+    the stream).  Records are i.i.d. and nothing reads an undetected one,
+    so this is the law of drawing all n and discarding.  Alice, then Bob,
+    picks the rare basis of each record, X when p_x < 1/2 and Z otherwise,
+    as the positions of those choices.  Mismatched records' outcomes are
+    discarded unread, and nothing else is drawn here.
+    """
+    n = int(rng.binomial(law.n, law.eta)) if law.eta < 1.0 else law.n
+    p = min(law.p_x, 1.0 - law.p_x)
+    return Records(n, rare_bits(rng, n, p), rare_bits(rng, n, p))
+
+
+def sift(records: Records, law: Law) -> tuple[tuple[int, int], tuple[int, int, int]]:
+    """The announcement round, and the records counted per basis pair.
+
+    Bob's bases and Alice's announcement (match bits, the symmetric
+    difference of the two position sets, or her bases) are squeezed at
+    degree k, read back and verified (``announce``).  Returns their
+    squeezed sizes in ledger order (bob_bases, alice_match) and the counts
+    of X matches, Z matches and mismatches: the both-rare matches are the
+    positions' intersection, the both-common ones every record outside
+    their union.
+    """
+    n, alice, bob = records
+    if law.match_bits:  # 1 = discard
+        shown, what = np.setxor1d(alice, bob, assume_unique=True), "alice match"
+    else:
+        shown, what = alice, "alice basis"
+    bases = announce(bob, n, law.k, "bob basis"), announce(shown, n, law.k, what)
+    rare = np.intersect1d(alice, bob, assume_unique=True).size
+    common = n - alice.size - bob.size + rare
+    matches = (rare, common) if law.p_x < 0.5 else (common, rare)
+    return bases, (*matches, n - rare - common)
+
+
+def run(law: Law, seed: int) -> SessionReport:
+    """One session of ``law``, its stage generators split from ``seed``.
+
+    The events generator draws the records (``draw``), and then, among the
+    X matches, Z matches and mismatches that ``sift`` counts, the records
+    whose event counts: Binomial(count, s) each, in that order, drawn only
+    when s < 1.  The estimation generator draws the samples and the
+    remaining key (``estimate``), and ``finish`` certifies and reports.
+    """
+    rng_events, rng_pe = stage_rngs(seed)
+    records = draw(law, rng_events)
+    bases, counts = sift(records, law)
+    if law.s < 1.0:
+        counts = tuple(int(rng_events.binomial(count, law.s)) for count in counts)
+    pe = estimate(rng_pe, law.e, counts[:2], law.fracs, law.threshold, law.abort_on_either)
+    return finish(pe, law, n_detected=sum(counts), bases=bases, raw_bases=records.n)
 
 
 def sample_errors(

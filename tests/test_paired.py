@@ -48,11 +48,14 @@ def test_summary_counts_wins_in_the_better_direction():
         change_rate=[110.0, 100.0, 112.0, 111.0, 109.0])
     s = paired.summarize(pairs, METRICS)
     ops, rate = s["op_s.p50"], s["units_per_s"]
-    assert (ops["wins"], ops["pairs"], rate["wins"]) == (3, 5, 4)
+    assert (ops["wins"], ops["losses"], ops["pairs"]) == (3, 1, 5)
+    assert (rate["wins"], rate["losses"]) == (4, 1)
     assert ops["parent_median"] == pytest.approx(0.044)
     assert ops["change_median"] == pytest.approx(0.041)
     assert ops["parent_iqr"] == pytest.approx(0.045 - 0.044)
-    assert ops["resolved"] and rate["resolved"]
+    # both medians move past the parent's IQR, but 3 and 4 wins of 5 fall
+    # short of 9 in 10 pairs
+    assert not ops["resolved"] and not rate["resolved"]
     assert ops["relative"] == pytest.approx(0.041 / 0.044 - 1)
     assert json.loads(json.dumps(s)) == s  # plain values only
 
@@ -63,6 +66,30 @@ def test_medians_within_the_parent_iqr_are_not_resolved():
     s = paired.summarize(pairs, METRICS)
     assert s["op_s.p50"]["wins"] == 3 and not s["op_s.p50"]["resolved"]
     assert s["units_per_s"]["wins"] == 0 and not s["units_per_s"]["resolved"]
+
+
+def test_a_median_gap_won_in_2_of_10_pairs_is_not_resolved():
+    # two trees within noise: the change's median sits past the parent's IQR
+    # (+0.66%), yet the change wins 2 pairs and loses 8, short of 9 in 10
+    parent = [0.0300, 0.0301, 0.0299, 0.0300, 0.0302, 0.0300, 0.0301, 0.0299, 0.0300, 0.0300]
+    change = [0.0302, 0.0303, 0.0298, 0.0302, 0.0301, 0.0302, 0.0303, 0.0301, 0.0302, 0.0302]
+    s = paired.summarize(fixture_pairs(parent, change, [1.0] * 10, [1.0] * 10), METRICS)
+    ops = s["op_s.p50"]
+    assert (ops["wins"], ops["losses"], ops["pairs"]) == (2, 8, 10)
+    assert abs(ops["change_median"] - ops["parent_median"]) > ops["parent_iqr"]
+    assert not ops["resolved"]
+
+
+@pytest.mark.parametrize("shift, resolved", [(-0.002, True), (0.002, True), (0.0, False)])
+def test_a_median_gap_won_or_lost_in_every_pair_is_resolved(shift, resolved):
+    # the change faster (or slower) in 10 of 10 pairs, past the parent's IQR
+    parent = [0.0300, 0.0301, 0.0299, 0.0300, 0.0302, 0.0300, 0.0301, 0.0299, 0.0300, 0.0300]
+    change = [a + shift for a in parent]
+    ops = paired.summarize(fixture_pairs(parent, change, [1.0] * 10, [1.0] * 10),
+                           METRICS)["op_s.p50"]
+    assert (ops["wins"], ops["losses"]) == ((10, 0) if shift < 0 else
+                                            (0, 10) if shift > 0 else (0, 0))
+    assert ops["resolved"] == resolved
 
 
 def test_summary_skips_a_metric_a_run_lacks():

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from qkdeff import session, squeeze
+from qkdeff import proto_bb84, session, squeeze
 from qkdeff.core import (
     ChannelParams,
     ProtocolParams,
@@ -17,17 +17,10 @@ from qkdeff.core import (
     transmittance,
 )
 from qkdeff.errors import ParameterError, SimulationIntegrityError
-from qkdeff.proto_bb84 import (
-    QubitRecords,
-    SessionConfig,
-    SiftResult,
-    parameter_estimation,
-    prepare_and_measure,
-    run_session,
-    sift,
-)
+from qkdeff.proto_bb84 import SessionConfig, law, run_session
 from qkdeff.proto_tf import TfConfig, run_tf_session
-from qkdeff.session import PeResult, stage_rngs
+from qkdeff.proto_tf import law as tf_law
+from qkdeff.session import PeResult, Records, draw, estimate, sift, stage_rngs
 
 FIG2 = ChannelParams(alpha=0.2, length_km=0.0, eta_det=0.3,
                      p_dark=1e-8, e_opt=0.03, e0=0.5, f=1.0)
@@ -51,30 +44,49 @@ def corrupted(ones: squeeze.OnePositions, flipped: tuple) -> squeeze.OnePosition
     return squeeze.OnePositions(np.flatnonzero(bits), ones.length + (not flipped))
 
 
-def dense_bases(rec: QubitRecords) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's basis bit of every record (1 = X) as uint8 arrays."""
-    b, b_prime = np.zeros(len(rec), np.uint8), np.zeros(len(rec), np.uint8)
-    b[rec.b], b_prime[rec.b_prime] = 1, 1
+def dense_bases(rec: Records) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's basis bit of every record (1 = the rare basis) as uint8 arrays."""
+    b, b_prime = np.zeros(rec.n, np.uint8), np.zeros(rec.n, np.uint8)
+    b[rec.alice], b_prime[rec.bob] = 1, 1
     return b, b_prime
 
 
-def n_sifted(res: SiftResult) -> int:
-    return res.v_card + res.w_card
+def records(cfg: SessionConfig) -> Records:
+    """The records ``session.draw`` draws for the law of ``cfg``."""
+    return draw(law(cfg), stage_rngs(cfg.rng_seed)[0])
+
+
+def parameter_estimation(counts, cfg: SessionConfig, rng) -> PeResult:
+    """``session.estimate`` of the X and Z matches in ``counts``, as
+    ``session.run`` calls it for the law of ``cfg``."""
+    pl = law(cfg)
+    return estimate(rng, pl.e, counts[:2], pl.fracs, pl.threshold, pl.abort_on_either)
+
+
+def n_sifted(counts) -> int:
+    return counts[0] + counts[1]
+
+
+def test_stage_names_are_the_shared_stages():
+    # the benchmark's spans look these names up in proto_bb84
+    assert proto_bb84.prepare_and_measure is session.draw
+    assert proto_bb84.sift is session.sift
+    assert proto_bb84.parameter_estimation is session.estimate
 
 
 class TestPrepareAndMeasure:
     def test_fully_biased_noiseless_limit(self):
         cfg = SessionConfig(n_qubits=20_000, p_b=1 - 1e-12, channel=NOISELESS,
                             lossless=True, rng_seed=1)
-        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
-        assert np.array_equal(rec.b, rec.b_prime)
-        assert rec.b.dtype == rec.b_prime.dtype == np.int64
+        rec = records(cfg)
+        assert np.array_equal(rec.alice, rec.bob)
+        assert rec.alice.dtype == rec.bob.dtype == np.int64
 
     def test_basis_match_rate_concentrates(self):
         n, p_b = 100_000, 0.99
         cfg = SessionConfig(n_qubits=n, p_b=p_b, channel=NOISELESS,
                             lossless=True, rng_seed=2)
-        b, b_prime = dense_bases(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]))
+        b, b_prime = dense_bases(records(cfg))
         match = float(np.mean(b == b_prime))
         expect = p_b**2 + (1 - p_b) ** 2
         assert abs(match - expect) < three_sigma(expect, n)
@@ -86,23 +98,23 @@ class TestPrepareAndMeasure:
         cfg = SessionConfig(n_qubits=200_000, p_b=0.9, channel=ch,
                             lossless=True, rng_seed=3)
         rng_prep, rng_pe = stage_rngs(cfg.rng_seed)
-        sifted = sift(prepare_and_measure(cfg, rng_prep), cfg)
-        pe = parameter_estimation(sifted, cfg, rng_pe)
+        _, counts = sift(draw(law(cfg), rng_prep), law(cfg))
+        pe = parameter_estimation(counts, cfg, rng_pe)
         matched = pe.v_card + pe.w_card
         assert pe.v_prime + pe.w_prime + pe.k_rem == matched
         assert abs(pe.n_disagree / matched - 0.03) < three_sigma(0.03, matched)
 
     def test_lossy_detection_rate(self):
         cfg = SessionConfig(n_qubits=200_000, p_b=0.9, channel=FIG2, rng_seed=4)
-        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
-        det = len(rec) / cfg.n_qubits  # records exist for detected qubits only
+        det = records(cfg).n / cfg.n_qubits  # records exist for detected qubits only
         assert abs(det - 0.3) < three_sigma(0.3, 200_000)
 
     def test_record_view(self):
         cfg = SessionConfig(n_qubits=10, p_b=0.9, channel=NOISELESS,
                             lossless=True, rng_seed=5)
-        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
-        assert len(rec) == 10
+        rec = records(cfg)
+        assert rec.n == 10
+        assert rec == (rec.n, rec.alice, rec.bob)
 
 
 class TestSift:
@@ -110,29 +122,27 @@ class TestSift:
         n, k = 50_000, 8
         cfg = SessionConfig(n_qubits=n, p_b=1 - 1e-12, degree_k=k,
                             channel=NOISELESS, lossless=True, rng_seed=6)
-        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
-        res = sift(rec, cfg)
-        assert n_sifted(res) == n
+        (_, alice_bits), counts = sift(records(cfg), law(cfg))
+        assert n_sifted(counts) == n
         # all-dominant d-sequence compresses to exactly one bit per block
-        assert res.alice_bits_compressed == -(-n // k)
+        assert alice_bits == -(-n // k)
 
     def test_retained_count_matches_cardinality_formula(self):
         n, p_b = 200_000, 0.95
         cfg = SessionConfig(n_qubits=n, p_b=p_b, channel=NOISELESS,
                             lossless=True, rng_seed=7)
-        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
+        _, counts = sift(records(cfg), law(cfg))
         expect = p_b**2 + (1 - p_b) ** 2
-        assert abs(n_sifted(res) / n - expect) < three_sigma(expect, n)
+        assert abs(n_sifted(counts) / n - expect) < three_sigma(expect, n)
 
     def test_adversarial_never_matching_bases(self):
         cfg = SessionConfig(n_qubits=4096, p_b=0.9, channel=NOISELESS,
                             lossless=True, rng_seed=8)
-        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
-        every_other = np.setdiff1d(np.arange(len(rec)), rec.b)  # Bob never matches
-        rec = QubitRecords(n=len(rec), b=rec.b, b_prime=every_other)
-        res = sift(rec, cfg)
-        assert res.v_card == res.w_card == 0
-        pe = parameter_estimation(res, cfg, stage_rngs(cfg.rng_seed)[1])
+        rec = records(cfg)
+        every_other = np.setdiff1d(np.arange(rec.n), rec.alice)  # Bob never matches
+        _, counts = sift(rec._replace(bob=every_other), law(cfg))
+        assert counts == (0, 0, rec.n)
+        pe = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
         assert pe.k_rem == pe.alice_remaining_packed.size == pe.bob_remaining_packed.size == 0
 
     @pytest.mark.parametrize("lossless, length_km", [(True, 0.0), (False, 50.0)])
@@ -140,11 +150,12 @@ class TestSift:
         ch = ChannelParams(length_km=length_km, e_opt=0.05)
         cfg = SessionConfig(n_qubits=200_000 if lossless else 2_000_000, p_b=0.8,
                             channel=ch, lossless=lossless, rng_seed=18)
-        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
-        res = sift(rec, cfg)
+        rec = records(cfg)
+        _, (v_card, w_card, mismatched) = sift(rec, law(cfg))
         b, b_prime = dense_bases(rec)
-        assert res.v_card == np.count_nonzero((b == 1) & (b_prime == 1)) > 0
-        assert res.w_card == np.count_nonzero((b == 0) & (b_prime == 0)) > 0
+        assert v_card == np.count_nonzero((b == 1) & (b_prime == 1)) > 0
+        assert w_card == np.count_nonzero((b == 0) & (b_prime == 0)) > 0
+        assert mismatched == np.count_nonzero(b != b_prime)
 
     @pytest.mark.parametrize("b, b_prime, v_card, w_card", [
         ([], [], 0, 7),                 # all Z
@@ -153,38 +164,47 @@ class TestSift:
         ([0, 2, 4, 6], [1, 2, 6], 2, 2),
     ])
     def test_split_counts_of_hand_built_bases(self, b, b_prime, v_card, w_card):
-        cfg = SessionConfig(n_qubits=7, p_b=0.9, degree_k=2)
-        rec = QubitRecords(n=7, b=np.array(b, np.int64),
-                           b_prime=np.array(b_prime, np.int64))
-        res = sift(rec, cfg)
-        assert (res.v_card, res.w_card) == (v_card, w_card)
+        # the positions are the rare choices: X in BB84, where Alice announces
+        # match bits, and Z in the relay session, where she announces her
+        # bases; so the relay's counts are the same table with X and Z swapped
+        rec = Records(7, np.array(b, np.int64), np.array(b_prime, np.int64))
+        alice, bob = dense_bases(rec)
+        for pl, counts, announced in (
+            (law(SessionConfig(n_qubits=7, p_b=0.9, degree_k=2)),
+             (v_card, w_card), alice ^ bob),
+            (tf_law(TfConfig(n_pulses=7, p_x=0.9, degree_k=2)),
+             (w_card, v_card), alice),
+        ):
+            bases, got = sift(rec, pl)
+            assert got == (*counts, 7 - v_card - w_card)
+            assert bases == tuple(squeeze.squeeze_bits(bits, 2)[1].output_bits
+                                  for bits in (bob, announced))
 
     def test_lossy_mode_announces_detected_only(self):
         cfg = SessionConfig(n_qubits=100_000, p_b=0.999, channel=FIG2, rng_seed=9)
-        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
-        res = sift(rec, cfg)
-        assert len(rec) < cfg.n_qubits
-        assert 0 < n_sifted(res) <= len(rec)
+        rec = records(cfg)
+        _, counts = sift(rec, law(cfg))
+        assert rec.n < cfg.n_qubits
+        assert 0 < n_sifted(counts) <= rec.n
 
     def test_decode_mismatch_is_fatal(self, monkeypatch):
         cfg = SessionConfig(n_qubits=1024, p_b=0.9, channel=NOISELESS,
                             lossless=True, rng_seed=10)
-        rec = prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0])
+        rec = records(cfg)
         real_decode = squeeze.decode_positions
         for flipped in CORRUPTIONS:
             def corrupt(stream, cb, true_length, flipped=flipped):
                 return corrupted(real_decode(stream, cb, true_length), flipped)
 
-            monkeypatch.setattr("qkdeff.proto_bb84.squeeze.decode_positions", corrupt)
+            monkeypatch.setattr(squeeze, "decode_positions", corrupt)
             with pytest.raises(SimulationIntegrityError, match="decode mismatch"):
-                sift(rec, cfg)
+                sift(rec, law(cfg))
 
     def test_compression_benefit(self):
         cfg = SessionConfig(n_qubits=100_000, p_b=0.99, degree_k=4,
                             channel=NOISELESS, lossless=True, rng_seed=11)
-        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
-        compressed = res.bob_bits_compressed + res.alice_bits_compressed
-        assert compressed < 0.55 * 2 * cfg.n_qubits
+        bases, _ = sift(records(cfg), law(cfg))
+        assert sum(bases) < 0.55 * 2 * cfg.n_qubits
 
 
 class ScriptedErrors:
@@ -206,8 +226,8 @@ class TestParameterEstimation:
     def test_noiseless_rates_are_zero(self):
         cfg = SessionConfig(n_qubits=50_000, p_b=0.7, channel=NOISELESS,
                             lossless=True, rng_seed=12)
-        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
-        pe = parameter_estimation(res, cfg, stage_rngs(cfg.rng_seed)[1])
+        _, counts = sift(records(cfg), law(cfg))
+        pe = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
         assert pe.qber_x == 0.0 and pe.qber_z == 0.0
         assert not pe.aborted
 
@@ -216,34 +236,33 @@ class TestParameterEstimation:
         cfg = SessionConfig(n_qubits=400_000, p_b=0.7, epsilon_frac=0.2,
                             lambda_frac=0.2, channel=ch, lossless=True,
                             rng_seed=13)
-        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
-        pe = parameter_estimation(res, cfg, stage_rngs(cfg.rng_seed)[1])
+        _, counts = sift(records(cfg), law(cfg))
+        pe = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
         assert abs(pe.qber_x - 0.03) < three_sigma(0.03, pe.v_prime)
         assert abs(pe.qber_z - 0.03) < three_sigma(0.03, pe.w_prime)
 
     def test_abort_requires_both_rates_over_threshold(self):
         n = 10_000
-        sifted = SiftResult(v_card=n // 2, w_card=n // 2, bob_bits_compressed=0,
-                            alice_bits_compressed=0)
+        counts = (n // 2, n // 2)
         cfg = SessionConfig(n_qubits=n, p_b=0.7, qber_threshold=0.11,
                             channel=NOISELESS, lossless=True)
         cfg_or = replace(cfg, abort_on_either=True)
         # disagreements everywhere: both rates 1.0 -> abort under the AND rule
-        pe = parameter_estimation(sifted, cfg, ScriptedErrors(50, 50))
+        pe = parameter_estimation(counts, cfg, ScriptedErrors(50, 50))
         assert pe.qber_x == pe.qber_z == 1.0
         assert pe.aborted
 
         # X clean, Z broken: AND rule proceeds, OR rule aborts
-        pe = parameter_estimation(sifted, cfg, ScriptedErrors(0, 50))
+        pe = parameter_estimation(counts, cfg, ScriptedErrors(0, 50))
         assert pe.qber_x == 0.0 and pe.qber_z == 1.0
         assert not pe.aborted
-        assert parameter_estimation(sifted, cfg_or, ScriptedErrors(0, 50)).aborted
+        assert parameter_estimation(counts, cfg_or, ScriptedErrors(0, 50)).aborted
 
     def test_empty_sample_reported(self):
         cfg = SessionConfig(n_qubits=20_000, p_b=0.999, channel=NOISELESS,
                             lossless=True, rng_seed=15)
-        res = sift(prepare_and_measure(cfg, stage_rngs(cfg.rng_seed)[0]), cfg)
-        pe = parameter_estimation(res, cfg, stage_rngs(cfg.rng_seed)[1])
+        _, counts = sift(records(cfg), law(cfg))
+        pe = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
         assert pe.qber_x is None  # both-X subset ~ (1-p_b)^2 N rounds to zero
         assert any("x-basis" in w for w in pe.warnings)
         assert pe.qber_z is not None
@@ -251,8 +270,8 @@ class TestParameterEstimation:
 
 def reference_parameter_estimation(rec, cfg, rng):
     """Estimation written out from the dense bases of every record: the
-    oracle for ``parameter_estimation`` fed the counts ``sift`` takes from
-    the verified announcements."""
+    oracle for ``session.estimate`` fed the counts ``session.sift`` takes
+    from the verified announcements."""
     b, b_prime = dense_bases(rec)
     v_card = int(np.count_nonzero((b == 1) & (b_prime == 1)))
     w_card = int(np.count_nonzero((b == 0) & (b_prime == 0)))
@@ -302,8 +321,8 @@ class TestParameterEstimationMatchesReference:
                 abort_on_either=abort_on_either, rng_seed=seed,
             )
             rng_prep, rng_pe = stage_rngs(seed)
-            rec = prepare_and_measure(cfg, rng_prep)
-            pe = parameter_estimation(sift(rec, cfg), cfg, rng_pe)
+            rec = draw(law(cfg), rng_prep)
+            pe = parameter_estimation(sift(rec, law(cfg))[1], cfg, rng_pe)
             _, ref_rng = stage_rngs(seed)
             ref = reference_parameter_estimation(rec, cfg, ref_rng)
             for f in fields(PeResult):
@@ -430,6 +449,20 @@ class TestRunSession:
         assert rep.warnings == none.warnings
         assert rep.ledger == none.ledger._replace(reception_ack=0)
         assert rep.ledger.pe_sacrifice == 1  # Bob's proceed/terminate bit
+
+    def test_lossy_session_at_unit_transmittance_draws_the_lossless_one(self):
+        # eta~ = 1 makes the detected count certain, so no Binomial is drawn
+        # and only the N acknowledgments tell the two reports apart
+        ch = ChannelParams(eta_det=1.0, length_km=0.0)
+        assert transmittance(ch) == 1.0
+        cfg = SessionConfig(n_qubits=60_000, channel=ch, rng_seed=3)
+        lossy, lossless = (run_session(replace(cfg, lossless=mode)).as_dict()
+                           for mode in (False, True))
+        assert lossy["final_key_bits"] > 0
+        assert lossy["ledger.reception_ack"] == lossy["ledger_raw.reception_ack"] == 60_000
+        assert {name for name in lossy if lossy[name] != lossless[name]} == {
+            "ledger.reception_ack", "ledger_raw.reception_ack",
+            "classical_bits_per_qubit", "empirical_efficiency"}
 
     def test_lossy_session_with_no_detection(self):
         ch = replace(FIG2, length_km=400.0)

@@ -12,9 +12,9 @@ as they are.  Each pair runs ``perfbench/run.py --workload W --seed S
 that runs first alternating from pair to pair, and reads the last line each
 run prints: one JSON object holding the end-to-end metrics that
 ``BENCHMARK.json`` names.  The output file holds every pair's metrics and,
-per workload and metric, the pairs the change wins, both medians, the
-parent's interquartile range and whether the medians differ by more than
-it, beside the environment the runs saw.
+per workload and metric, the pairs the change wins and loses, both medians,
+the parent's interquartile range and whether the difference is resolved,
+beside the environment the runs saw.
 """
 
 from __future__ import annotations
@@ -48,13 +48,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: the change's wins, both medians and the parent's IQR.
+    """Per metric: the change's wins and losses, both medians and the parent's IQR.
 
     ``pairs`` holds one ``{"parent": {name: value}, "change": {name: value}}``
     per pair, and ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json``
     (``name`` and ``better``).  A pair is won when the change is strictly
-    better; ``resolved`` is whether the medians differ by more than the
-    parent's IQR.
+    better, lost when it is strictly worse.  ``resolved`` holds when the
+    medians differ by more than the parent's IQR and the change wins, for a
+    better median, or loses, for a worse one, at least 9 of every 10 pairs:
+    a median gap alone moves with the spread between processes.
     """
     out = {}
     for spec in metrics:
@@ -64,16 +66,20 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         wins = sum(c < a if lower else c > a for a, c in zip(parent, change))
+        losses = sum(c > a if lower else c < a for a, c in zip(parent, change))
         q1, parent_median, q3 = quartiles(parent)
         change_median = quartiles(change)[1]
+        better = change_median < parent_median if lower else change_median > parent_median
         out[name] = {
             "better": spec["better"],
             "wins": wins,
+            "losses": losses,
             "pairs": len(pairs),
             "parent_median": parent_median,
             "change_median": change_median,
             "parent_iqr": q3 - q1,
-            "resolved": abs(change_median - parent_median) > q3 - q1,
+            "resolved": (abs(change_median - parent_median) > q3 - q1
+                         and 10 * (wins if better else losses) >= 9 * len(pairs)),
             "relative": change_median / parent_median - 1 if parent_median else None,
         }
     return out
@@ -162,7 +168,8 @@ def main(argv=None) -> int:
         for name, s in res["summary"].items():
             print(f"{workload} {name}: parent {s['parent_median']:.5g} "
                   f"(IQR {s['parent_iqr']:.3g}) change {s['change_median']:.5g} "
-                  f"wins {s['wins']}/{s['pairs']} resolved={s['resolved']}")
+                  f"wins {s['wins']}/{s['pairs']} losses {s['losses']} "
+                  f"resolved={s['resolved']}")
     return 0
 
 
