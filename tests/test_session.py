@@ -2,6 +2,7 @@
 identity and law of both sessions, and golden digests."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -618,3 +619,44 @@ def test_golden_report_digest(name, tmp_path):
     out = tmp_path / "report.json"
     assert main(argv + ["--format", "json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# small fixed-seed sessions of both protocols whose reports, hashed together,
+# pin every report value: BB84 at N = 0, 7 and 4000, lossless and lossy, on
+# a clean and an aborting channel, with a balanced and a strong bias, under
+# both abort rules; the relay at N = 0 and 2000, with wrong-port and dark
+# clicks (s < 1) and without (s = 1)
+REPORT_GRID = [
+    SessionConfig(n_qubits=n, lossless=lossless, channel=ChannelParams(e_opt=e_opt),
+                  p_b=p_b, epsilon_frac=0.1, lambda_frac=0.05,
+                  abort_on_either=either, rng_seed=seed)
+    for n in (0, 7, 4000) for lossless in (True, False) for e_opt in (0.01, 0.3)
+    for p_b in (0.6, 0.999) for either in (False, True) for seed in (1, 2)
+] + [
+    TfConfig(n_pulses=n, p_x=p_x, p_click_match=match, p_click_conflict=conflict,
+             p_dark_relay=dark, pe_frac=0.01, degree_k=4, rng_seed=seed)
+    for n in (0, 2000) for p_x in (0.6, 0.99) for match in (0.6, 1.0)
+    for conflict in (0.0, 0.4) for dark in (0.0, 0.01) for seed in (1, 2)
+]
+REPORT_GRID_DIGEST = "43b9258a33fce7ce2703e62f844afebdc60ed97b732097332f2cb5d6bf9a688a"
+
+
+def test_report_grid_digest():
+    digest, seen = hashlib.sha256(), set()
+    for cfg in REPORT_GRID:
+        rep = run_seed(cfg, cfg.rng_seed)
+        digest.update(json.dumps(rep.as_dict()).encode())
+        estimates = [r for r in (rep.qber_x, rep.qber_z) if r is not None]
+        seen.update(name for name, hit in [
+            ("abort-and", rep.aborted and not getattr(cfg, "abort_on_either", True)),
+            ("abort-or", rep.aborted and getattr(cfg, "abort_on_either", False)),
+            ("empty-x", rep.qber_x is None and rep.n_detected > 0),
+            ("no-estimate", session.NO_ESTIMATE in rep.warnings),
+            ("half", any(r >= 0.5 for r in estimates) and not rep.aborted),
+            ("n=0", rep.n_qubits == 0),
+            ("s<1", isinstance(cfg, TfConfig) and 0 < rep.n_detected < rep.n_qubits),
+            ("key", rep.final_key_bits > 0),
+        ] if hit)
+    assert seen == {"abort-and", "abort-or", "empty-x", "no-estimate", "half", "n=0",
+                    "s<1", "key"}
+    assert digest.hexdigest() == REPORT_GRID_DIGEST
