@@ -81,8 +81,7 @@ def law(cfg: SessionConfig) -> Law:
     n, p = int(cfg.n_qubits), cfg.p_b
     return Law(
         n=n, eta=1.0 if cfg.lossless else transmittance(cfg.channel), s=1.0,
-        p_x=1.0 - p, e=qber(cfg.channel), match_bits=True,
-        p0=(p, p * p + (1.0 - p) ** 2), k=cfg.degree_k,
+        p_x=1.0 - p, e=qber(cfg.channel), match_bits=True, k=cfg.degree_k,
         fracs=(cfg.epsilon_frac, cfg.lambda_frac), threshold=cfg.qber_threshold,
         abort_on_either=cfg.abort_on_either, acks=0 if cfg.lossless else n, uses=n,
         f=cfg.channel.f,

@@ -81,8 +81,8 @@ def law(cfg: TfConfig) -> Law:
     s = a * (1.0 - b) + b * (1.0 - a)
     return Law(
         n=n, eta=1.0, s=s, p_x=cfg.p_x, e=b * (1.0 - a) / s if s else 0.0,
-        match_bits=False, p0=(cfg.p_x, cfg.p_x), k=cfg.degree_k,
-        fracs=(cfg.pe_frac, None), threshold=None, abort_on_either=False,
+        match_bits=False, k=cfg.degree_k, fracs=(cfg.pe_frac, None), threshold=None,
+        abort_on_either=False,
         acks=2 * n, uses=2 * n, f=cfg.f_ec,
     )
 

@@ -7,24 +7,24 @@ It draws the events, with the exact samplers here and only where a report
 reads them: the records and each party's rare-basis choices
 (``draw``), then the single clicks among the records counted per basis pair
 (``sift``, after the squeezed announcements are read back and verified);
-then it estimates (``estimate``) and reports (``finish``).  Rare events (the
-minority basis choices) stay sorted int64 positions from the sampler on,
-and the announcements are made from them.  ``estimate`` reads only counts
-and the remaining key: matched records err i.i.d. with a known probability
-e and samples are picked independently of their errors, so each sample's
-error count is drawn as Binomial(size, e) (``sample_errors``), and the
-remaining key is fair bits for Alice and Bob's copy with i.i.d.
-Bernoulli(e) flips (``draw_keys``), kept packed eight bits to a byte from
-the draw to the report's hex.  Success positions come from one sampler,
-``success_chunks``: the values ``rng.geometric`` draws (numpy's inversion,
-vectorised below p = 1/3), placed ``CHUNK`` gaps at a time.  ``rare_bits``
-joins the chunks, and ``draw_keys`` XORs each one into Bob's bytes and
-drops it, so it holds O(CHUNK) beyond the two keys, plus one span of at
-most 64 * 2^14 bools (1 MiB) through which ``squeeze.xor_ones`` packs a
-dense slice of flips.  ``predict`` takes the law's expectation.  Both
-protocols certify and account through one rule, here once: a session with
-no error-rate sample in any basis, or with an estimate of 1/2 or more,
-certifies no key.  The ledgers and the efficiency come from
+then one stage, ``estimate``, samples, keys, decides the abort, certifies
+and reports.  Rare events (the minority basis choices) stay sorted int64
+positions from the sampler on, and the announcements are made from them.
+``estimate`` reads only counts and draws the rest: matched records err
+i.i.d. with a known probability e and samples are picked independently of
+their errors, so each sample's error count is drawn as Binomial(size, e)
+(``sample_errors``), and the remaining key is fair bits for Alice and
+Bob's copy with i.i.d. Bernoulli(e) flips (``draw_keys``), kept packed
+eight bits to a byte from the draw to the report's hex.  Success positions
+come from one sampler, ``success_chunks``: the values ``rng.geometric``
+draws (numpy's inversion, vectorised below p = 1/3), placed ``CHUNK`` gaps
+at a time.  ``rare_bits`` joins the chunks, and ``draw_keys`` XORs each one
+into Bob's bytes and drops it, so it holds O(CHUNK) beyond the two keys,
+plus one span of at most 64 * 2^14 bools (1 MiB) through which
+``squeeze.xor_ones`` packs a dense slice of flips.  ``predict`` takes the
+law's expectation.  Both protocols certify and account through one rule,
+here once: a session with no error-rate sample in any basis, or with an
+estimate of 1/2 or more, certifies no key.  The ledgers and the efficiency come from
 ``core.build_ledger`` and ``core.efficiency``, the functions the model
 uses, fed measured or expected counts.
 """
@@ -58,11 +58,10 @@ class Law:
     1/2, so one basis is rare), and a record's event counts with
     probability ``s``, whatever its bases.  Matched records err with
     probability ``e``.  Bob announces his bases, and Alice her match bits
-    (1 = discard) with ``match_bits``, else her bases.  ``p0`` holds P(0)
-    of the two announcements in ledger order (bob_bases, alice_match),
-    squeezed at degree ``k``.  ``fracs`` holds the sampled share of the X
-    and Z matches (None: neither sampled nor keyed).  With a ``threshold``
-    the session aborts when both estimates exceed it, or either one with
+    (1 = discard) with ``match_bits``, else her bases, both squeezed at
+    degree ``k``.  ``fracs`` holds the sampled share of the X and Z matches
+    (None: neither sampled nor keyed).  With a ``threshold`` the session
+    aborts when both estimates exceed it, or either one with
     ``abort_on_either``.  The ledger charges ``acks`` acknowledgment bits
     and ``uses`` quantum-channel uses, and error correction leaks ``f``
     H(e) per key bit.
@@ -74,7 +73,6 @@ class Law:
     p_x: float
     e: float
     match_bits: bool
-    p0: tuple[float, float]
     k: int
     fracs: tuple[float | None, float | None]
     threshold: float | None
@@ -200,8 +198,8 @@ def sift(records: Records, law: Law) -> tuple[tuple[int, int], tuple[int, int, i
     degree k, read back and verified (``announce``).  Returns their
     squeezed sizes in ledger order (bob_bases, alice_match) and the counts
     of X matches, Z matches and mismatches: the both-rare matches are the
-    positions' intersection, the both-common ones every record outside
-    their union.
+    positions' intersection, read off the symmetric difference when Alice
+    announced it, the both-common ones every record outside their union.
     """
     n, alice, bob = records
     if law.match_bits:  # 1 = discard
@@ -209,7 +207,8 @@ def sift(records: Records, law: Law) -> tuple[tuple[int, int], tuple[int, int, i
     else:
         shown, what = alice, "alice basis"
     bases = announce(bob, n, law.k, "bob basis"), announce(shown, n, law.k, what)
-    rare = np.intersect1d(alice, bob, assume_unique=True).size
+    rare = ((alice.size + bob.size - shown.size) // 2 if law.match_bits
+            else np.intersect1d(alice, bob, assume_unique=True).size)
     common = n - alice.size - bob.size + rare
     matches = (rare, common) if law.p_x < 0.5 else (common, rare)
     return bases, (*matches, n - rare - common)
@@ -221,16 +220,15 @@ def run(law: Law, seed: int) -> SessionReport:
     The events generator draws the records (``draw``), and then, among the
     X matches, Z matches and mismatches that ``sift`` counts, the records
     whose event counts: Binomial(count, s) each, in that order, drawn only
-    when s < 1.  The estimation generator draws the samples and the
-    remaining key (``estimate``), and ``finish`` certifies and reports.
+    when s < 1.  ``estimate`` draws the samples and the remaining key from
+    the estimation generator, certifies and reports.
     """
     rng_events, rng_pe = stage_rngs(seed)
     records = draw(law, rng_events)
     bases, counts = sift(records, law)
     if law.s < 1.0:
         counts = tuple(int(rng_events.binomial(count, law.s)) for count in counts)
-    pe = estimate(rng_pe, law.e, counts[:2], law.fracs, law.threshold, law.abort_on_either)
-    return finish(pe, law, n_detected=sum(counts), bases=bases, raw_bases=records.n)
+    return estimate(rng_pe, law, counts, bases, records.n)
 
 
 def sample_errors(
@@ -278,81 +276,6 @@ def draw_keys(
         squeeze.xor_ones(bob, flips)
         n_flips += flips.size
     return alice, bob, n_flips
-
-
-@dataclass(frozen=True)
-class PeResult:
-    """Error-rate estimates, subset counts and the remaining key of one session.
-
-    The remaining key holds the ``k_rem`` keyed records no sample drew,
-    packed as ``draw_keys`` returns it (``alice_remaining_packed``,
-    ``bob_remaining_packed``); it is drawn whether or not the session
-    aborts, and ``finish`` reports it only when it does not.  ``n_disagree``
-    counts the compared records whose key bits differ: the errors found in
-    the samples plus those of the remaining key.
-    """
-
-    qber_x: float | None
-    qber_z: float | None
-    aborted: bool
-    alice_remaining_packed: np.ndarray
-    bob_remaining_packed: np.ndarray
-    k_rem: int
-    v_card: int
-    w_card: int
-    v_prime: int
-    w_prime: int
-    n_disagree: int
-    announced_bits: int
-    warnings: tuple[str, ...] = ()
-
-
-def estimate(
-    rng: np.random.Generator,
-    e: float,
-    cards: tuple[int, int],
-    fracs: tuple[float | None, float | None],
-    threshold: float | None = None,
-    abort_on_either: bool = False,
-) -> PeResult:
-    """Error-rate samples, abort decision and remaining key of one session.
-
-    ``cards`` holds the basis-matched record counts (|V|, |W|) of the X and
-    Z bases, ``fracs`` the share of each sacrificed for the estimate.  Each
-    sampled basis, X then Z, gives up int(frac * card) records; an empty
-    sample yields no estimate, and ``warnings`` says so.  A basis with no
-    fraction (None) is neither sampled nor keyed: the relay session's Z
-    decoys.  Matched records err i.i.d. with probability ``e``.
-
-    With a ``threshold`` the session aborts when both estimates exceed it
-    (either one, with ``abort_on_either``), a missing estimate counting as
-    not exceeded, and Bob's one-bit proceed/terminate message is counted in
-    ``announced_bits``.  The remaining key, every keyed record no sample
-    drew, is drawn last, whether or not the session aborts.
-    """
-    primes, rates, n_errors, k_rem, warnings = [], [], 0, 0, []
-    for basis, card, frac in zip("xz", cards, fracs):
-        size = 0
-        if frac is not None:
-            size = int(frac * card)
-            k_rem += card - size
-            if size == 0:
-                warnings.append(f"{basis}-basis parameter-estimation sample is empty")
-        rate, errors = sample_errors(rng, size, e)
-        primes.append(size)
-        rates.append(rate)
-        n_errors += errors
-    aborted = threshold is not None and (any if abort_on_either else all)(
-        r is not None and r > threshold for r in rates)
-    alice, bob, key_errors = draw_keys(rng, k_rem, e)
-    return PeResult(
-        qber_x=rates[0], qber_z=rates[1], aborted=aborted,
-        alice_remaining_packed=alice, bob_remaining_packed=bob, k_rem=k_rem,
-        v_card=cards[0], w_card=cards[1], v_prime=primes[0], w_prime=primes[1],
-        n_disagree=n_errors + key_errors,
-        announced_bits=sum(primes) + (threshold is not None),
-        warnings=tuple(warnings),
-    )
 
 
 @dataclass(frozen=True)
@@ -431,81 +354,96 @@ class SessionReport:
         return d
 
 
-def finish(
-    pe: PeResult,
+def estimate(
+    rng: np.random.Generator,
     law: Law,
-    *,
-    n_detected: int,
+    counts: tuple[int, int, int],
     bases: tuple[int, int],
     raw_bases: int,
 ) -> SessionReport:
-    """Certification and the report of one session, ledgers and E from core.
+    """Samples, remaining key, abort decision, certification and report of one session.
 
-    ``bases`` holds the squeezed sizes of the two basis announcements in
-    ledger order (bob_bases, alice_match); ``raw_bases`` is the uncompressed
-    size of each; together they give the achieved compression
-    1 - sum(bases) / (2 raw_bases), and the sift rate, basis-matched events
-    per announced basis bit, f_card / raw_bases (f_card = v_card + w_card).
-    The remaining key holds v_dprime = v_card - v_prime X records and
-    w_dprime = k_rem - v_dprime Z records.  The compared records are the
-    samples and the remaining key, and ``pe.n_disagree`` of them differ;
-    their ratio is the matched disagreement rate.  The error-rate estimate
-    pools every basis sample, sum(rate*count) / sum(count).  With no sample
-    at all, or an estimate of 1/2 or more (where the rate xi - H(e) - f H(e)
-    has no meaning), no key is certified and the report says so in
-    ``warnings``; an abort certifies nothing either, and an aborted session
-    reports no key.  The key is certified and accounted by the rule
-    ``predict`` applies to the expected counts.
+    ``counts`` holds the X matches, Z matches and mismatches whose events
+    count; ``bases`` the squeezed sizes of the two announcements in ledger
+    order (bob_bases, alice_match), and ``raw_bases`` the uncompressed size
+    of each, so the achieved compression is 1 - sum(bases) / (2 raw_bases)
+    and the sift rate, basis-matched events per announced basis bit,
+    f_card / raw_bases.
+
+    Each sampled basis, X then Z, gives up int(frac * card) of its matches
+    (``law.fracs``) and keys the rest; an empty sample yields no estimate,
+    and ``warnings`` says so.  A basis with no fraction (None) is neither
+    sampled nor keyed: the relay session's Z decoys.  Each sample's error
+    count is drawn at the law's e (``sample_errors``), then the remaining
+    key (``draw_keys``), whether or not the session aborts.  With a
+    threshold the session aborts when both estimates exceed it (either one,
+    with ``abort_on_either``), a missing estimate counting as not exceeded;
+    an aborted session reports no key.  The compared records are the
+    samples and the remaining key, and the matched disagreement rate counts
+    the errors of both.  The error-rate estimate pools every sample,
+    sum(rate*count) / sum(count).  With no sample at all, or an estimate of
+    1/2 or more (where the rate xi - H(e) - f H(e) has no meaning), no key
+    is certified and ``warnings`` says so.  The key is certified and
+    accounted by the rule ``predict`` applies to the expected counts.
     """
-    samples = [(r, c) for r, c in ((pe.qber_x, pe.v_prime), (pe.qber_z, pe.w_prime))
-               if r is not None]
+    primes, keyed, rates, warnings, n_errors = [], [], [], [], 0
+    for basis, card, frac in zip("xz", counts, law.fracs):
+        size = 0 if frac is None else int(frac * card)
+        if frac is not None and size == 0:
+            warnings.append(f"{basis}-basis parameter-estimation sample is empty")
+        rate, errors = sample_errors(rng, size, law.e)
+        primes.append(size)
+        keyed.append(0 if frac is None else card - size)
+        rates.append(rate)
+        n_errors += errors
+    aborted = law.threshold is not None and (any if law.abort_on_either else all)(
+        r is not None and r > law.threshold for r in rates)
+    k_rem = sum(keyed)
+    alice_key, bob_key, key_errors = draw_keys(rng, k_rem, law.e)
+    samples = [(r, c) for r, c in zip(rates, primes) if r is not None]
     e_est = (sum(r * c for r, c in samples) / sum(c for _, c in samples)
              if samples else None)
-    warnings = pe.warnings
     if e_est is None:
-        warnings += (NO_ESTIMATE,)
+        warnings.append(NO_ESTIMATE)
     elif e_est >= 0.5:
-        warnings += (f"error-rate estimate {e_est:.6g} >= 1/2: no key certified",)
-    v_dprime = pe.v_card - pe.v_prime
-    n_compared = pe.v_prime + pe.w_prime + pe.k_rem
-    alice_key, bob_key, key_bits = pe.alice_remaining_packed, pe.bob_remaining_packed, pe.k_rem
-    if pe.aborted:
+        warnings.append(f"error-rate estimate {e_est:.6g} >= 1/2: no key certified")
+    key_bits = 0 if aborted else k_rem
+    if aborted:  # the key was drawn all the same, and is not reported
         alice_key = bob_key = np.zeros(0, np.uint8)
-        key_bits = 0
-    final_key, led, led_raw = _account(law, bases, raw_bases, pe.announced_bits,
-                                       key_bits, e_est)
+    final_key, led, led_raw = _account(law, bases, raw_bases, sum(primes), key_bits, e_est)
     announced = led.total()
-    f_card = pe.v_card + pe.w_card
+    n_compared = sum(primes) + k_rem
+    f_card = counts[0] + counts[1]
     return SessionReport(
         n_qubits=law.n,
-        n_detected=n_detected,
+        n_detected=sum(counts),
         f_card=f_card,
-        v_card=pe.v_card,
-        w_card=pe.w_card,
-        v_prime=pe.v_prime,
-        w_prime=pe.w_prime,
-        v_dprime=v_dprime,
-        w_dprime=pe.k_rem - v_dprime,
-        qber_x=pe.qber_x,
-        qber_z=pe.qber_z,
-        aborted=pe.aborted,
+        v_card=counts[0],
+        w_card=counts[1],
+        v_prime=primes[0],
+        w_prime=primes[1],
+        v_dprime=keyed[0],
+        w_dprime=keyed[1],
+        qber_x=rates[0],
+        qber_z=rates[1],
+        aborted=aborted,
         alice_key_packed=alice_key,
         bob_key_packed=bob_key,
         key_bit_length=key_bits,
         final_key_bits=final_key,
         empirical_sift_rate=f_card / raw_bases if raw_bases else 0.0,
-        matched_disagreement_rate=pe.n_disagree / n_compared if n_compared else 0.0,
+        matched_disagreement_rate=(n_errors + key_errors) / n_compared if n_compared else 0.0,
         empirical_sigma=1.0 - sum(bases) / (2.0 * raw_bases) if raw_bases else 0.0,
         classical_bits_per_qubit=announced / law.uses if law.uses else 0.0,
         empirical_efficiency=efficiency(final_key, law.uses, announced),
         ledger=led,
         ledger_raw=led_raw,
-        warnings=warnings,
+        warnings=tuple(warnings),
     )
 
 
 def _account(
-    law: Law, bases: tuple[float, float], raw_bases: float, pe_bits: float,
+    law: Law, bases: tuple[float, float], raw_bases: float, sampled: float,
     k_rem: float, e: float | None,
 ) -> tuple[int, SessionLedger, SessionLedger]:
     """The certified key and both ledgers, of a session or of its expectation.
@@ -514,7 +452,9 @@ def _account(
     int(k_rem * (xi - H(e) - f H(e))) bits, at least 0, unless it is empty
     or ``e`` is missing (None) or 1/2 or more: then nothing is certified and
     nothing reaches EC or PA.  The ledgers come from ``core.build_ledger``,
-    with the squeezed ``bases`` and with ``raw_bases`` bits each.
+    with the squeezed ``bases`` and with ``raw_bases`` bits each; parameter
+    estimation announces the ``sampled`` records and, when the law has a
+    threshold, Bob's one-bit proceed/terminate message.
     """
     if k_rem == 0 or e is None or e >= 0.5:
         k_rem = key = 0  # nothing certified: no EC, no PA
@@ -523,6 +463,7 @@ def _account(
         h = binary_entropy(e)
         key = max(0, int(k_rem * (XI - h - law.f * h)))
         seed = 1.0
+    pe_bits = sampled + (law.threshold is not None)
     led, led_raw = (build_ledger(law.acks, b, pe_bits, k_rem, h, law.f, key, seed,
                                  clamp=True)
                     for b in (bases, (raw_bases, raw_bases)))
@@ -555,16 +496,18 @@ def predict(law: Law) -> Prediction:
     matches, and the rest is keyed.  Each announcement costs its own
     expected codeword length per k-bit block of the records
     (``squeeze.expected_codeword_length`` at its P(0)), so the two have
-    their own sigma.  The key is certified at the error rate e and
-    accounted as ``finish`` does it.
+    their own sigma: an announcement of rare-basis positions is 0 at
+    max(p_x, 1 - p_x), Alice's match bits at p_x^2 + (1 - p_x)^2.  The key
+    is certified at the error rate e and accounted as ``estimate`` does it.
     """
     records = law.n * law.eta
     cards = [records * law.s * q * q for q in (law.p_x, 1.0 - law.p_x)]
     primes = [0.0 if frac is None else frac * c for c, frac in zip(cards, law.fracs)]
     keyed = [0.0 if frac is None else c - p for c, p, frac in zip(cards, primes, law.fracs)]
+    common = max(law.p_x, 1.0 - law.p_x)  # P(0) of the rare-basis positions
+    shown = sum(q * q for q in (law.p_x, 1.0 - law.p_x)) if law.match_bits else common
     bases = tuple(records * squeeze.expected_codeword_length(law.k, p) / law.k
-                  for p in law.p0)
-    key, led, led_raw = _account(law, bases, records,
-                                 sum(primes) + (law.threshold is not None), sum(keyed), law.e)
+                  for p in (common, shown))
+    key, led, led_raw = _account(law, bases, records, sum(primes), sum(keyed), law.e)
     return Prediction(records * law.s, *cards, *primes, *keyed, key, led, led_raw,
                       efficiency(key, law.uses, led.total()))

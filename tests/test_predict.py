@@ -149,8 +149,7 @@ def test_relay_ceiling_is_the_predicted_limit(cfg):
     ceiling = relay_ceiling(pl.s, pl.f, pl.e)
     gaps = []
     for q in (1e-2, 1e-4, 1e-6, 1e-8):
-        corner = replace(pl, p_x=1 - q, p0=(1 - q, 1 - q), k=min(1000, round(1 / q)),
-                         fracs=(q, None))
+        corner = replace(pl, p_x=1 - q, k=min(1000, round(1 / q)), fracs=(q, None))
         gaps.append(ceiling - predict(corner).efficiency)
     assert all(0 < b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3 * ceiling  # what is left is ~2/k basis bits per pair

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from qkdeff.errors import ParameterError, SimulationIntegrityError
 from qkdeff.proto_bb84 import SessionConfig, law, run_session
 from qkdeff.proto_tf import TfConfig, run_tf_session
 from qkdeff.proto_tf import law as tf_law
-from qkdeff.session import PeResult, Records, draw, estimate, sift, stage_rngs
+from qkdeff.session import Records, SessionReport, draw, estimate, sift, stage_rngs
 
 FIG2 = ChannelParams(alpha=0.2, length_km=0.0, eta_det=0.3,
                      p_dark=1e-8, e_opt=0.03, e0=0.5, f=1.0)
@@ -56,11 +56,11 @@ def records(cfg: SessionConfig) -> Records:
     return draw(law(cfg), stage_rngs(cfg.rng_seed)[0])
 
 
-def parameter_estimation(counts, cfg: SessionConfig, rng) -> PeResult:
-    """``session.estimate`` of the X and Z matches in ``counts``, as
-    ``session.run`` calls it for the law of ``cfg``."""
-    pl = law(cfg)
-    return estimate(rng, pl.e, counts[:2], pl.fracs, pl.threshold, pl.abort_on_either)
+def parameter_estimation(counts, cfg: SessionConfig, rng) -> SessionReport:
+    """``session.estimate`` of the matches and mismatches in ``counts`` for
+    the law of ``cfg``, whose announcements ``session.run`` would pass; the
+    records are the counts' sum and the announced sizes are left at 0."""
+    return estimate(rng, law(cfg), counts, (0, 0), sum(counts))
 
 
 def n_sifted(counts) -> int:
@@ -99,10 +99,10 @@ class TestPrepareAndMeasure:
                             lossless=True, rng_seed=3)
         rng_prep, rng_pe = stage_rngs(cfg.rng_seed)
         _, counts = sift(draw(law(cfg), rng_prep), law(cfg))
-        pe = parameter_estimation(counts, cfg, rng_pe)
-        matched = pe.v_card + pe.w_card
-        assert pe.v_prime + pe.w_prime + pe.k_rem == matched
-        assert abs(pe.n_disagree / matched - 0.03) < three_sigma(0.03, matched)
+        rep = parameter_estimation(counts, cfg, rng_pe)
+        matched = rep.v_card + rep.w_card
+        assert rep.v_prime + rep.w_prime + rep.v_dprime + rep.w_dprime == matched
+        assert abs(rep.matched_disagreement_rate - 0.03) < three_sigma(0.03, matched)
 
     def test_lossy_detection_rate(self):
         cfg = SessionConfig(n_qubits=200_000, p_b=0.9, channel=FIG2, rng_seed=4)
@@ -142,8 +142,8 @@ class TestSift:
         every_other = np.setdiff1d(np.arange(rec.n), rec.alice)  # Bob never matches
         _, counts = sift(rec._replace(bob=every_other), law(cfg))
         assert counts == (0, 0, rec.n)
-        pe = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
-        assert pe.k_rem == pe.alice_remaining_packed.size == pe.bob_remaining_packed.size == 0
+        rep = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
+        assert rep.key_bit_length == rep.alice_key_packed.size == rep.bob_key_packed.size == 0
 
     @pytest.mark.parametrize("lossless, length_km", [(True, 0.0), (False, 50.0)])
     def test_split_counts_match_the_bases(self, lossless, length_km):
@@ -227,9 +227,9 @@ class TestParameterEstimation:
         cfg = SessionConfig(n_qubits=50_000, p_b=0.7, channel=NOISELESS,
                             lossless=True, rng_seed=12)
         _, counts = sift(records(cfg), law(cfg))
-        pe = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
-        assert pe.qber_x == 0.0 and pe.qber_z == 0.0
-        assert not pe.aborted
+        rep = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
+        assert rep.qber_x == 0.0 and rep.qber_z == 0.0
+        assert not rep.aborted
 
     def test_error_rate_concentrates(self):
         ch = replace(NOISELESS, e_opt=0.03)
@@ -237,41 +237,45 @@ class TestParameterEstimation:
                             lambda_frac=0.2, channel=ch, lossless=True,
                             rng_seed=13)
         _, counts = sift(records(cfg), law(cfg))
-        pe = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
-        assert abs(pe.qber_x - 0.03) < three_sigma(0.03, pe.v_prime)
-        assert abs(pe.qber_z - 0.03) < three_sigma(0.03, pe.w_prime)
+        rep = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
+        assert abs(rep.qber_x - 0.03) < three_sigma(0.03, rep.v_prime)
+        assert abs(rep.qber_z - 0.03) < three_sigma(0.03, rep.w_prime)
 
     def test_abort_requires_both_rates_over_threshold(self):
         n = 10_000
-        counts = (n // 2, n // 2)
+        counts = (n // 2, n // 2, 0)
         cfg = SessionConfig(n_qubits=n, p_b=0.7, qber_threshold=0.11,
                             channel=NOISELESS, lossless=True)
         cfg_or = replace(cfg, abort_on_either=True)
         # disagreements everywhere: both rates 1.0 -> abort under the AND rule
-        pe = parameter_estimation(counts, cfg, ScriptedErrors(50, 50))
-        assert pe.qber_x == pe.qber_z == 1.0
-        assert pe.aborted
+        rep = parameter_estimation(counts, cfg, ScriptedErrors(50, 50))
+        assert rep.qber_x == rep.qber_z == 1.0
+        assert rep.aborted
+        assert rep.key_bit_length == rep.alice_key.size == rep.final_key_bits == 0
 
         # X clean, Z broken: AND rule proceeds, OR rule aborts
-        pe = parameter_estimation(counts, cfg, ScriptedErrors(0, 50))
-        assert pe.qber_x == 0.0 and pe.qber_z == 1.0
-        assert not pe.aborted
-        assert parameter_estimation(counts, cfg_or, ScriptedErrors(0, 50)).aborted
+        rep = parameter_estimation(counts, cfg, ScriptedErrors(0, 50))
+        assert rep.qber_x == 0.0 and rep.qber_z == 1.0
+        assert not rep.aborted
+        assert rep.key_bit_length == rep.v_dprime + rep.w_dprime == n - 100
+        rep = parameter_estimation(counts, cfg_or, ScriptedErrors(0, 50))
+        assert rep.aborted
+        assert rep.key_bit_length == rep.alice_key.size == rep.final_key_bits == 0
 
     def test_empty_sample_reported(self):
         cfg = SessionConfig(n_qubits=20_000, p_b=0.999, channel=NOISELESS,
                             lossless=True, rng_seed=15)
         _, counts = sift(records(cfg), law(cfg))
-        pe = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
-        assert pe.qber_x is None  # both-X subset ~ (1-p_b)^2 N rounds to zero
-        assert any("x-basis" in w for w in pe.warnings)
-        assert pe.qber_z is not None
+        rep = parameter_estimation(counts, cfg, stage_rngs(cfg.rng_seed)[1])
+        assert rep.qber_x is None  # both-X subset ~ (1-p_b)^2 N rounds to zero
+        assert any("x-basis" in w for w in rep.warnings)
+        assert rep.qber_z is not None
 
 
-def reference_parameter_estimation(rec, cfg, rng):
-    """Estimation written out from the dense bases of every record: the
-    oracle for ``session.estimate`` fed the counts ``session.sift`` takes
-    from the verified announcements."""
+def reference_parameter_estimation(rec, cfg, rng) -> dict:
+    """Estimation written out from the dense bases of every record, as report
+    fields: the oracle for ``session.estimate`` fed the counts ``session.sift``
+    takes from the verified announcements."""
     b, b_prime = dense_bases(rec)
     v_card = int(np.count_nonzero((b == 1) & (b_prime == 1)))
     w_card = int(np.count_nonzero((b == 0) & (b_prime == 0)))
@@ -289,17 +293,26 @@ def reference_parameter_estimation(rec, cfg, rng):
         rates.append(drawn / count if count else None)
         errors += drawn
     qber_x, qber_z = rates
+    if v_prime + w_prime == 0:
+        warnings.append(session.NO_ESTIMATE)
+    elif errors / (v_prime + w_prime) >= 0.5:
+        warnings.append(f"error-rate estimate {errors / (v_prime + w_prime):.6g} >= 1/2: "
+                        "no key certified")
     exceed_x = qber_x is not None and qber_x > cfg.qber_threshold
     exceed_z = qber_z is not None and qber_z > cfg.qber_threshold
     aborted = (exceed_x or exceed_z) if cfg.abort_on_either else (exceed_x and exceed_z)
     k_rem = v_card - v_prime + w_card - w_prime
     alice, bob, _ = session.draw_keys(rng, k_rem, e)
-    return PeResult(
+    n_disagree = errors + int(np.count_nonzero(np.unpackbits(alice ^ bob)))
+    if aborted:  # the key was drawn, and is not reported
+        alice = bob = np.zeros(0, np.uint8)
+    return dict(
         qber_x=qber_x, qber_z=qber_z, aborted=aborted,
-        alice_remaining_packed=alice, bob_remaining_packed=bob, k_rem=k_rem,
+        alice_key_packed=alice, bob_key_packed=bob, key_bit_length=0 if aborted else k_rem,
         v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=w_prime,
-        n_disagree=errors + int(np.count_nonzero(np.unpackbits(alice ^ bob))),
-        announced_bits=v_prime + w_prime + 1, warnings=tuple(warnings),
+        v_dprime=v_card - v_prime, w_dprime=w_card - w_prime,
+        matched_disagreement_rate=n_disagree / (v_card + w_card) if v_card + w_card else 0.0,
+        warnings=tuple(warnings),
     )
 
 
@@ -322,17 +335,20 @@ class TestParameterEstimationMatchesReference:
             )
             rng_prep, rng_pe = stage_rngs(seed)
             rec = draw(law(cfg), rng_prep)
-            pe = parameter_estimation(sift(rec, law(cfg))[1], cfg, rng_pe)
+            rep = parameter_estimation(sift(rec, law(cfg))[1], cfg, rng_pe)
             _, ref_rng = stage_rngs(seed)
             ref = reference_parameter_estimation(rec, cfg, ref_rng)
-            for f in fields(PeResult):
-                got, want = getattr(pe, f.name), getattr(ref, f.name)
+            for name, want in ref.items():
+                got = getattr(rep, name)
                 if isinstance(want, np.ndarray):
-                    assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
                 else:
-                    assert got == want, f.name
+                    assert got == want, name
+            assert rep.ledger.pe_sacrifice == ref["v_prime"] + ref["w_prime"] + 1
+            # after an abort the report holds no key: the generator's state
+            # is what shows that the key was drawn all the same
             assert rng_pe.integers(2**62) == ref_rng.integers(2**62)
-            outcomes.add((pe.aborted, pe.qber_x is None))
+            outcomes.add((rep.aborted, rep.qber_x is None))
         # aborted and kept runs, with and without an X sample
         assert {aborted for aborted, _ in outcomes} == {False, True}
         assert {empty_x for _, empty_x in outcomes} == {False, True}

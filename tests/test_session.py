@@ -5,7 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from qkdeff.errors import ParameterError, SimulationIntegrityError
 from qkdeff.proto_bb84 import SessionConfig, run_session
 from qkdeff.proto_bb84 import law as bb84_law
 from qkdeff.proto_tf import TfConfig, run_tf_session
+from qkdeff.proto_tf import law as tf_law
+from test_proto_bb84 import ScriptedErrors
 
 NO_SAMPLE = {
     # 50 lossless qubits: both the X and the Z sacrifice round to zero
@@ -393,71 +395,74 @@ def test_estimate_of_one_half_or_more_certifies_no_key():
     assert "error-rate estimate 1 >= 1/2: no key certified" in rep.warnings
 
 
-def reference_relay_estimate(rng, e, v_card, w_card, frac) -> session.PeResult:
-    """The relay session's estimation written out: one X sample at error rate
-    e, then the X key; the Z decoys are neither sampled nor keyed, and no
-    threshold means no abort and no decision bit."""
+def reference_relay_estimate(rng, e, v_card, w_card, frac) -> dict:
+    """The relay session's estimation written out, as report fields: one X
+    sample at error rate e, then the X key; the Z decoys are neither
+    sampled nor keyed, and no threshold means no abort and no decision bit."""
     v_prime = int(frac * v_card)
     errors = int(rng.binomial(v_prime, e)) if v_prime else 0
     alice, bob, _ = session.draw_keys(rng, v_card - v_prime, e)
-    return session.PeResult(
-        qber_x=errors / v_prime if v_prime else None, qber_z=None, aborted=False,
-        alice_remaining_packed=alice, bob_remaining_packed=bob, k_rem=v_card - v_prime,
+    qber_x = errors / v_prime if v_prime else None
+    warnings = () if v_prime else ("x-basis parameter-estimation sample is empty",
+                                   session.NO_ESTIMATE)
+    if qber_x is not None and qber_x >= 0.5:
+        warnings += (f"error-rate estimate {qber_x:.6g} >= 1/2: no key certified",)
+    n_disagree = errors + int(np.count_nonzero(np.unpackbits(alice ^ bob)))
+    return dict(
+        qber_x=qber_x, qber_z=None, aborted=False,
+        alice_key_packed=alice, bob_key_packed=bob, key_bit_length=v_card - v_prime,
         v_card=v_card, w_card=w_card, v_prime=v_prime, w_prime=0,
-        n_disagree=errors + int(np.count_nonzero(np.unpackbits(alice ^ bob))),
-        announced_bits=v_prime,
-        warnings=() if v_prime else ("x-basis parameter-estimation sample is empty",),
+        v_dprime=v_card - v_prime, w_dprime=0,
+        matched_disagreement_rate=n_disagree / v_card if v_card else 0.0,
+        warnings=warnings,
     )
+
+
+def assert_report_fields(rep: session.SessionReport, want: dict) -> None:
+    """Each field of ``want`` holds in ``rep``, arrays by dtype and value."""
+    for name, value in want.items():
+        got = getattr(rep, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+        else:
+            assert got == value and type(got) is type(value), name
 
 
 def test_relay_estimate_matches_written_out_reference():
     # v_card = 0 (seeds 0, 3, ...), X records but an empty sample (seeds 1,
     # 2), and samples of up to ~90 events; decoys on every seed
     e, frac = 0.2, 0.01
+    law = replace(tf_law(TfConfig(n_pulses=100_000)), e=e, fracs=(frac, None))
     empty_x = set()
     for seed in range(24):
         v_card, w_card = (0 if seed % 3 == 0 else 400 * seed), 7 * seed + 1
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        pe = session.estimate(rng, e, (v_card, w_card), (frac, None))
+        rep = session.estimate(rng, law, (v_card, w_card, 11), (0, 0), v_card + w_card + 11)
         ref = reference_relay_estimate(ref_rng, e, v_card, w_card, frac)
-        for f in fields(session.PeResult):
-            got, want = getattr(pe, f.name), getattr(ref, f.name)
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
-            else:
-                assert got == want and type(got) is type(want), f.name
+        assert_report_fields(rep, ref)
+        assert rep.ledger.pe_sacrifice == ref["v_prime"]
         assert rng.integers(2**62) == ref_rng.integers(2**62)
-        empty_x.add(pe.qber_x is None)
+        empty_x.add(rep.qber_x is None)
     assert empty_x == {False, True}
 
 
-def pe_result(k_rem: int, **counts) -> session.PeResult:
-    """A PeResult with the same all-zero ``k_rem``-bit key for both parties
-    and the given counts."""
-    key = np.zeros(-(-k_rem // 8), np.uint8)
-    return session.PeResult(alice_remaining_packed=key, bob_remaining_packed=key,
-                            k_rem=k_rem, **counts)
-
-
-def finish(pe: session.PeResult, raw_bases: int, **changes) -> session.SessionReport:
-    """``session.finish`` of a lossless unit-f session of ``raw_bases`` records,
-    whose announcements squeeze to half, with ``changes`` to its law."""
+def estimate(raw_bases: int, counts, errors, **changes) -> session.SessionReport:
+    """``session.estimate`` of a lossless session of ``raw_bases`` records,
+    whose announcements squeeze to half, with ``counts`` and ``changes`` to
+    its law; the sample error counts are ``errors``, X then Z."""
     law = replace(bb84_law(SessionConfig(n_qubits=raw_bases, lossless=True)), **changes)
-    return session.finish(pe, law, n_detected=raw_bases, bases=(raw_bases // 2,) * 2,
-                          raw_bases=raw_bases)
+    return session.estimate(ScriptedErrors(*errors), law, counts,
+                            (raw_bases // 2,) * 2, raw_bases)
 
 
 @pytest.mark.parametrize("z_count, refused", [(1, True), (2, False)])
 def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
     # X sample all wrong, Z sample all right: the pooled estimate is
     # 1 / (1 + z_count), exactly 1/2 for one Z event
-    pe = pe_result(
-        100, qber_x=1.0, qber_z=0.0, aborted=False,
-        v_card=10, w_card=10, v_prime=1, w_prime=z_count, n_disagree=1,
-        announced_bits=2 + z_count,
-    )
-    rep = finish(pe, 200)
-    assert rep.f_card == pe.v_card + pe.w_card
+    rep = estimate(200, (10, 10, 0), (1, 0), fracs=(0.1, z_count / 10))
+    assert (rep.v_prime, rep.w_prime) == (1, z_count)
+    assert (rep.qber_x, rep.qber_z, rep.aborted) == (1.0, 0.0, False)
+    assert rep.f_card == rep.v_card + rep.w_card == 20
     assert rep.empirical_sift_rate == rep.f_card / 200
     assert any("1/2" in w for w in rep.warnings) == refused
     if refused:
@@ -467,33 +472,29 @@ def test_pooled_estimate_at_one_half_is_refused(z_count, refused):
 
 
 def test_matched_disagreement_rate_pools_the_basis_pairs():
-    # 4 of the 8 compared records disagree: the one X and the one Z sample
-    # and the 6 remaining key bits.  An aborted session reports no key, but
-    # its rate still counts the key it discarded.
-    for aborted in (False, True):
-        pe = pe_result(
-            6, qber_x=1.0, qber_z=0.0, aborted=aborted,
-            v_card=3, w_card=5, v_prime=1, w_prime=1, n_disagree=4,
-            announced_bits=3,
-        )
-        rep = finish(pe, 10)
+    # 7 of the 8 compared records disagree: the one X sample, not the one Z
+    # sample, and the 6 remaining key bits, which e = 1 flips.  An aborted
+    # session (either rule: the X rate passes the threshold) reports no key,
+    # but its rate still counts the key it discarded.
+    for either in (False, True):
+        rep = estimate(10, (3, 5, 2), (1, 0), e=1.0, fracs=(1 / 3, 0.2),
+                       abort_on_either=either)
+        assert (rep.v_prime, rep.w_prime, rep.v_dprime, rep.w_dprime) == (1, 1, 2, 4)
+        assert rep.aborted == either
         assert type(rep.matched_disagreement_rate) is float
-        assert rep.matched_disagreement_rate == 0.5
-        assert rep.alice_key.size == rep.bob_key.size == (0 if aborted else 6)
-        assert rep.f_card == pe.v_card + pe.w_card
+        assert rep.matched_disagreement_rate == 7 / 8
+        assert rep.alice_key.size == rep.bob_key.size == (0 if either else 6)
+        assert rep.f_card == rep.v_card + rep.w_card
         assert rep.empirical_sift_rate == rep.f_card / 10
 
 
 def test_sift_rate_with_no_announced_basis_is_zero():
-    pe = pe_result(
-        0, qber_x=None, qber_z=None, aborted=False,
-        v_card=0, w_card=0, v_prime=0, w_prime=0, n_disagree=0, announced_bits=1,
-    )
-    rep = finish(pe, 0, n=40, uses=40, acks=40)
+    rep = estimate(0, (0, 0, 0), (), n=40, uses=40, acks=40)
     assert rep.f_card == 0
     assert type(rep.empirical_sift_rate) is float
     assert rep.empirical_sift_rate == 0.0
     assert rep.matched_disagreement_rate == 0.0
+    assert rep.ledger.pe_sacrifice == 1  # the decision bit
 
 
 def relay_error_rate(cfg: TfConfig) -> float:
